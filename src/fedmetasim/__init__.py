@@ -48,9 +48,8 @@ from .federation import (
     ServerOptimizerConfig,
     StageConfig,
     TrainingRun,
-    client_update,
     fomaml_update,
-    inner_loop_reptile,
+    local_update,
     run_personalized_fedavg,
     run_round,
     sample_clients,

@@ -21,7 +21,14 @@ import numpy as np
 
 from .errors import ContractViolation
 from .federation import RoundTrace, TrainingRun, fomaml_update
-from .model import Batch, ModelSpec, gradient, maml_gradient_oracle, sgd_trajectory
+from .model import (
+    Batch,
+    ModelSpec,
+    gradient,
+    maml_gradient_oracle,
+    merge_batches,
+    sgd_trajectory,
+)
 
 METRICS = ("initial", "personalized")
 
@@ -116,14 +123,7 @@ def fomaml_maml_gap(
     if eval_batch is None:
         if not adapt:
             raise ContractViolation("eval_batch required when steps is 0")
-        xs = np.concatenate([b.x for b in adapt])
-        ys = np.concatenate([b.y for b in adapt])
-        ts = (
-            np.concatenate([b.targets for b in adapt])
-            if all(b.targets is not None for b in adapt)
-            else None
-        )
-        eval_batch = Batch(xs, ys, ts)
+        eval_batch = merge_batches(adapt)
 
     g_maml = maml_gradient_oracle(spec, params, adapt, beta, eval_batch, fd_step)
     theta = sgd_trajectory(spec, params, adapt, beta)[0] if steps else np.asarray(params, dtype=np.float64)

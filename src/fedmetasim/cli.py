@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -300,24 +301,30 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+REPORT_COLUMNS = "round,initial_mean,initial_std,personalized_mean,personalized_std"
+
+
+@dataclass
 class _LoadedRun:
-    """Snapshot series reconstructed from a replica's metrics.csv."""
+    """A replica's config hash, seed and snapshot series from its metrics.csv."""
 
-    def __init__(self, snapshots: list[EvalSnapshot]):
-        self.snapshots = snapshots
+    cfg_hash: str
+    seed: int | None
+    snapshots: list[EvalSnapshot]
 
 
-def _load_metrics(path: Path) -> tuple[str, _LoadedRun]:
-    cfg_hash = ""
-    snaps = []
+def _load_metrics(path: Path) -> _LoadedRun:
+    run = _LoadedRun(cfg_hash="", seed=None, snapshots=[])
     for line in path.read_text().splitlines():
         if line.startswith("# config_hash="):
-            cfg_hash = line.split("=", 1)[1]
+            run.cfg_hash = line.split("=", 1)[1]
+        elif line.startswith("# seed="):
+            run.seed = int(line.split("=", 1)[1])
         elif line.startswith("#") or line.startswith("round,") or not line.strip():
             continue
         else:
             parts = line.split(",")
-            snaps.append(
+            run.snapshots.append(
                 EvalSnapshot(
                     round_index=int(parts[0]),
                     initial_mean=float(parts[1]),
@@ -326,10 +333,22 @@ def _load_metrics(path: Path) -> tuple[str, _LoadedRun]:
                     personalized_std=float(parts[4]),
                 )
             )
-    return cfg_hash, _LoadedRun(snaps)
+    return run
 
 
-def _report_text(cfg_hash: str, runs: list[_LoadedRun], threshold: float) -> str:
+def _snapshot_rows(runs: list[_LoadedRun]) -> list[str]:
+    """One REPORT_COLUMNS row per snapshot: mean and std across replicas."""
+    stats_i = per_snapshot_stats(runs, "initial")
+    stats_p = per_snapshot_stats(runs, "personalized")
+    return [
+        f"{rnd},{im:.6f},{istd:.6f},{pm:.6f},{pstd:.6f}"
+        for (rnd, im, istd), (_, pm, pstd) in zip(stats_i, stats_p)
+    ]
+
+
+def _report_text(
+    cfg_hash: str, runs: list[_LoadedRun], threshold: float, rows: list[str]
+) -> str:
     init = aggregate_replicas(runs, "initial")
     pers = aggregate_replicas(runs, "personalized")
     t_init = threshold_stats(runs, "initial", threshold)
@@ -344,32 +363,32 @@ def _report_text(cfg_hash: str, runs: list[_LoadedRun], threshold: float) -> str
         f"final initial_accuracy: {init.format()}",
         f"final personalized_accuracy: {pers.format()}",
         "",
-        "round,initial_mean,initial_std,personalized_mean,personalized_std",
+        REPORT_COLUMNS,
+        *rows,
     ]
-    stats_i = per_snapshot_stats(runs, "initial")
-    stats_p = per_snapshot_stats(runs, "personalized")
-    for (rnd, im, istd), (_, pm, pstd) in zip(stats_i, stats_p):
-        lines.append(f"{rnd},{im:.6f},{istd:.6f},{pm:.6f},{pstd:.6f}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_report(args) -> int:
-    loaded = []
-    hashes = []
+    runs = []
     for rdir in args.run_dirs:
         path = Path(rdir) / "metrics.csv"
         if not path.exists():
             raise ConfigError(f"no metrics.csv in {rdir}")
-        cfg_hash, run = _load_metrics(path)
-        hashes.append(cfg_hash)
-        loaded.append(run)
-    if len(set(hashes)) != 1:
+        runs.append(_load_metrics(path))
+    hashes = sorted({run.cfg_hash for run in runs})
+    if len(hashes) != 1:
         raise ConfigError(
-            "refusing to aggregate runs with different configs: "
-            + ", ".join(sorted(set(hashes)))
+            "refusing to aggregate runs with different configs: " + ", ".join(hashes)
         )
+    seeds = [run.seed for run in runs]
+    if None in seeds:
+        raise ConfigError("every metrics.csv needs a '# seed=' line")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"refusing to aggregate duplicate replicas: seeds {seeds}")
 
-    text = _report_text(hashes[0], loaded, args.threshold)
+    rows = _snapshot_rows(runs)
+    text = _report_text(hashes[0], runs, args.threshold, rows)
     print(text, end="")
     if args.out:
         out = Path(args.out)
@@ -377,10 +396,7 @@ def cmd_report(args) -> int:
         _ensure_writable(paths, args.force)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(text)
-        csv_lines = [f"# config_hash={hashes[0]}"]
-        csv_lines.append("round,initial_mean,initial_std,personalized_mean,personalized_std")
-        csv_lines.extend(text.splitlines()[text.splitlines().index(
-            "round,initial_mean,initial_std,personalized_mean,personalized_std") + 1:])
+        csv_lines = [f"# config_hash={hashes[0]}", REPORT_COLUMNS, *rows]
         (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
     return 0
 

@@ -1,18 +1,23 @@
 """The round engine.
 
-One communication round samples clients, runs a local update per client,
+One communication round samples clients, runs ``local_update`` per client,
 aggregates the weighted parameter deltas in ascending client-id order, and
-applies the server optimizer. Four local update rules are supported:
+applies the server optimizer.
 
-- fedavg: E epochs (or exactly K steps) of local SGD, delta = theta_i - theta.
-- reptile: exactly K local SGD steps, uniform weighting.
+``local_update`` is the single local routine behind all four algorithms,
+which differ only in how many batches the client's SGD trajectory covers and
+which vector the client returns:
+
+- fedavg: E epochs (or exactly K steps) of local SGD, delta = theta_K - theta.
+- reptile: exactly K local SGD steps, same delta, uniform weighting.
 - fedsgd: the single-step special case of reptile.
-- fomaml: K adaptation steps, then the update is -beta times the gradient
-  evaluated at the adapted parameters on the next held-out batch.
+- fomaml: K adaptation steps plus one on the next batch; the update is
+  -beta times that last gradient, evaluated at the adapted parameters.
 
-Raw per-step gradients can be recorded (``trace=True``) so that an averaged
-round update can later be decomposed exactly into its single-step and
-adapted-gradient components.
+A non-finite gradient or iterate raises DivergenceError naming the client,
+round and step. Raw per-step gradients can be recorded (``trace=True``) so
+that an averaged round update can later be decomposed exactly into its
+single-step and adapted-gradient components.
 
 Randomness is drawn from counter-based substreams keyed by (purpose, round,
 client), so per-client work is order-independent and a run is a pure
@@ -29,7 +34,7 @@ import numpy as np
 
 from .data import ClientDataset, FederatedDataset
 from .errors import ContractViolation, DivergenceError
-from .model import Batch, ModelSpec, gradient, init_params, sgd_trajectory
+from .model import ModelSpec, init_params, sgd_trajectory
 from .optimizers import (
     ClientOptimizerConfig,
     ServerOptimizerState,
@@ -140,82 +145,36 @@ def sample_clients(
     return sorted(ids[i] for i in picked)
 
 
-def client_update(
+def local_update(
     spec: ModelSpec,
     params: np.ndarray,
     client: ClientDataset,
-    epochs: int,
-    cfg: ClientOptimizerConfig,
-    rng: np.random.Generator,
-    weighting: str = "data_proportional",
-    trace: bool = False,
-    client_id: int = -1,
-) -> ClientUpdateResult:
-    """E local epochs of SGD; the update is the parameter delta."""
-    batches = make_client_batches(client, epochs, cfg, rng)
-    final, grads = sgd_trajectory(spec, params, batches, cfg.lr)
-    weight = float(client.weight) if weighting == "data_proportional" else 1.0
-    return ClientUpdateResult(
-        client_id=client_id,
-        delta=final - params,
-        weight=weight,
-        step_gradients=grads if trace else None,
-    )
-
-
-def _step_batches(
-    client: ClientDataset, k: int, cfg: ClientOptimizerConfig, rng: np.random.Generator
-) -> list[Batch]:
-    per_epoch = math.ceil(client.train.n / cfg.batch_size)
-    epochs = math.ceil(k / per_epoch)
-    return make_client_batches(client, epochs, cfg, rng)[:k]
-
-
-def inner_loop_reptile(
-    spec: ModelSpec,
-    params: np.ndarray,
-    client: ClientDataset,
-    steps: int,
-    cfg: ClientOptimizerConfig,
+    cfg: RoundConfig,
     rng: np.random.Generator,
     trace: bool = False,
     client_id: int = -1,
 ) -> ClientUpdateResult:
-    """Exactly K local SGD steps; always weight 1."""
-    if steps < 1:
-        raise ContractViolation("steps must be positive")
-    batches = _step_batches(client, steps, cfg, rng)
-    final, grads = sgd_trajectory(spec, params, batches, cfg.lr)
-    return ClientUpdateResult(
-        client_id=client_id,
-        delta=final - params,
-        weight=1.0,
-        step_gradients=grads if trace else None,
-    )
+    """One client's local SGD from ``params`` under the round's algorithm.
 
-
-def _fomaml_client_update(
-    spec: ModelSpec,
-    params: np.ndarray,
-    client: ClientDataset,
-    k: int,
-    cfg: ClientOptimizerConfig,
-    rng: np.random.Generator,
-    trace: bool = False,
-    client_id: int = -1,
-) -> ClientUpdateResult:
-    """Adapt for K steps, then contribute -beta times the next gradient."""
-    batches = _step_batches(client, k + 1, cfg, rng)
-    if k > 0:
-        theta, grads = sgd_trajectory(spec, params, batches[:k], cfg.lr)
+    Epoch-counted fedavg runs E full epochs; otherwise the trajectory covers
+    the first K batches (K+1 for fomaml) of as many epochs as that needs.
+    fomaml returns -beta times the last recorded gradient, i.e. the gradient
+    at the adapted parameters on the extra batch; every other algorithm
+    returns the parameter delta. The weight follows ``cfg.weighting``.
+    """
+    lr, batch_size = cfg.client_cfg.lr, cfg.client_cfg.batch_size
+    if cfg.epochs is not None:
+        batches = make_client_batches(client, cfg.epochs, batch_size, rng)
     else:
-        theta, grads = params, []
-    g_next = gradient(spec, theta, batches[k])
+        k = cfg.steps + (cfg.algorithm == "fomaml")
+        epochs = math.ceil(k / math.ceil(client.train.n / batch_size))
+        batches = make_client_batches(client, epochs, batch_size, rng)[:k]
+    final, grads = sgd_trajectory(spec, params, batches, lr)
     return ClientUpdateResult(
         client_id=client_id,
-        delta=-cfg.lr * g_next,
-        weight=1.0,
-        step_gradients=grads + [g_next] if trace else None,
+        delta=-lr * grads[-1] if cfg.algorithm == "fomaml" else final - params,
+        weight=float(client.weight) if cfg.weighting == "data_proportional" else 1.0,
+        step_gradients=grads if trace else None,
     )
 
 
@@ -255,24 +214,9 @@ def run_round(
 
     results = []
     for cid in ids:
-        client = dataset.clients[cid]
         rng = streams.stream("round.batch", round_index, cid)
         try:
-            if cfg.algorithm == "fomaml":
-                res = _fomaml_client_update(
-                    spec, params, client, cfg.steps, cfg.client_cfg, rng, trace, cid
-                )
-            elif cfg.algorithm == "fedavg" and cfg.epochs is not None:
-                res = client_update(
-                    spec, params, client, cfg.epochs, cfg.client_cfg, rng,
-                    weighting=cfg.weighting, trace=trace, client_id=cid,
-                )
-            else:
-                res = inner_loop_reptile(
-                    spec, params, client, cfg.steps, cfg.client_cfg, rng, trace, cid
-                )
-                if cfg.algorithm == "fedavg" and cfg.weighting == "data_proportional":
-                    res.weight = float(client.weight)
+            res = local_update(spec, params, dataset.clients[cid], cfg, rng, trace, cid)
         except DivergenceError as exc:
             raise DivergenceError(
                 f"client {cid} diverged at step {exc.step_index} in round {round_index}",

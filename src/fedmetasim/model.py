@@ -281,7 +281,8 @@ def sgd_trajectory(
 
     Returns the final parameters and the raw per-step gradients, i.e. the
     gradient evaluated at the parameters *before* each step. The step-size
-    scaling is not folded into the recorded gradients.
+    scaling is not folded into the recorded gradients. A non-finite gradient
+    or iterate raises DivergenceError carrying the step index.
     """
     params = _check_params(spec, params).copy()
     if beta < 0:
@@ -292,7 +293,12 @@ def sgd_trajectory(
     # Overflow here is an anticipated outcome, reported via DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
         for j, batch in enumerate(batches):
-            g = gradient(spec, params, batch)
+            try:
+                g = gradient(spec, params, batch)
+            except NumericError as exc:
+                raise DivergenceError(
+                    f"non-finite gradient at step {j}", step_index=j
+                ) from exc
             params = params - beta * g
             if not np.all(np.isfinite(params)):
                 raise DivergenceError(
@@ -302,7 +308,8 @@ def sgd_trajectory(
     return params, grads
 
 
-def _merge_batches(batches: list[Batch]) -> Batch:
+def merge_batches(batches: list[Batch]) -> Batch:
+    """One batch holding every example of ``batches``, in order."""
     xs = np.concatenate([b.x for b in batches])
     ys = np.concatenate([b.y for b in batches])
     if all(b.targets is not None for b in batches):
@@ -336,7 +343,7 @@ def maml_gradient_oracle(
     if eval_batch is None:
         if not batches:
             raise ContractViolation("eval_batch required when batches is empty")
-        eval_batch = _merge_batches(batches)
+        eval_batch = merge_batches(batches)
 
     def adapted_loss(theta: np.ndarray) -> float:
         for batch in batches:
@@ -404,9 +411,13 @@ def load_checkpoint(path) -> tuple[ModelSpec, np.ndarray]:
     if len(payload) < 8:
         raise CheckpointError("missing length prefix")
     (count,) = struct.unpack("<Q", payload[:8])
-    data = payload[8 : 8 + 8 * count]
-    if len(data) != 8 * count:
+    data = payload[8:]
+    if len(data) < 8 * count:
         raise CheckpointError("truncated parameter payload")
+    if len(data) > 8 * count:
+        raise CheckpointError(
+            f"{len(data) - 8 * count} trailing bytes after the parameter payload"
+        )
     params = np.frombuffer(data, dtype="<f8").astype(np.float64)
     if count != spec.param_count:
         raise CheckpointError(

@@ -5,6 +5,10 @@ plain SGD and momentum add ``lr * delta`` (momentum through a velocity
 buffer), while Adam feeds the negated delta through the standard
 bias-corrected update. State transitions are pure; ``server_apply`` returns a
 new state and never mutates its inputs.
+
+``adam_step`` is the one Adam update, shared by the server and by client
+personalization; ``make_client_batches`` is the one per-epoch shuffler,
+shared by local training and personalization.
 """
 
 from __future__ import annotations
@@ -90,17 +94,36 @@ def server_apply(
         velocity = state.momentum * state.velocity + delta
         return params + state.lr * velocity, replace(state, velocity=velocity, step_count=t)
 
-    g = -delta
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    new_params, m, v = adam_step(
+        params, -delta, state.m, state.v, t, state.lr, state.beta1, state.beta2, state.eps
+    )
     return new_params, replace(state, m=m, v=v, step_count=t)
 
 
+def adam_step(
+    params: np.ndarray,
+    g: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    t: int,
+    lr: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step ``t`` (counted from 1) of bias-corrected Adam on gradient ``g``.
+
+    Returns (new params, new m, new v); the inputs are not mutated.
+    """
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
 def make_client_batches(
-    client, epochs: int, cfg: ClientOptimizerConfig, rng: np.random.Generator
+    client, epochs: int, batch_size: int, rng: np.random.Generator
 ) -> list[Batch]:
     """Shuffle the client's train split once per epoch and chunk it.
 
@@ -115,7 +138,7 @@ def make_client_batches(
     batches = []
     for _ in range(epochs):
         order = rng.permutation(train.n)
-        for start in range(0, train.n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for start in range(0, train.n, batch_size):
+            idx = order[start : start + batch_size]
             batches.append(Batch(train.x[idx], train.y[idx]))
     return batches

@@ -15,16 +15,14 @@ import numpy as np
 
 from .data import ClientDataset, ExampleSet, FederatedDataset
 from .errors import ContractViolation, NumericError
-from .model import Batch, ModelSpec, forward_logits, gradient
+from .model import ModelSpec, forward_logits, gradient
+from .optimizers import adam_step, make_client_batches
 from .rng import StreamFactory
 
 PERSONALIZATION_OPTIMIZERS = ("sgd", "adam")
 
 # "adam" always runs with the stock defaults.
 ADAM_LR = 0.001
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -91,38 +89,23 @@ def personalize(
     theta = np.asarray(params, dtype=np.float64).copy()
     if cfg.epochs == 0:
         return theta, False
-    if client.train.n == 0:
-        raise ContractViolation("client has no training data to personalize on")
+    batches = make_client_batches(client, cfg.epochs, cfg.batch_size, rng)
+    m = v = np.zeros_like(theta)
 
-    if cfg.optimizer == "adam":
-        m = np.zeros_like(theta)
-        v = np.zeros_like(theta)
-        t = 0
-
-    train = client.train
     # Divergence is tolerated: keep the last finite iterate and flag it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.epochs):
-            order = rng.permutation(train.n)
-            for start in range(0, train.n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                batch = Batch(train.x[idx], train.y[idx])
-                try:
-                    g = gradient(spec, theta, batch)
-                except NumericError:
-                    return theta, True
-                if cfg.optimizer == "sgd":
-                    candidate = theta - cfg.lr * g
-                else:
-                    t += 1
-                    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-                    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-                    m_hat = m / (1.0 - ADAM_BETA1**t)
-                    v_hat = v / (1.0 - ADAM_BETA2**t)
-                    candidate = theta - ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                if not np.all(np.isfinite(candidate)):
-                    return theta, True
-                theta = candidate
+        for t, batch in enumerate(batches, start=1):
+            try:
+                g = gradient(spec, theta, batch)
+            except NumericError:
+                return theta, True
+            if cfg.optimizer == "sgd":
+                candidate = theta - cfg.lr * g
+            else:
+                candidate, m, v = adam_step(theta, g, m, v, t, ADAM_LR)
+            if not np.all(np.isfinite(candidate)):
+                return theta, True
+            theta = candidate
     return theta, False
 
 

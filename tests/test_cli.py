@@ -75,6 +75,24 @@ class TestTrain:
         assert "mode=fedavg-only" in manifest
         assert "stage2=none" in manifest
 
+    def test_nonfinite_gradient_names_replica_client_and_round(self, tmp_path, capsys):
+        # relu 6->8->3 with client lr 1e3 over 30 epochs overflows a gradient.
+        text = Path(SMOKE).read_text()
+        for old, new in (
+            ("activation = tanh", "activation = relu"),
+            ("client.epochs = 2", "client.epochs = 30"),
+            ("client.lr = 0.05", "client.lr = 1e3"),
+        ):
+            assert old in text
+            text = text.replace(old, new, 1)
+        config = tmp_path / "diverge.ini"
+        config.write_text(text)
+        rc = main(["train", "-c", str(config), "--out", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("replica 0 (seed 7): client ")
+        assert " at step " in err and " in round " in err
+
     def test_missing_config_fails(self, tmp_path, capsys):
         rc = main(["train", "-c", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
         assert rc == 1
@@ -104,6 +122,12 @@ class TestReport:
         assert rc == 0
         text = capsys.readouterr().out
         assert "(0.0000)" in text
+
+    def test_duplicate_replicas_refused(self, smoke_run, capsys):
+        dirs = self.run_dirs(smoke_run)
+        rc = main(["report", dirs[0], dirs[1], dirs[0]])
+        assert rc == 1
+        assert "duplicate replicas: seeds [7, 8, 7]" in capsys.readouterr().err
 
     def test_mixed_configs_refused(self, smoke_run, traced_run, capsys):
         rc = main(["report", self.run_dirs(smoke_run)[0], str(traced_run / "replica_00")])

@@ -14,12 +14,11 @@ from fedmetasim import (
     ServerOptimizerState,
     StageConfig,
     StreamFactory,
-    client_update,
     fomaml_update,
     generate_synthetic,
     gradient,
     init_params,
-    inner_loop_reptile,
+    local_update,
     make_client_batches,
     run_personalized_fedavg,
     run_round,
@@ -31,6 +30,15 @@ from fedmetasim.data import ClientDataset, ExampleSet
 from util import make_client, quad_hessian, quad_linear_term, onehot
 
 CFG = ClientOptimizerConfig(lr=0.05, batch_size=20)
+
+
+def fedavg(client_cfg, **local):
+    """Single-client fedavg round config; ``local`` picks epochs or steps."""
+    return RoundConfig("fedavg", 1, client_cfg, **local)
+
+
+def reptile(client_cfg, steps):
+    return RoundConfig("reptile", 1, client_cfg, steps=steps)
 
 
 def quadratic_client(seed, d=3, c=2, n=8):
@@ -73,8 +81,8 @@ class TestClientUpdate:
         client = make_client(np.random.default_rng(0), n_train=20)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(0, "init"))
-        res = client_update(spec, params, client, 1, CFG, substream(0, "b", 0))
-        batch = make_client_batches(client, 1, CFG, substream(0, "b", 0))[0]
+        res = local_update(spec, params, client, fedavg(CFG, epochs=1), substream(0, "b", 0))
+        batch = make_client_batches(client, 1, CFG.batch_size, substream(0, "b", 0))[0]
         expected = -CFG.lr * gradient(spec, params, batch)
         np.testing.assert_allclose(res.delta, expected, rtol=0, atol=5e-15)
 
@@ -83,7 +91,7 @@ class TestClientUpdate:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(1, "init"))
         cfg = ClientOptimizerConfig(lr=0.0, batch_size=4)
-        res = client_update(spec, params, client, 3, cfg, substream(1, "b"))
+        res = local_update(spec, params, client, fedavg(cfg, epochs=3), substream(1, "b"))
         assert np.array_equal(res.delta, np.zeros_like(params))
         assert res.weight == 12.0
 
@@ -91,8 +99,8 @@ class TestClientUpdate:
         client = make_client(np.random.default_rng(2), n_train=9)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(2, "init"))
-        res = client_update(
-            spec, params, client, 1, CFG, substream(2, "b"), weighting="uniform"
+        res = local_update(
+            spec, params, client, fedavg(CFG, epochs=1, weighting="uniform"), substream(2, "b")
         )
         assert res.weight == 1.0
 
@@ -104,7 +112,7 @@ class TestClientUpdate:
         beta = 0.2 / np.linalg.eigvalsh(a).max()
         cfg = ClientOptimizerConfig(lr=beta, batch_size=50)  # full batch
         k = 5
-        res = client_update(spec, params, client, k, cfg, substream(5, "b"))
+        res = local_update(spec, params, client, fedavg(cfg, epochs=k), substream(5, "b"))
         expected = params.copy()
         for _ in range(k):
             expected = expected - beta * (a @ expected - lin)
@@ -115,7 +123,9 @@ class TestClientUpdate:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(3, "init"))
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=5)
-        res = client_update(spec, params, client, 2, cfg, substream(3, "b"), trace=True)
+        res = local_update(
+            spec, params, client, fedavg(cfg, epochs=2), substream(3, "b"), trace=True
+        )
         assert len(res.step_gradients) == 4  # 2 epochs x 2 batches
         total = sum(res.step_gradients)
         np.testing.assert_allclose(res.delta, -cfg.lr * total, rtol=0, atol=1e-14)
@@ -126,8 +136,8 @@ class TestInnerLoopReptile:
         client = make_client(np.random.default_rng(4), n_train=20)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(4, "init"))
-        res = inner_loop_reptile(spec, params, client, 1, CFG, substream(4, "b"))
-        batch = make_client_batches(client, 1, CFG, substream(4, "b"))[0]
+        res = local_update(spec, params, client, reptile(CFG, 1), substream(4, "b"))
+        batch = make_client_batches(client, 1, CFG.batch_size, substream(4, "b"))[0]
         np.testing.assert_allclose(
             res.delta, -CFG.lr * gradient(spec, params, batch), rtol=0, atol=5e-15
         )
@@ -138,8 +148,8 @@ class TestInnerLoopReptile:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(5, "init"))
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=3)
-        res = inner_loop_reptile(
-            spec, params, client, 5, cfg, substream(5, "b"), trace=True
+        res = local_update(
+            spec, params, client, reptile(cfg, 5), substream(5, "b"), trace=True
         )
         assert len(res.step_gradients) == 5
 
@@ -149,7 +159,7 @@ class TestInnerLoopReptile:
         beta = 0.15 / np.linalg.eigvalsh(a).max()
         cfg = ClientOptimizerConfig(lr=beta, batch_size=50)
         k = 4
-        res = inner_loop_reptile(spec, params, client, k, cfg, substream(6, "b"))
+        res = local_update(spec, params, client, reptile(cfg, k), substream(6, "b"))
         expected = params.copy()
         for _ in range(k):
             expected = expected - beta * (a @ expected - lin)
@@ -162,8 +172,8 @@ class TestFomamlUpdate:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(seed, "init"))
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=4)
-        res = inner_loop_reptile(
-            spec, params, client, steps, cfg, substream(seed, "b"), trace=True
+        res = local_update(
+            spec, params, client, reptile(cfg, steps), substream(seed, "b"), trace=True
         )
         return res.step_gradients
 
@@ -193,8 +203,8 @@ class TestFomamlUpdate:
         k = 3
 
         lists = [
-            inner_loop_reptile(
-                spec, params, c, k + 1, cfg, substream(9, "b", i), trace=True
+            local_update(
+                spec, params, c, reptile(cfg, k + 1), substream(9, "b", i), trace=True
             ).step_gradients
             for i, c in enumerate(clients)
         ]
@@ -202,13 +212,65 @@ class TestFomamlUpdate:
 
         replayed = []
         for i, c in enumerate(clients):
-            batches = make_client_batches(c, 2, cfg, substream(9, "b", i))[: k + 1]
+            batches = make_client_batches(c, 2, cfg.batch_size, substream(9, "b", i))[: k + 1]
             theta = params.copy()
             for b in batches[:k]:
                 theta = theta - cfg.lr * gradient(spec, theta, b)
             replayed.append(gradient(spec, theta, batches[k]))
         expected = -cfg.lr * np.mean(replayed, axis=0)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+
+class TestLocalUpdate:
+    def test_fomaml_delta_is_scaled_gradient_at_adapted_params(self):
+        # Replay: K plain SGD steps by hand, then -beta times the gradient at
+        # theta_K on batch K+1; equal at atol=0 since the arithmetic matches.
+        client = make_client(np.random.default_rng(20), n_train=10)
+        spec = ModelSpec(4, (6, 3))
+        params = init_params(spec, substream(20, "init"))
+        cfg = ClientOptimizerConfig(lr=0.05, batch_size=4)
+        k = 3
+        res = local_update(
+            spec, params, client, RoundConfig("fomaml", 1, cfg, steps=k),
+            substream(20, "b"),
+        )
+        batches = make_client_batches(client, 2, cfg.batch_size, substream(20, "b"))
+        theta = params.copy()
+        for b in batches[:k]:
+            theta = theta - cfg.lr * gradient(spec, theta, b)
+        expected = -cfg.lr * gradient(spec, theta, batches[k])
+        assert np.array_equal(res.delta, expected)
+        assert res.weight == 1.0
+
+    def test_fomaml_nonfinite_extra_gradient_names_step(self):
+        # Two single-example batches; the second holds a feature so large
+        # that the quadratic-loss gradient overflows. Pick the stream that
+        # puts it last, so only fomaml's extra gradient is non-finite.
+        spec = ModelSpec(3, (2,), activation="identity", loss="quadratic")
+        x = np.array([[0.5, -0.2, 0.1], [1e200, 1e200, 1e200]])
+        client = ClientDataset(
+            train=ExampleSet(x, np.array([0, 1])), test=ExampleSet(x[:1], np.array([0]))
+        )
+        seed = next(
+            s for s in range(50)
+            if make_client_batches(client, 1, 1, substream(s, "b"))[1].x[0, 0] > 1.0
+        )
+        cfg = RoundConfig("fomaml", 1, ClientOptimizerConfig(0.01, 1), steps=1)
+        params = np.full(spec.param_count, 0.3)
+        with pytest.raises(DivergenceError) as err:
+            local_update(spec, params, client, cfg, substream(seed, "b"))
+        assert err.value.step_index == 1
+
+    def test_step_counted_fedavg_weights_by_train_size(self):
+        client = make_client(np.random.default_rng(21), n_train=13)
+        spec = ModelSpec(4, (6, 3))
+        params = init_params(spec, substream(21, "init"))
+        cfg = ClientOptimizerConfig(lr=0.05, batch_size=4)
+        res = local_update(spec, params, client, fedavg(cfg, steps=5), substream(21, "b"))
+        assert res.weight == client.train.n == 13
+        rep = local_update(spec, params, client, reptile(cfg, 5), substream(21, "b"))
+        assert np.array_equal(res.delta, rep.delta)
+        assert rep.weight == 1.0
 
 
 class TestRoundConfig:
@@ -256,7 +318,7 @@ class TestRunRound:
         streams = StreamFactory(3)
         new_params, _, trace = run_round(spec, params, ds, cfg, server, 0, streams)
         batch = make_client_batches(
-            ds.clients[0], 1, cfg.client_cfg, streams.stream("round.batch", 0, 0)
+            ds.clients[0], 1, cfg.client_cfg.batch_size, streams.stream("round.batch", 0, 0)
         )[0]
         expected = params - 0.05 * gradient(spec, params, batch)
         np.testing.assert_allclose(new_params, expected, rtol=0, atol=5e-15)
@@ -345,6 +407,24 @@ class TestRunRound:
         assert err.value.client_id == 0
         assert err.value.round_index == 4
 
+    def test_nonfinite_gradient_names_client_and_round(self):
+        # relu 6->8->3 at client lr 1e3: the gradient overflows before the
+        # parameters do, and the error must still name client, round, step.
+        ds = generate_synthetic(
+            seed=0, num_clients=6, classes_per_client=3, examples_per_client=30,
+            input_dim=6, num_classes=3, heterogeneity=0.6,
+        )
+        spec = ModelSpec(6, (8, 3), activation="relu")
+        params = init_params(spec, substream(0, "init"))
+        cfg = RoundConfig("fedavg", 3, ClientOptimizerConfig(1e3, 10), epochs=30)
+        server = ServerOptimizerState.create("sgd", spec.param_count, lr=1.0)
+        with pytest.raises(DivergenceError) as err:
+            run_round(spec, params, ds, cfg, server, 2, StreamFactory(0))
+        assert err.value.client_id in ds.train_client_ids
+        assert err.value.round_index == 2
+        assert err.value.step_index is not None
+        assert "non-finite gradient" in str(err.value.__cause__)
+
 
 class TestFedAvgReptileCoincidence:
     def test_identical_deltas_when_data_fits_one_batch(self):
@@ -357,10 +437,11 @@ class TestFedAvgReptileCoincidence:
         e = 4
         for cid in ds.train_client_ids:
             client = ds.clients[cid]
-            avg = client_update(
-                spec, params, client, e, cfg, substream(9, "b", cid), weighting="uniform"
+            avg = local_update(
+                spec, params, client, fedavg(cfg, epochs=e, weighting="uniform"),
+                substream(9, "b", cid),
             )
-            rep = inner_loop_reptile(spec, params, client, e, cfg, substream(9, "b", cid))
+            rep = local_update(spec, params, client, reptile(cfg, e), substream(9, "b", cid))
             assert np.array_equal(avg.delta, rep.delta)
             assert avg.weight == rep.weight == 1.0
 

@@ -274,6 +274,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        spec, params, _ = mlp_case(24)
+        path = tmp_path / "model.fms"
+        save_checkpoint(path, spec, params)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
 
 class TestGapScaling:
     def test_first_order_gap_halves_with_beta(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fedmetasim import (
+    Batch,
     ContractViolation,
     ModelSpec,
     PersonalizationConfig,
@@ -11,6 +12,7 @@ from fedmetasim import (
     evaluate_accuracy,
     forward_logits,
     generate_synthetic,
+    gradient,
     init_params,
     personalize,
     split_train_eval,
@@ -124,6 +126,36 @@ class TestPersonalize:
         # every coordinate moves at most lr per step
         steps = 2 * 2  # 2 epochs x 2 batches of 10 over 20 examples
         assert np.max(np.abs(adapted - params)) <= steps * 0.001 * (1 + 1e-9)
+
+    def test_adam_matches_hand_replay(self):
+        # Replay: per-epoch permutation of the train split chunked into
+        # batches, then bias-corrected Adam (lr 1e-3, betas 0.9/0.999,
+        # eps 1e-8) written out step by step; equal at atol=0.
+        client = make_client(np.random.default_rng(8), n_train=23)
+        params = init_params(SPEC, substream(8, "init"))
+        cfg = PersonalizationConfig(optimizer="adam", epochs=3, batch_size=10)
+        adapted, diverged = personalize(SPEC, params, client, cfg, substream(8, "p"))
+
+        rng = substream(8, "p")
+        theta = params.copy()
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
+        t = 0
+        train = client.train
+        for _ in range(cfg.epochs):
+            order = rng.permutation(train.n)
+            for start in range(0, train.n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                g = gradient(SPEC, theta, Batch(train.x[idx], train.y[idx]))
+                t += 1
+                m = 0.9 * m + (1.0 - 0.9) * g
+                v = 0.999 * v + (1.0 - 0.999) * g * g
+                m_hat = m / (1.0 - 0.9**t)
+                v_hat = v / (1.0 - 0.999**t)
+                theta = theta - 0.001 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert t == 9
+        assert not diverged
+        assert np.array_equal(adapted, theta)
 
     def test_deterministic(self):
         client = make_client(np.random.default_rng(5))
