@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .config import (
     validate,
 )
 from .data import dataset_manifest
-from .errors import ConfigError, ContractViolation, DivergenceError, FedMetaSimError
+from .errors import ConfigError, ContractViolation, DivergenceError, FedMetaSimError, ParseError
 from .federation import ClientUpdateResult, EvalSnapshot, RoundTrace, TrainingRun, run_personalized_fedavg
 from .model import load_checkpoint, save_checkpoint
 from .personalization import PersonalizationConfig, epochs_sweep, eval_population, sweep_csv
@@ -122,25 +123,29 @@ def _save_trace(path: Path, trace: RoundTrace, beta: float) -> None:
 
 
 def _load_trace(path: Path) -> tuple[RoundTrace, float]:
-    with np.load(path) as data:
-        client_ids = [int(c) for c in data["client_ids"]]
-        results = []
-        for i, cid in enumerate(client_ids):
-            results.append(
+    """Read a trace written by ``_save_trace``, each member exactly once."""
+    try:
+        with np.load(path) as data:
+            client_ids = [int(c) for c in data["client_ids"]]
+            deltas, weights = data["deltas"], data["weights"]
+            results = [
                 ClientUpdateResult(
                     client_id=cid,
-                    delta=data["deltas"][i],
-                    weight=float(data["weights"][i]),
+                    delta=deltas[i],
+                    weight=float(weights[i]),
                     step_gradients=list(data[f"grads_{i}"]),
                 )
+                for i, cid in enumerate(client_ids)
+            ]
+            trace = RoundTrace(
+                round_index=int(data["round_index"]),
+                client_ids=client_ids,
+                results=results,
+                aggregate=data["aggregate"],
             )
-        trace = RoundTrace(
-            round_index=int(data["round_index"]),
-            client_ids=client_ids,
-            results=results,
-            aggregate=data["aggregate"],
-        )
-        return trace, float(data["beta"])
+            return trace, float(data["beta"])
+    except (zipfile.BadZipFile, KeyError, IndexError, ValueError, EOFError) as exc:
+        raise ParseError(f"damaged trace {path}: {exc}") from exc
 
 
 def cmd_train(args) -> int:
@@ -167,7 +172,6 @@ def cmd_train(args) -> int:
         outputs = [rdir / "metrics.csv", rdir / "timings.csv",
                    rdir / "manifest.txt", rdir / "checkpoint.fms"]
         _ensure_writable(outputs, args.force)
-        rdir.mkdir(parents=True, exist_ok=True)
 
         try:
             run = run_personalized_fedavg(
@@ -182,6 +186,7 @@ def cmd_train(args) -> int:
             )
             return 1
 
+        rdir.mkdir(parents=True, exist_ok=True)
         (rdir / "metrics.csv").write_text(_metrics_lines(cfg.hash, seed, run))
         (rdir / "timings.csv").write_text(_timings_lines(cfg.hash, seed, run))
         (rdir / "manifest.txt").write_text(_manifest_text(cfg, seed, replica, dataset))

@@ -15,9 +15,10 @@ which vector the client returns:
   -beta times that last gradient, evaluated at the adapted parameters.
 
 A non-finite gradient or iterate raises DivergenceError naming the client,
-round and step. Raw per-step gradients can be recorded (``trace=True``) so
-that an averaged round update can later be decomposed exactly into its
-single-step and adapted-gradient components.
+round and step; a non-finite server step raises it naming the round. Raw
+per-step gradients can be recorded (``trace=True``) so that an averaged
+round update can later be decomposed exactly into its single-step and
+adapted-gradient components.
 
 Randomness is drawn from counter-based substreams keyed by (purpose, round,
 client), so per-client work is order-independent and a run is a pure
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ClientDataset, FederatedDataset
-from .errors import ContractViolation, DivergenceError
+from .errors import ContractViolation, DivergenceError, NumericError
 from .model import ModelSpec, init_params, sgd_trajectory
 from .optimizers import (
     ClientOptimizerConfig,
@@ -233,7 +234,13 @@ def run_round(
     for r in results:
         aggregate += (r.weight / total_weight) * r.delta
 
-    new_params, new_state = server_apply(server_state, params, aggregate)
+    try:
+        new_params, new_state = server_apply(server_state, params, aggregate)
+    except NumericError as exc:
+        raise DivergenceError(
+            f"server step diverged in round {round_index}: {exc}",
+            round_index=round_index,
+        ) from exc
     trace_record = RoundTrace(
         round_index, ids, results, aggregate,
         wallclock_ms=1000.0 * (time.perf_counter() - started),

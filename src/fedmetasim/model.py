@@ -66,6 +66,14 @@ class ModelSpec:
             raise ContractViolation(
                 "quadratic loss requires a single layer with identity activation"
             )
+        # (weight start, bias start, layer end, fan_out, fan_in) per layer,
+        # computed once: every gradient step slices the flat vector by it.
+        layout, offset, fan_in = [], 0, self.input_dim
+        for fan_out in self.layer_dims:
+            bias = offset + fan_in * fan_out
+            layout.append((offset, bias, bias + fan_out, fan_out, fan_in))
+            offset, fan_in = bias + fan_out, fan_out
+        object.__setattr__(self, "_layout", tuple(layout))
 
     @property
     def num_classes(self) -> int:
@@ -73,19 +81,11 @@ class ModelSpec:
 
     @property
     def param_count(self) -> int:
-        count, fan_in = 0, self.input_dim
-        for fan_out in self.layer_dims:
-            count += (fan_in + 1) * fan_out
-            fan_in = fan_out
-        return count
+        return self._layout[-1][2]
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_out, fan_in) per layer."""
-        shapes, fan_in = [], self.input_dim
-        for fan_out in self.layer_dims:
-            shapes.append((fan_out, fan_in))
-            fan_in = fan_out
-        return shapes
+        return [(fan_out, fan_in) for *_, fan_out, fan_in in self._layout]
 
 
 @dataclass(frozen=True)
@@ -140,20 +140,14 @@ def _check_batch(spec: ModelSpec, batch: Batch) -> None:
 
 def unflatten_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views of the flat vector as per-layer (weights, bias). Treat as read-only."""
-    params = _check_params(spec, params)
-    layers, offset = [], 0
-    for fan_out, fan_in in spec.layer_shapes():
-        w = params[offset : offset + fan_in * fan_out].reshape(fan_out, fan_in)
-        offset += fan_in * fan_out
-        b = params[offset : offset + fan_out]
-        offset += fan_out
-        layers.append((w, b))
-    return layers
+    return _layer_views(spec, _check_params(spec, params))
 
 
-def flatten_params(spec: ModelSpec, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
-    return _check_params(spec, flat)
+def _layer_views(spec: ModelSpec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [
+        (flat[w0:b0].reshape(fan_out, fan_in), flat[b0:end])
+        for w0, b0, end, fan_out, fan_in in spec._layout
+    ]
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -200,7 +194,7 @@ def forward_logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.nda
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ContractViolation("feature matrix does not match input_dim")
-    _, _, logits = _forward(spec, unflatten_params(spec, params), x)
+    _, _, logits = _forward(spec, _layer_views(spec, params), x)
     return logits
 
 
@@ -221,7 +215,7 @@ def forward_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
 
 
 def _forward_loss_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
-    _, _, logits = _forward(spec, unflatten_params(spec, params), batch.x)
+    _, _, logits = _forward(spec, _layer_views(spec, params), batch.x)
     if spec.loss == "softmax_cross_entropy":
         zmax = logits.max(axis=1, keepdims=True)
         lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
@@ -243,30 +237,32 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
 
 
 def _gradient_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
-    layers = unflatten_params(spec, params)
+    layers = _layer_views(spec, params)
     pres, acts, logits = _forward(spec, layers, batch.x)
     n = batch.size
 
     if spec.loss == "softmax_cross_entropy":
         zmax = logits.max(axis=1, keepdims=True)
         ez = np.exp(logits - zmax)
-        probs = ez / ez.sum(axis=1, keepdims=True)
-        dz = probs.copy()
+        dz = ez / ez.sum(axis=1, keepdims=True)
         dz[np.arange(n), batch.y] -= 1.0
         dz /= n
     else:
         dz = (logits - _loss_targets(spec, batch)) / n
 
-    grads = [None] * len(layers)
+    # Each layer's gradient is written straight into its slice of the flat
+    # result, in the parameter layout.
+    flat = np.empty(spec.param_count)
+    grads = _layer_views(spec, flat)
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        grads[i] = (dz.T @ acts[i], dz.sum(axis=0))
+        gw, gb = grads[i]
+        np.matmul(dz.T, acts[i], out=gw)
+        np.sum(dz, axis=0, out=gb)
         if i > 0:
-            da = dz @ w
+            da = dz @ layers[i][0]
             dz = da * _activate_grad(spec, pres[i - 1], acts[i])
 
-    flat = flatten_params(spec, grads)
-    if not np.all(np.isfinite(flat)):
+    if not np.isfinite(flat).all():
         raise NumericError("non-finite gradient")
     return flat
 
@@ -299,8 +295,8 @@ def sgd_trajectory(
                 raise DivergenceError(
                     f"non-finite gradient at step {j}", step_index=j
                 ) from exc
-            params = params - beta * g
-            if not np.all(np.isfinite(params)):
+            params -= beta * g
+            if not np.isfinite(params).all():
                 raise DivergenceError(
                     f"parameters diverged at step {j}", step_index=j
                 )

@@ -79,25 +79,35 @@ class ServerOptimizerState:
 def server_apply(
     state: ServerOptimizerState, params: np.ndarray, delta: np.ndarray
 ) -> tuple[np.ndarray, ServerOptimizerState]:
-    """Apply one server step to ``params`` given the aggregated delta."""
+    """Apply one server step to ``params`` given the aggregated delta.
+
+    Raises NumericError when the delta or the new parameters are not finite.
+    """
     params = np.asarray(params, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
     if params.shape != delta.shape:
         raise ContractViolation("delta shape does not match parameters")
-    if not np.all(np.isfinite(delta)):
+    if not np.isfinite(delta).all():
         raise NumericError("non-finite aggregated delta")
 
     t = state.step_count + 1
-    if state.kind == "sgd":
-        return params + state.lr * delta, replace(state, step_count=t)
-    if state.kind == "momentum":
-        velocity = state.momentum * state.velocity + delta
-        return params + state.lr * velocity, replace(state, velocity=velocity, step_count=t)
-
-    new_params, m, v = adam_step(
-        params, -delta, state.m, state.v, t, state.lr, state.beta1, state.beta2, state.eps
-    )
-    return new_params, replace(state, m=m, v=v, step_count=t)
+    # Overflow here is an anticipated outcome, reported via NumericError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if state.kind == "sgd":
+            new_params, new_state = params + state.lr * delta, replace(state, step_count=t)
+        elif state.kind == "momentum":
+            velocity = state.momentum * state.velocity + delta
+            new_params = params + state.lr * velocity
+            new_state = replace(state, velocity=velocity, step_count=t)
+        else:
+            new_params, m, v = adam_step(
+                params, -delta, state.m, state.v, t, state.lr,
+                state.beta1, state.beta2, state.eps,
+            )
+            new_state = replace(state, m=m, v=v, step_count=t)
+    if not np.isfinite(new_params).all():
+        raise NumericError("non-finite parameters after the server step")
+    return new_params, new_state
 
 
 def adam_step(
@@ -138,7 +148,8 @@ def make_client_batches(
     batches = []
     for _ in range(epochs):
         order = rng.permutation(train.n)
+        x, y = train.x[order], train.y[order]
         for start in range(0, train.n, batch_size):
-            idx = order[start : start + batch_size]
-            batches.append(Batch(train.x[idx], train.y[idx]))
+            end = start + batch_size
+            batches.append(Batch(x[start:end], y[start:end]))
     return batches

@@ -103,7 +103,7 @@ def personalize(
                 candidate = theta - cfg.lr * g
             else:
                 candidate, m, v = adam_step(theta, g, m, v, t, ADAM_LR)
-            if not np.all(np.isfinite(candidate)):
+            if not np.isfinite(candidate).all():
                 return theta, True
             theta = candidate
     return theta, False

@@ -1,11 +1,26 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedmetasim import load_checkpoint
-from fedmetasim.cli import main
+from numpy.lib.npyio import NpzFile
+
+from fedmetasim import (
+    ClientOptimizerConfig,
+    ModelSpec,
+    RoundConfig,
+    ServerOptimizerState,
+    StreamFactory,
+    init_params,
+    load_checkpoint,
+    run_round,
+    substream,
+)
+from fedmetasim.cli import _load_trace, _save_trace, main
+from fedmetasim.data import FederatedDataset
+from util import make_client
 
 SMOKE = "configs/smoke.ini"
 DECOMPOSE = "configs/decompose.ini"
@@ -26,6 +41,22 @@ def traced_run(tmp_path_factory):
     rc = main(["train", "-c", DECOMPOSE, "--out", str(out), "--trace"])
     assert rc == 0
     return out
+
+
+def diverging_config(tmp_path):
+    """The smoke config as relu 6->8->3 with client lr 1e3 over 30 epochs,
+    which overflows a gradient in the first replica."""
+    text = Path(SMOKE).read_text()
+    for old, new in (
+        ("activation = tanh", "activation = relu"),
+        ("client.epochs = 2", "client.epochs = 30"),
+        ("client.lr = 0.05", "client.lr = 1e3"),
+    ):
+        assert old in text
+        text = text.replace(old, new, 1)
+    config = tmp_path / "diverge.ini"
+    config.write_text(text)
+    return config
 
 
 class TestTrain:
@@ -76,22 +107,19 @@ class TestTrain:
         assert "stage2=none" in manifest
 
     def test_nonfinite_gradient_names_replica_client_and_round(self, tmp_path, capsys):
-        # relu 6->8->3 with client lr 1e3 over 30 epochs overflows a gradient.
-        text = Path(SMOKE).read_text()
-        for old, new in (
-            ("activation = tanh", "activation = relu"),
-            ("client.epochs = 2", "client.epochs = 30"),
-            ("client.lr = 0.05", "client.lr = 1e3"),
-        ):
-            assert old in text
-            text = text.replace(old, new, 1)
-        config = tmp_path / "diverge.ini"
-        config.write_text(text)
+        config = diverging_config(tmp_path)
         rc = main(["train", "-c", str(config), "--out", str(tmp_path / "runs")])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("replica 0 (seed 7): client ")
         assert " at step " in err and " in round " in err
+
+    def test_diverged_replica_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        rc = main(["train", "-c", str(diverging_config(tmp_path)), "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 1
+        assert not (out / "replica_00").exists()
 
     def test_missing_config_fails(self, tmp_path, capsys):
         rc = main(["train", "-c", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
@@ -189,6 +217,12 @@ class TestPersonalize:
 
 
 class TestDecompose:
+    def damaged_copy(self, traced_run, tmp_path):
+        """A copy of the traced replica and the path of its round-1 trace."""
+        rdir = tmp_path / "damaged"
+        shutil.copytree(traced_run / "replica_00", rdir)
+        return rdir, rdir / "traces" / "round_00001.npz"
+
     def test_residual_within_gate(self, traced_run, capsys):
         rc = main([
             "decompose", "-c", DECOMPOSE, "--run-dir",
@@ -229,11 +263,7 @@ class TestDecompose:
         assert target.read_text().startswith("# config_hash=")
 
     def test_residual_gate_fails_corrupted_trace(self, traced_run, tmp_path, capsys):
-        import shutil
-
-        rdir = tmp_path / "corrupt"
-        shutil.copytree(traced_run / "replica_00", rdir)
-        path = rdir / "traces" / "round_00001.npz"
+        rdir, path = self.damaged_copy(traced_run, tmp_path)
         with np.load(path) as data:
             arrays = {k: data[k].copy() for k in data.files}
         arrays["aggregate"] = arrays["aggregate"] + 1e-6
@@ -242,6 +272,90 @@ class TestDecompose:
         captured = capsys.readouterr()
         assert rc == 1
         assert "exceeds" in captured.err
+
+
+    def test_truncated_trace_is_parse_error(self, traced_run, tmp_path, capsys):
+        rdir, path = self.damaged_copy(traced_run, tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        rc = main(["decompose", "-c", DECOMPOSE, "--run-dir", str(rdir), "--round", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: damaged trace {path}: ")
+
+    def test_missing_member_is_parse_error(self, traced_run, tmp_path, capsys):
+        rdir, path = self.damaged_copy(traced_run, tmp_path)
+        with np.load(path) as data:
+            arrays = {k: data[k].copy() for k in data.files if k != "grads_2"}
+        np.savez(path, **arrays)
+        rc = main(["decompose", "-c", DECOMPOSE, "--run-dir", str(rdir), "--round", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: damaged trace {path}: ")
+        assert "grads_2" in err
+
+
+def unequal_traced_round():
+    """A traced epoch-counted fedavg round over four clients of different
+    sizes: distinct deltas, data-proportional weights, unequal step counts."""
+    rng = np.random.default_rng(3)
+    clients = {
+        cid: make_client(rng, n_train=n, n_test=4)
+        for cid, n in enumerate((7, 12, 20, 31))
+    }
+    ds = FederatedDataset(
+        clients=clients,
+        train_client_ids=tuple(clients),
+        eval_client_ids=(),
+        input_dim=4,
+        num_classes=3,
+    )
+    spec = ModelSpec(4, (5, 3))
+    cfg = RoundConfig("fedavg", 4, ClientOptimizerConfig(0.05, 5), epochs=1)
+    server = ServerOptimizerState.create("sgd", spec.param_count, lr=1.0)
+    params = init_params(spec, substream(3, "init"))
+    _, _, trace = run_round(spec, params, ds, cfg, server, 6, StreamFactory(3), trace=True)
+    return trace
+
+
+class TestTraceFile:
+    BETA = 0.05
+
+    def test_round_trip_is_exact(self, tmp_path):
+        trace = unequal_traced_round()
+        assert len({len(r.step_gradients) for r in trace.results}) == 4
+        assert len({r.weight for r in trace.results}) == 4
+        path = tmp_path / "round.npz"
+        _save_trace(path, trace, self.BETA)
+        loaded, beta = _load_trace(path)
+        assert beta == self.BETA
+        assert loaded.round_index == trace.round_index
+        assert loaded.client_ids == trace.client_ids
+        assert np.array_equal(loaded.aggregate, trace.aggregate)
+        assert len(loaded.results) == len(trace.results)
+        for got, want in zip(loaded.results, trace.results):
+            assert got.client_id == want.client_id
+            assert got.weight == want.weight
+            assert np.array_equal(got.delta, want.delta)
+            assert len(got.step_gradients) == len(want.step_gradients)
+            for g, w in zip(got.step_gradients, want.step_gradients):
+                assert np.array_equal(g, w)
+
+    def test_load_reads_each_member_once(self, tmp_path, monkeypatch):
+        trace = unequal_traced_round()
+        path = tmp_path / "round.npz"
+        _save_trace(path, trace, self.BETA)
+        reads = []
+        original = NpzFile.__getitem__
+
+        def counting(self, key):
+            reads.append(key)
+            return original(self, key)
+
+        monkeypatch.setattr(NpzFile, "__getitem__", counting)
+        _load_trace(path)
+        assert len(reads) == 6 + len(trace.results)
+        assert len(set(reads)) == len(reads)
 
 
 class TestUsage:

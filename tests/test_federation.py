@@ -26,7 +26,8 @@ from fedmetasim import (
     split_train_eval,
     substream,
 )
-from fedmetasim.data import ClientDataset, ExampleSet
+from fedmetasim.data import ClientDataset, ExampleSet, FederatedDataset
+from fedmetasim.errors import NumericError
 from util import make_client, quad_hessian, quad_linear_term, onehot
 
 CFG = ClientOptimizerConfig(lr=0.05, batch_size=20)
@@ -424,6 +425,27 @@ class TestRunRound:
         assert err.value.round_index == 2
         assert err.value.step_index is not None
         assert "non-finite gradient" in str(err.value.__cause__)
+
+    def test_server_overflow_names_round(self):
+        # Finite client deltas of order 1e299 overflow under server lr 1e10;
+        # the error must blame the server step of this round, not a client.
+        spec, client, *_ = quadratic_client(seed=4)
+        ds = FederatedDataset(
+            clients={0: client},
+            train_client_ids=(0,),
+            eval_client_ids=(),
+            input_dim=3,
+            num_classes=2,
+        )
+        params = np.full(spec.param_count, 1e300)
+        cfg = RoundConfig("fedavg", 1, ClientOptimizerConfig(0.1, 50), epochs=1)
+        server = ServerOptimizerState.create("sgd", spec.param_count, lr=1e10)
+        with pytest.raises(DivergenceError) as err:
+            run_round(spec, params, ds, cfg, server, 4, StreamFactory(8))
+        assert err.value.round_index == 4
+        assert err.value.client_id is None and err.value.step_index is None
+        assert str(err.value).startswith("server step diverged in round 4")
+        assert isinstance(err.value.__cause__, NumericError)
 
 
 class TestFedAvgReptileCoincidence:

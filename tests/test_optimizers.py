@@ -32,6 +32,12 @@ class TestServerSgd:
         with pytest.raises(ContractViolation):
             server_apply(state, np.zeros(2), np.zeros(3))
 
+    def test_overflowing_step_rejected(self):
+        # A finite delta can still carry the parameters past the float range.
+        state = ServerOptimizerState.create("sgd", 1, lr=10.0)
+        with pytest.raises(NumericError, match="after the server step"):
+            server_apply(state, np.array([1e308]), np.array([1e308]))
+
 
 class TestServerMomentum:
     def test_first_step_equals_sgd(self):
