@@ -57,6 +57,26 @@ def _ensure_writable(paths: list[Path], force: bool) -> None:
             raise ConfigError(f"refusing to overwrite {path} (use --force)")
 
 
+def _trace_path(rdir: Path, round_index: int) -> Path:
+    return rdir / "traces" / f"round_{round_index:05d}.npz"
+
+
+def _ckpt_path(rdir: Path, round_index: int) -> Path:
+    return rdir / f"ckpt_{round_index:05d}.fms"
+
+
+def _replica_outputs(rdir: Path, rounds: int, checkpoint_every: int, trace: bool) -> list[Path]:
+    """Every file ``train`` writes for one replica of ``rounds`` rounds."""
+    paths = [rdir / "metrics.csv", rdir / "timings.csv",
+             rdir / "manifest.txt", rdir / "checkpoint.fms"]
+    if checkpoint_every:
+        paths += [_ckpt_path(rdir, r)
+                  for r in range(checkpoint_every, rounds + 1, checkpoint_every)]
+    if trace:
+        paths += [_trace_path(rdir, r) for r in range(rounds)]
+    return paths
+
+
 def _metrics_lines(cfg_hash: str, seed: int, run: TrainingRun) -> str:
     lines = [
         f"# config_hash={cfg_hash}",
@@ -164,20 +184,23 @@ def cmd_train(args) -> int:
     trace = args.trace or cfg.get_bool("run", "trace")
     base_seed = cfg.get_int("run", "seed")
     replicas = cfg.get_int("run", "replicas")
+    checkpoint_every = cfg.get_int("run", "checkpoint_every")
     out_root = output_dir(cfg, args.out)
+    rounds = stage1.rounds + stage2.rounds
+    rdirs = [out_root / f"replica_{replica:02d}" for replica in range(replicas)]
+    # Every output of every replica is checked before the first one trains.
+    _ensure_writable(
+        [p for rdir in rdirs for p in _replica_outputs(rdir, rounds, checkpoint_every, trace)],
+        args.force,
+    )
 
-    for replica in range(replicas):
+    for replica, rdir in enumerate(rdirs):
         seed = base_seed + replica
-        rdir = out_root / f"replica_{replica:02d}"
-        outputs = [rdir / "metrics.csv", rdir / "timings.csv",
-                   rdir / "manifest.txt", rdir / "checkpoint.fms"]
-        _ensure_writable(outputs, args.force)
-
         try:
             run = run_personalized_fedavg(
                 spec, dataset, stage1, stage2, eval_cfg, seed,
                 trace=trace,
-                checkpoint_every=cfg.get_int("run", "checkpoint_every"),
+                checkpoint_every=checkpoint_every,
             )
         except DivergenceError as exc:
             print(
@@ -192,17 +215,16 @@ def cmd_train(args) -> int:
         (rdir / "manifest.txt").write_text(_manifest_text(cfg, seed, replica, dataset))
         save_checkpoint(rdir / "checkpoint.fms", spec, run.final_params)
         for round_index, params in run.checkpoints.items():
-            save_checkpoint(rdir / f"ckpt_{round_index:05d}.fms", spec, params)
+            save_checkpoint(_ckpt_path(rdir, round_index), spec, params)
         if trace:
-            tdir = rdir / "traces"
-            tdir.mkdir(exist_ok=True)
+            (rdir / "traces").mkdir(exist_ok=True)
             for tr in run.traces:
                 beta = (
                     stage1.round_cfg.client_cfg.lr
                     if tr.round_index < stage1.rounds
                     else stage2.round_cfg.client_cfg.lr
                 )
-                _save_trace(tdir / f"round_{tr.round_index:05d}.npz", tr, beta)
+                _save_trace(_trace_path(rdir, tr.round_index), tr, beta)
 
         last = run.snapshots[-1]
         print(
@@ -213,6 +235,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_personalize(args) -> int:
+    out = Path(args.out)
+    paths = [out / "report.csv", out / "summary.json"]
+    if args.sweep_epochs:
+        paths.append(out / "sweep.csv")
+    _ensure_writable(paths, args.force)
+
     cfg = load_config(args.config)
     spec = build_model_spec(cfg)
     ckpt_spec, params = load_checkpoint(args.checkpoint)
@@ -238,11 +266,6 @@ def cmd_personalize(args) -> int:
             spec, params, dataset, optimizers, args.sweep_epochs, streams, which
         )
 
-    out = Path(args.out)
-    paths = [out / "report.csv", out / "summary.json"]
-    if sweep_rows is not None:
-        paths.append(out / "sweep.csv")
-    _ensure_writable(paths, args.force)
     out.mkdir(parents=True, exist_ok=True)
 
     lines = [
@@ -279,8 +302,11 @@ def cmd_personalize(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        _ensure_writable([out], args.force)
     cfg = load_config(args.config)
-    trace_path = Path(args.run_dir) / "traces" / f"round_{args.round:05d}.npz"
+    trace_path = _trace_path(Path(args.run_dir), args.round)
     if not trace_path.exists():
         print(
             f"no trace at {trace_path}; train with --trace (or [run] trace=true) "
@@ -292,9 +318,7 @@ def cmd_decompose(args) -> int:
     report = decompose_round(trace, beta)
     text = decomposition_text(report)
     print(text, end="")
-    if args.out:
-        out = Path(args.out)
-        _ensure_writable([out], args.force)
+    if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(f"# config_hash={cfg.hash}\n" + text)
     if report.residual_norm > DECOMPOSE_RESIDUAL_GATE:
@@ -375,6 +399,9 @@ def _report_text(
 
 
 def cmd_report(args) -> int:
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        _ensure_writable([out / "report.txt", out / "report.csv"], args.force)
     runs = []
     for rdir in args.run_dirs:
         path = Path(rdir) / "metrics.csv"
@@ -395,10 +422,7 @@ def cmd_report(args) -> int:
     rows = _snapshot_rows(runs)
     text = _report_text(hashes[0], runs, args.threshold, rows)
     print(text, end="")
-    if args.out:
-        out = Path(args.out)
-        paths = [out / "report.txt", out / "report.csv"]
-        _ensure_writable(paths, args.force)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(text)
         csv_lines = [f"# config_hash={hashes[0]}", REPORT_COLUMNS, *rows]

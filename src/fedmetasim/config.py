@@ -253,7 +253,8 @@ def build_eval_config(cfg: ExperimentConfig) -> EvalConfig:
 
 
 def validate(cfg: ExperimentConfig, dataset: FederatedDataset) -> None:
-    """Cross-checks that need the materialized dataset."""
+    """Cross-checks that need the materialized dataset, and the ranges of
+    the run's counts and schedules."""
     for section in ("stage1", "stage2"):
         stage = build_stage(cfg, section)
         if stage.rounds and stage.round_cfg.clients_per_round > len(dataset.train_client_ids):
@@ -267,6 +268,9 @@ def validate(cfg: ExperimentConfig, dataset: FederatedDataset) -> None:
         )
     if cfg.get_int("run", "replicas") < 1:
         raise ConfigError("[run] replicas must be positive")
+    for section, key in (("run", "checkpoint_every"), ("personalization", "eval_every")):
+        if cfg.get_int(section, key) < 0:
+            raise ConfigError(f"[{section}] {key} must be non-negative (0 turns it off)")
 
 
 def output_dir(cfg: ExperimentConfig, override: str | None) -> Path:

@@ -124,28 +124,27 @@ def _check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
 
 
 def _check_batch(spec: ModelSpec, batch: Batch) -> None:
-    if batch.size == 0:
+    x, y = batch.x, batch.y
+    n = x.shape[0]
+    if n == 0:
         raise ContractViolation("batch is empty")
-    if batch.x.ndim != 2 or batch.x.shape[1] != spec.input_dim:
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ContractViolation(
-            f"feature dim {batch.x.shape} does not match input_dim {spec.input_dim}"
+            f"feature dim {x.shape} does not match input_dim {spec.input_dim}"
         )
-    if batch.y.shape != (batch.size,):
+    if y.shape != (n,):
         raise ContractViolation("labels must be one per example")
-    if batch.y.min() < 0 or batch.y.max() >= spec.num_classes:
+    if np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= spec.num_classes:
         raise ContractViolation("labels must lie in [0, num_classes)")
-    if batch.targets is not None and batch.targets.shape != (batch.size, spec.num_classes):
+    if batch.targets is not None and batch.targets.shape != (n, spec.num_classes):
         raise ContractViolation("targets must have shape (batch, num_classes)")
 
 
 def unflatten_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views of the flat vector as per-layer (weights, bias). Treat as read-only."""
-    return _layer_views(spec, _check_params(spec, params))
-
-
-def _layer_views(spec: ModelSpec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    params = _check_params(spec, params)
     return [
-        (flat[w0:b0].reshape(fan_out, fan_in), flat[b0:end])
+        (params[w0:b0].reshape(fan_out, fan_in), params[b0:end])
         for w0, b0, end, fan_out, fan_in in spec._layout
     ]
 
@@ -160,32 +159,23 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _activate(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
-    if spec.activation == "relu":
-        return np.maximum(z, 0.0)
-    if spec.activation == "tanh":
-        return np.tanh(z)
-    return z
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+    """Activations of every layer, sliced from the flat vector by the layout.
 
-
-def _activate_grad(spec: ModelSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if spec.activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    if spec.activation == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
-
-
-def _forward(spec: ModelSpec, layers, x: np.ndarray):
-    """Returns (pre-activations, activations, logits); activations[0] is x."""
-    acts, pres = [x], []
-    a = x
-    for i, (w, b) in enumerate(layers):
-        z = a @ w.T + b
-        pres.append(z)
-        a = z if i == len(layers) - 1 else _activate(spec, z)
-        acts.append(a)
-    return pres, acts, acts[-1]
+    ``acts[0]`` is x and ``acts[-1]`` the logits. A hidden layer's
+    pre-activation is activated in place just before it feeds the next layer.
+    """
+    acts = [x]
+    for i, (w0, b0, end, fan_out, fan_in) in enumerate(spec._layout):
+        a = acts[-1]
+        if i and spec.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        elif i and spec.activation == "tanh":
+            np.tanh(a, out=a)
+        z = a @ params[w0:b0].reshape(fan_out, fan_in).T
+        z += params[b0:end]
+        acts.append(z)
+    return acts
 
 
 def forward_logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -194,8 +184,7 @@ def forward_logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.nda
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ContractViolation("feature matrix does not match input_dim")
-    _, _, logits = _forward(spec, _layer_views(spec, params), x)
-    return logits
+    return _forward(spec, params, x)[-1]
 
 
 def _loss_targets(spec: ModelSpec, batch: Batch) -> np.ndarray:
@@ -215,7 +204,7 @@ def forward_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
 
 
 def _forward_loss_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
-    _, _, logits = _forward(spec, _layer_views(spec, params), batch.x)
+    logits = _forward(spec, params, batch.x)[-1]
     if spec.loss == "softmax_cross_entropy":
         zmax = logits.max(axis=1, keepdims=True)
         lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
@@ -237,30 +226,35 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
 
 
 def _gradient_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
-    layers = _layer_views(spec, params)
-    pres, acts, logits = _forward(spec, layers, batch.x)
-    n = batch.size
+    acts = _forward(spec, params, batch.x)
+    logits = acts.pop()
+    n = logits.shape[0]
 
     if spec.loss == "softmax_cross_entropy":
-        zmax = logits.max(axis=1, keepdims=True)
-        ez = np.exp(logits - zmax)
-        dz = ez / ez.sum(axis=1, keepdims=True)
+        dz = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+        np.exp(dz, out=dz)
+        dz /= np.add.reduce(dz, axis=1, keepdims=True)
         dz[np.arange(n), batch.y] -= 1.0
         dz /= n
     else:
-        dz = (logits - _loss_targets(spec, batch)) / n
+        dz = logits - _loss_targets(spec, batch)
+        dz /= n
 
-    # Each layer's gradient is written straight into its slice of the flat
-    # result, in the parameter layout.
+    # Backward from the last layer. Each layer's gradient is written straight
+    # into its slice of the flat result, in the parameter layout; the
+    # activation derivative is read off the activation itself (relu: a > 0
+    # exactly where z > 0; tanh: 1 - a^2; identity: 1).
     flat = np.empty(spec.param_count)
-    grads = _layer_views(spec, flat)
-    for i in range(len(layers) - 1, -1, -1):
-        gw, gb = grads[i]
-        np.matmul(dz.T, acts[i], out=gw)
-        np.sum(dz, axis=0, out=gb)
-        if i > 0:
-            da = dz @ layers[i][0]
-            dz = da * _activate_grad(spec, pres[i - 1], acts[i])
+    for w0, b0, end, fan_out, fan_in in reversed(spec._layout):
+        a = acts.pop()
+        np.matmul(dz.T, a, out=flat[w0:b0].reshape(fan_out, fan_in))
+        np.add.reduce(dz, axis=0, out=flat[b0:end])
+        if acts:
+            dz = dz @ params[w0:b0].reshape(fan_out, fan_in)
+            if spec.activation == "relu":
+                dz *= a > 0.0
+            elif spec.activation == "tanh":
+                dz *= 1.0 - a * a
 
     if not np.isfinite(flat).all():
         raise NumericError("non-finite gradient")
@@ -286,6 +280,7 @@ def sgd_trajectory(
     if not batches:
         raise ContractViolation("batches must be non-empty")
     grads = []
+    step = np.empty_like(params)
     # Overflow here is an anticipated outcome, reported via DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
         for j, batch in enumerate(batches):
@@ -295,7 +290,8 @@ def sgd_trajectory(
                 raise DivergenceError(
                     f"non-finite gradient at step {j}", step_index=j
                 ) from exc
-            params -= beta * g
+            np.multiply(g, beta, out=step)
+            params -= step
             if not np.isfinite(params).all():
                 raise DivergenceError(
                     f"parameters diverged at step {j}", step_index=j

@@ -9,6 +9,7 @@ from numpy.lib.npyio import NpzFile
 
 from fedmetasim import (
     ClientOptimizerConfig,
+    ConfigError,
     ModelSpec,
     RoundConfig,
     ServerOptimizerState,
@@ -18,7 +19,9 @@ from fedmetasim import (
     run_round,
     substream,
 )
+from fedmetasim import cli
 from fedmetasim.cli import _load_trace, _save_trace, main
+from fedmetasim.config import build_dataset, load_config, validate
 from fedmetasim.data import FederatedDataset
 from util import make_client
 
@@ -43,20 +46,46 @@ def traced_run(tmp_path_factory):
     return out
 
 
+def smoke_variant(tmp_path, name, replacements):
+    """The smoke config with each (old, new) text replacement made once."""
+    text = Path(SMOKE).read_text()
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new, 1)
+    config = tmp_path / name
+    config.write_text(text)
+    return config
+
+
 def diverging_config(tmp_path):
     """The smoke config as relu 6->8->3 with client lr 1e3 over 30 epochs,
     which overflows a gradient in the first replica."""
-    text = Path(SMOKE).read_text()
-    for old, new in (
+    return smoke_variant(tmp_path, "diverge.ini", (
         ("activation = tanh", "activation = relu"),
         ("client.epochs = 2", "client.epochs = 30"),
         ("client.lr = 0.05", "client.lr = 1e3"),
-    ):
-        assert old in text
-        text = text.replace(old, new, 1)
-    config = tmp_path / "diverge.ini"
-    config.write_text(text)
-    return config
+    ))
+
+
+def must_not_run(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the overwrite check")
+    return fail
+
+
+def tree_bytes(root):
+    """Every file under ``root`` with its contents."""
+    return {p: p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def refused_without_change(argv, root, capsys):
+    """Runs ``argv``, which must refuse to overwrite, and checks that it
+    wrote, removed and changed nothing under ``root``."""
+    before = tree_bytes(root)
+    rc = main(argv)
+    assert rc == 1
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert tree_bytes(root) == before
 
 
 class TestTrain:
@@ -93,6 +122,48 @@ class TestTrain:
         rc = main(["train", "-c", SMOKE, "--out", str(smoke_run)])
         assert rc == 1
         assert "refusing to overwrite" in capsys.readouterr().err
+
+    def test_existing_later_replica_refused_before_training(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        (out / "replica_01").mkdir(parents=True)
+        (out / "replica_01" / "metrics.csv").write_text("earlier run\n")
+        refused_without_change(
+            ["train", "-c", SMOKE, "--out", str(out), "--replicas", "2"], out, capsys
+        )
+        assert not (out / "replica_00").exists()
+
+    def test_existing_trace_refused(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        (out / "replica_00" / "traces").mkdir(parents=True)
+        (out / "replica_00" / "traces" / "round_00000.npz").write_bytes(b"earlier trace")
+        refused_without_change(
+            ["train", "-c", SMOKE, "--out", str(out), "--replicas", "1", "--trace"],
+            out, capsys,
+        )
+
+    def test_existing_periodic_checkpoint_refused(self, tmp_path, capsys):
+        config = smoke_variant(
+            tmp_path, "ckpt.ini", (("[run]\n", "[run]\ncheckpoint_every = 4\n"),)
+        )
+        out = tmp_path / "runs"
+        (out / "replica_00").mkdir(parents=True)
+        (out / "replica_00" / "ckpt_00004.fms").write_bytes(b"earlier checkpoint")
+        refused_without_change(
+            ["train", "-c", str(config), "--out", str(out), "--replicas", "1"], out, capsys
+        )
+
+    @pytest.mark.parametrize("key, replacement", [
+        ("checkpoint_every", ("[run]\n", "[run]\ncheckpoint_every = -4\n")),
+        ("eval_every", ("eval_every = 4", "eval_every = -4")),
+    ], ids=["checkpoint_every", "eval_every"])
+    def test_negative_schedule_rejected(self, tmp_path, capsys, key, replacement):
+        cfg = load_config(smoke_variant(tmp_path, "negative.ini", (replacement,)))
+        with pytest.raises(ConfigError, match=f"{key} must be non-negative"):
+            validate(cfg, build_dataset(cfg))
+        out = tmp_path / "runs"
+        assert main(["train", "-c", str(tmp_path / "negative.ini"), "--out", str(out)]) == 1
+        assert f"{key} must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_force_overwrites(self, tmp_path):
         out = tmp_path / "runs"
@@ -162,8 +233,31 @@ class TestReport:
         assert rc == 1
         assert "different configs" in capsys.readouterr().err
 
+    def test_existing_report_refused_before_reading_runs(
+        self, smoke_run, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_load_metrics", must_not_run("_load_metrics"))
+        out = tmp_path / "report"
+        out.mkdir()
+        (out / "report.csv").write_text("earlier report\n")
+        refused_without_change(
+            ["report", *self.run_dirs(smoke_run), "--out", str(out)], out, capsys
+        )
+
 
 class TestPersonalize:
+    def test_existing_report_refused_before_evaluation(
+        self, smoke_run, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "eval_population", must_not_run("eval_population"))
+        out = tmp_path / "pers"
+        out.mkdir()
+        (out / "report.csv").write_text("earlier report\n")
+        refused_without_change([
+            "personalize", "-c", SMOKE,
+            "--checkpoint", str(smoke_run / "replica_00" / "checkpoint.fms"), "--out", str(out),
+        ], out, capsys)
+
     def test_report_and_summary(self, smoke_run, tmp_path, capsys):
         ckpt = smoke_run / "replica_00" / "checkpoint.fms"
         out = tmp_path / "pers"
@@ -261,6 +355,17 @@ class TestDecompose:
         capsys.readouterr()
         assert rc == 0
         assert target.read_text().startswith("# config_hash=")
+
+    def test_existing_output_refused_before_loading(
+        self, traced_run, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_load_trace", must_not_run("_load_trace"))
+        out = tmp_path / "round_1.txt"
+        out.write_text("earlier decomposition\n")
+        refused_without_change([
+            "decompose", "-c", DECOMPOSE, "--run-dir", str(traced_run / "replica_00"),
+            "--round", "1", "--out", str(out),
+        ], tmp_path, capsys)
 
     def test_residual_gate_fails_corrupted_trace(self, traced_run, tmp_path, capsys):
         rdir, path = self.damaged_copy(traced_run, tmp_path)

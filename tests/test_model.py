@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmetasim import (
     Batch,
@@ -10,6 +12,7 @@ from fedmetasim import (
     ContractViolation,
     DivergenceError,
     ModelSpec,
+    NumericError,
     forward_loss,
     gradient,
     init_params,
@@ -20,7 +23,14 @@ from fedmetasim import (
     substream,
     unflatten_params,
 )
-from util import fd_gradient, max_relative_error, onehot, quad_hessian, quadratic_problem
+from util import (
+    fd_gradient,
+    max_relative_error,
+    onehot,
+    quad_hessian,
+    quadratic_problem,
+    reference_gradient,
+)
 
 
 def mlp_case(seed, input_dim=4, dims=(5, 3), activation="tanh", n=6):
@@ -137,6 +147,69 @@ class TestGradient:
     def test_deterministic(self):
         spec, params, batch = mlp_case(11)
         assert np.array_equal(gradient(spec, params, batch), gradient(spec, params, batch))
+
+
+@st.composite
+def mlp_cases(draw):
+    """An MLP of 0 to 3 hidden layers with parameters and a batch drawn at a
+    random scale, so saturated tanh, dead relu units and overflowing
+    logits all occur."""
+    activation = draw(st.sampled_from(["identity", "relu", "tanh"]))
+    hidden = draw(st.lists(st.integers(1, 12), min_size=0, max_size=3))
+    dims = (*hidden, draw(st.integers(2, 6)))
+    input_dim = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 49))
+    scale = 10.0 ** draw(st.floats(-2.0, 2.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = ModelSpec(input_dim, dims, activation=activation)
+    params = rng.normal(scale=scale, size=spec.param_count)
+    batch = Batch(rng.normal(scale=scale, size=(n, input_dim)), rng.integers(0, dims[-1], size=n))
+    return spec, params, batch
+
+
+class TestKernelMatchesReference:
+    """``gradient`` and ``sgd_trajectory`` equal the plain reference bit for
+    bit: every rewrite of the kernel must keep each output bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mlp_cases())
+    def test_gradient_bytes_equal(self, case):
+        spec, params, batch = case
+        expected = reference_gradient(spec, params, batch)
+        if np.isfinite(expected).all():
+            assert gradient(spec, params, batch).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(NumericError):
+                gradient(spec, params, batch)
+
+    @pytest.mark.parametrize("explicit_targets", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_quadratic_gradient_bytes_equal(self, seed, explicit_targets):
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec(4, (3,), activation="identity", loss="quadratic")
+        n = 1 + 7 * seed
+        targets = rng.normal(size=(n, 3)) if explicit_targets else None
+        batch = Batch(rng.normal(size=(n, 4)), rng.integers(0, 3, size=n), targets)
+        params = rng.normal(size=spec.param_count)
+        expected = reference_gradient(spec, params, batch)
+        assert gradient(spec, params, batch).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
+    def test_trajectory_bytes_equal_hand_loop(self, activation):
+        rng = np.random.default_rng(21)
+        spec = ModelSpec(5, (7, 6, 4), activation=activation)
+        params = rng.normal(scale=0.5, size=spec.param_count)
+        batches = [
+            Batch(rng.normal(size=(n, 5)), rng.integers(0, 4, size=n)) for n in (3, 8, 1, 8, 5)
+        ]
+        beta = 0.3
+        theta, expected = params, []
+        for batch in batches:
+            expected.append(reference_gradient(spec, theta, batch))
+            theta = theta - beta * expected[-1]
+        final, grads = sgd_trajectory(spec, params, batches, beta)
+        assert final.tobytes() == theta.tobytes()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in expected]
 
 
 class TestSgdTrajectory:

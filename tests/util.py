@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's backprop and trajectory
 code paths: gradients come from central finite differences on the scalar
-loss, and quadratic-model expectations come from explicit matrix algebra
-on a Hessian assembled straight from the batch.
+loss or from a plainly written backprop reference, and quadratic-model
+expectations come from explicit matrix algebra on a Hessian assembled
+straight from the batch.
 """
 
 from __future__ import annotations
@@ -26,6 +27,58 @@ def fd_gradient(spec, params, batch, h=1e-5):
         down = forward_loss(spec, bumped, batch)
         out[i] = (up - down) / (2.0 * h)
     return out
+
+
+def reference_gradient(spec, params, batch):
+    """Backprop written plainly, as the exact-arithmetic contract of
+    ``model.gradient``: per-layer weight and bias arrays, ``a @ w.T + b``,
+    the softmax as ``exp(z - max)`` divided by its row sum, and each
+    activation derivative taken from the pre-activation. Every operation
+    rounds as the kernel's does, so the two agree bit for bit.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    layers, offset, fan_in = [], 0, spec.input_dim
+    for fan_out in spec.layer_dims:
+        w = params[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in)
+        offset += fan_out * fan_in
+        layers.append((w, params[offset : offset + fan_out]))
+        offset += fan_out
+        fan_in = fan_out
+
+    pres, acts = [], [batch.x]
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w.T + b
+        pres.append(z)
+        if i == len(layers) - 1 or spec.activation == "identity":
+            acts.append(z)
+        elif spec.activation == "relu":
+            acts.append(np.maximum(z, 0.0))
+        else:
+            acts.append(np.tanh(z))
+
+    logits, n = acts[-1], batch.x.shape[0]
+    if spec.loss == "softmax_cross_entropy":
+        zmax = logits.max(axis=1, keepdims=True)
+        ez = np.exp(logits - zmax)
+        dz = ez / ez.sum(axis=1, keepdims=True)
+        dz[np.arange(n), batch.y] -= 1.0
+        dz = dz / n
+    else:
+        targets = batch.targets if batch.targets is not None else onehot(batch.y, spec.num_classes)
+        dz = (logits - targets) / n
+
+    parts = []
+    for i in range(len(layers) - 1, -1, -1):
+        parts = [(dz.T @ acts[i]).ravel(), dz.sum(axis=0)] + parts
+        if i > 0:
+            da = dz @ layers[i][0]
+            if spec.activation == "relu":
+                dz = da * (pres[i - 1] > 0.0).astype(np.float64)
+            elif spec.activation == "tanh":
+                dz = da * (1.0 - acts[i] * acts[i])
+            else:
+                dz = da
+    return np.concatenate(parts)
 
 
 def max_relative_error(approx, exact, floor=1e-8):
