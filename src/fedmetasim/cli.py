@@ -7,12 +7,20 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 Round metrics go to metrics.csv (deterministic columns only, so reruns with
 the same config and seed are byte-identical); per-round wallclock goes to a
 sibling timings.csv.
+
+Every output appears whole or not at all. ``train`` writes a replica's files,
+each round's trace as the round ends, into a staging directory beside the
+replica directory and moves them into place only when the replica completes;
+the other commands write each file through a temp file and ``os.replace``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import shutil
 import sys
 import zipfile
 from dataclasses import dataclass
@@ -57,6 +65,17 @@ def _ensure_writable(paths: list[Path], force: bool) -> None:
             raise ConfigError(f"refusing to overwrite {path} (use --force)")
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``path`` whole or not at all: a temp file beside it, then ``os.replace``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _trace_path(rdir: Path, round_index: int) -> Path:
     return rdir / "traces" / f"round_{round_index:05d}.npz"
 
@@ -75,6 +94,19 @@ def _replica_outputs(rdir: Path, rounds: int, checkpoint_every: int, trace: bool
     if trace:
         paths += [_trace_path(rdir, r) for r in range(rounds)]
     return paths
+
+
+def _commit_replica(staging: Path, rdir: Path, outputs: list[Path]) -> None:
+    """Move a finished replica's ``outputs`` from ``staging`` into ``rdir``,
+    metrics.csv (which ``report`` reads) last, then delete the traces and
+    periodic checkpoints of an earlier run that this one did not write."""
+    for path in sorted(outputs, key=lambda p: p.name == "metrics.csv"):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        os.replace(staging / path.relative_to(rdir), path)
+    keep = set(outputs)
+    for path in [*rdir.glob("ckpt_*.fms"), *rdir.glob("traces/round_*.npz")]:
+        if path not in keep:
+            path.unlink()
 
 
 def _metrics_lines(cfg_hash: str, seed: int, run: TrainingRun) -> str:
@@ -194,13 +226,33 @@ def cmd_train(args) -> int:
         args.force,
     )
 
+    made_root = not out_root.exists()
     for replica, rdir in enumerate(rdirs):
         seed = base_seed + replica
+        staging = rdir.with_name(f".{rdir.name}.staging")
+        shutil.rmtree(staging, ignore_errors=True)
+        (staging / "traces" if trace else staging).mkdir(parents=True)
+
+        def save_round(tr: RoundTrace) -> None:
+            stage = stage1 if tr.round_index < stage1.rounds else stage2
+            beta = stage.round_cfg.client_cfg.lr
+            _save_trace(_trace_path(staging, tr.round_index), tr, beta)
+
         try:
             run = run_personalized_fedavg(
                 spec, dataset, stage1, stage2, eval_cfg, seed,
                 trace=trace,
                 checkpoint_every=checkpoint_every,
+                on_round=save_round if trace else None,
+            )
+            (staging / "metrics.csv").write_text(_metrics_lines(cfg.hash, seed, run))
+            (staging / "timings.csv").write_text(_timings_lines(cfg.hash, seed, run))
+            (staging / "manifest.txt").write_text(_manifest_text(cfg, seed, replica, dataset))
+            save_checkpoint(staging / "checkpoint.fms", spec, run.final_params)
+            for round_index, params in run.checkpoints.items():
+                save_checkpoint(_ckpt_path(staging, round_index), spec, params)
+            _commit_replica(
+                staging, rdir, _replica_outputs(rdir, rounds, checkpoint_every, trace)
             )
         except DivergenceError as exc:
             print(
@@ -208,23 +260,11 @@ def cmd_train(args) -> int:
                 file=sys.stderr,
             )
             return 1
-
-        rdir.mkdir(parents=True, exist_ok=True)
-        (rdir / "metrics.csv").write_text(_metrics_lines(cfg.hash, seed, run))
-        (rdir / "timings.csv").write_text(_timings_lines(cfg.hash, seed, run))
-        (rdir / "manifest.txt").write_text(_manifest_text(cfg, seed, replica, dataset))
-        save_checkpoint(rdir / "checkpoint.fms", spec, run.final_params)
-        for round_index, params in run.checkpoints.items():
-            save_checkpoint(_ckpt_path(rdir, round_index), spec, params)
-        if trace:
-            (rdir / "traces").mkdir(exist_ok=True)
-            for tr in run.traces:
-                beta = (
-                    stage1.round_cfg.client_cfg.lr
-                    if tr.round_index < stage1.rounds
-                    else stage2.round_cfg.client_cfg.lr
-                )
-                _save_trace(_trace_path(rdir, tr.round_index), tr, beta)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+            if made_root:  # removed only while empty, when the first replica failed
+                with contextlib.suppress(OSError):
+                    out_root.rmdir()
 
         last = run.snapshots[-1]
         print(
@@ -266,8 +306,6 @@ def cmd_personalize(args) -> int:
             spec, params, dataset, optimizers, args.sweep_epochs, streams, which
         )
 
-    out.mkdir(parents=True, exist_ok=True)
-
     lines = [
         f"# config_hash={cfg.hash}",
         f"# seed={seed}",
@@ -278,7 +316,7 @@ def cmd_personalize(args) -> int:
             f"{o.client_id},{o.n_train},{o.n_test},{o.initial_acc:.8f},"
             f"{o.personalized_acc:.8f},{int(o.diverged)}"
         )
-    (out / "report.csv").write_text("\n".join(lines) + "\n")
+    _write_atomic(out / "report.csv", "\n".join(lines) + "\n")
     summary = {
         "config_hash": cfg.hash,
         "seed": seed,
@@ -290,9 +328,9 @@ def cmd_personalize(args) -> int:
         "std_personalized_acc": report.std_personalized,
         "negative_fraction": report.negative_fraction,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_atomic(out / "summary.json", json.dumps(summary, indent=2) + "\n")
     if sweep_rows is not None:
-        (out / "sweep.csv").write_text(sweep_csv(sweep_rows))
+        _write_atomic(out / "sweep.csv", sweep_csv(sweep_rows))
     print(
         f"{which}: initial={report.mean_initial:.4f} "
         f"personalized={report.mean_personalized:.4f} "
@@ -319,8 +357,7 @@ def cmd_decompose(args) -> int:
     text = decomposition_text(report)
     print(text, end="")
     if out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(f"# config_hash={cfg.hash}\n" + text)
+        _write_atomic(out, f"# config_hash={cfg.hash}\n" + text)
     if report.residual_norm > DECOMPOSE_RESIDUAL_GATE:
         print(
             f"residual {report.residual_norm:.3e} exceeds {DECOMPOSE_RESIDUAL_GATE:.0e}",
@@ -423,10 +460,9 @@ def cmd_report(args) -> int:
     text = _report_text(hashes[0], runs, args.threshold, rows)
     print(text, end="")
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(text)
+        _write_atomic(out / "report.txt", text)
         csv_lines = [f"# config_hash={hashes[0]}", REPORT_COLUMNS, *rows]
-        (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
+        _write_atomic(out / "report.csv", "\n".join(csv_lines) + "\n")
     return 0
 
 
@@ -444,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--replicas", type=int, default=None)
     p_train.add_argument("--out", default=None)
     p_train.add_argument("--trace", action="store_true",
-                         help="record per-step gradients (short runs only)")
+                         help="record per-step gradients; each round's trace is written "
+                              "as it ends, so disk, not memory, is the limit")
     p_train.add_argument("--force", action="store_true")
     p_train.set_defaults(func=cmd_train)
 

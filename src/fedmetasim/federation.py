@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,17 +113,24 @@ class EvalSnapshot:
 
 @dataclass
 class RoundTrace:
+    """One round: sampled clients, their results and the applied aggregate.
+
+    The summaries a ``TrainingRun`` keeps have no results and no aggregate.
+    """
+
     round_index: int
     client_ids: list[int]
     results: list[ClientUpdateResult]
-    aggregate: np.ndarray
+    aggregate: np.ndarray | None
     snapshot: EvalSnapshot | None = None
     wallclock_ms: float = 0.0
 
 
 @dataclass
 class TrainingRun:
-    """Everything produced by one seeded training execution."""
+    """What one seeded training execution keeps: a summary of each round
+    (index, sampled ids, snapshot, wall time), periodic checkpoints and the
+    final parameters."""
 
     seed: int
     traces: list[RoundTrace] = field(default_factory=list)
@@ -298,14 +306,18 @@ def run_personalized_fedavg(
     seed: int,
     trace: bool = False,
     checkpoint_every: int = 0,
+    on_round: Callable[[RoundTrace], None] | None = None,
 ) -> TrainingRun:
     """Two-stage training: averaged-epoch rounds, then step-counted
     fine-tuning continuing from stage-1 parameters with fresh server state.
 
     Either stage may be empty (rounds=0): stage2=0 is plain first-stage
     training, stage1=0 fine-tunes directly from the random initialization.
-    On divergence the partially completed run is attached to the raised
-    error as ``partial_run``.
+    Each finished round, with its snapshot attached when one is due, is
+    passed to ``on_round`` once, in order; the run then keeps only its
+    summary, without client results or aggregate. On divergence the
+    partially completed run is attached to the raised error as
+    ``partial_run``.
     """
     from .personalization import eval_population  # circular at import time
 
@@ -344,6 +356,10 @@ def run_personalized_fedavg(
                     stage_end or (eval_cfg.every and round_index % eval_cfg.every == 0)
                 ):
                     tr.snapshot = snapshot(round_index)
+                if on_round is not None:
+                    on_round(tr)
+                # Rebinding drops this round's results before the next one runs.
+                tr = replace(tr, results=[], aggregate=None)
                 run.traces.append(tr)
                 if checkpoint_every and round_index % checkpoint_every == 0:
                     run.checkpoints[round_index] = params.copy()

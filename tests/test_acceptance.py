@@ -48,6 +48,8 @@ from fedmetasim.config import (
 )
 from util import fd_gradient, max_relative_error, quadratic_problem
 
+pytestmark = pytest.mark.slow
+
 CONFIG_DIR = "configs"
 
 

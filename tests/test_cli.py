@@ -1,5 +1,6 @@
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +47,9 @@ def traced_run(tmp_path_factory):
     return out
 
 
-def smoke_variant(tmp_path, name, replacements):
-    """The smoke config with each (old, new) text replacement made once."""
-    text = Path(SMOKE).read_text()
+def config_variant(tmp_path, name, replacements, base=SMOKE):
+    """The ``base`` config with each (old, new) text replacement made once."""
+    text = Path(base).read_text()
     for old, new in replacements:
         assert old in text
         text = text.replace(old, new, 1)
@@ -60,7 +61,7 @@ def smoke_variant(tmp_path, name, replacements):
 def diverging_config(tmp_path):
     """The smoke config as relu 6->8->3 with client lr 1e3 over 30 epochs,
     which overflows a gradient in the first replica."""
-    return smoke_variant(tmp_path, "diverge.ini", (
+    return config_variant(tmp_path, "diverge.ini", (
         ("activation = tanh", "activation = relu"),
         ("client.epochs = 2", "client.epochs = 30"),
         ("client.lr = 0.05", "client.lr = 1e3"),
@@ -76,6 +77,18 @@ def must_not_run(name):
 def tree_bytes(root):
     """Every file under ``root`` with its contents."""
     return {p: p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def interrupt_at_round(monkeypatch, stop):
+    """Makes ``train`` raise KeyboardInterrupt when round ``stop`` ends."""
+    save = cli._save_trace
+
+    def interrupting(path, trace, beta):
+        if trace.round_index == stop:
+            raise KeyboardInterrupt
+        save(path, trace, beta)
+
+    monkeypatch.setattr(cli, "_save_trace", interrupting)
 
 
 def refused_without_change(argv, root, capsys):
@@ -142,7 +155,7 @@ class TestTrain:
         )
 
     def test_existing_periodic_checkpoint_refused(self, tmp_path, capsys):
-        config = smoke_variant(
+        config = config_variant(
             tmp_path, "ckpt.ini", (("[run]\n", "[run]\ncheckpoint_every = 4\n"),)
         )
         out = tmp_path / "runs"
@@ -157,7 +170,7 @@ class TestTrain:
         ("eval_every", ("eval_every = 4", "eval_every = -4")),
     ], ids=["checkpoint_every", "eval_every"])
     def test_negative_schedule_rejected(self, tmp_path, capsys, key, replacement):
-        cfg = load_config(smoke_variant(tmp_path, "negative.ini", (replacement,)))
+        cfg = load_config(config_variant(tmp_path, "negative.ini", (replacement,)))
         with pytest.raises(ConfigError, match=f"{key} must be non-negative"):
             validate(cfg, build_dataset(cfg))
         out = tmp_path / "runs"
@@ -171,6 +184,77 @@ class TestTrain:
         assert main(
             ["train", "-c", SMOKE, "--out", str(out), "--replicas", "1", "--force"]
         ) == 0
+
+    def test_interrupted_run_leaves_nothing(self, tmp_path, monkeypatch):
+        out = tmp_path / "runs"
+        interrupt_at_round(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", "-c", DECOMPOSE, "--out", str(out), "--trace"])
+        assert not out.exists()
+
+    def test_interrupted_force_run_changes_nothing(self, traced_run, tmp_path, monkeypatch):
+        out = tmp_path / "runs"
+        shutil.copytree(traced_run, out)
+        before = tree_bytes(out)
+        interrupt_at_round(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", "-c", DECOMPOSE, "--out", str(out), "--trace", "--force"])
+        assert tree_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == ["replica_00"]
+
+    def test_force_replaces_trace_set(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        longer = config_variant(
+            tmp_path, "longer.ini", (("rounds = 3", "rounds = 4"),), base=DECOMPOSE
+        )
+        assert main(["train", "-c", str(longer), "--out", str(out), "--trace"]) == 0
+        notes = out / "replica_00" / "traces" / "notes.txt"
+        notes.write_text("kept\n")
+        assert main(["train", "-c", DECOMPOSE, "--out", str(out), "--trace", "--force"]) == 0
+        traces = sorted(p.name for p in (out / "replica_00" / "traces").glob("*.npz"))
+        assert traces == [f"round_{r:05d}.npz" for r in range(3)]
+        assert notes.read_text() == "kept\n"
+        capsys.readouterr()
+        rc = main(["decompose", "-c", DECOMPOSE, "--run-dir", str(out / "replica_00"),
+                   "--round", "3"])
+        assert rc == 1
+        assert "no trace at" in capsys.readouterr().err
+
+    def test_force_replaces_checkpoint_set(self, tmp_path):
+        out = tmp_path / "runs"
+        for every in (4, 6):
+            config = config_variant(tmp_path, f"ckpt{every}.ini", (
+                ("[run]\n", f"[run]\ncheckpoint_every = {every}\n"),
+            ))
+            assert main(["train", "-c", str(config), "--out", str(out),
+                         "--replicas", "1", "--force"]) == 0
+        names = sorted(p.name for p in (out / "replica_00").iterdir())
+        assert names == ["checkpoint.fms", "ckpt_00006.fms", "ckpt_00012.fms",
+                         "manifest.txt", "metrics.csv", "timings.csv"]
+
+    def test_traced_memory_does_not_grow_with_rounds(self, tmp_path):
+        # One round of configs/decompose.ini holds 3 clients' 4 step
+        # gradients and deltas of 212 float64 parameters, about 25 kB.
+        round_bytes = 3 * (4 + 1) * 212 * 8
+
+        def peak(rounds):
+            config = config_variant(tmp_path, f"r{rounds}.ini", (
+                ("rounds = 3", f"rounds = {rounds}"),
+            ), base=DECOMPOSE)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            argv = ["train", "-c", str(config), "--out", str(tmp_path / f"runs{rounds}"),
+                    "--trace"]
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1] - start
+
+        tracemalloc.start()
+        try:
+            peak(2)  # warm-up: imports and caches
+            short, long = peak(4), peak(32)
+        finally:
+            tracemalloc.stop()
+        assert long - short < 3 * round_bytes, (short, long)
 
     def test_fedavg_only_mode_marked(self, traced_run):
         manifest = (traced_run / "replica_00" / "manifest.txt").read_text()
@@ -366,6 +450,23 @@ class TestDecompose:
             "decompose", "-c", DECOMPOSE, "--run-dir", str(traced_run / "replica_00"),
             "--round", "1", "--out", str(out),
         ], tmp_path, capsys)
+
+    def test_failed_write_keeps_existing_output(self, traced_run, tmp_path, monkeypatch):
+        out = tmp_path / "round_1.txt"
+        out.write_text("earlier decomposition\n")
+        write_text = Path.write_text
+
+        def half_then_fail(self, text):
+            write_text(self, text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            main(["decompose", "-c", DECOMPOSE, "--run-dir", str(traced_run / "replica_00"),
+                  "--round", "1", "--out", str(out), "--force"])
+        monkeypatch.undo()
+        assert out.read_text() == "earlier decomposition\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_residual_gate_fails_corrupted_trace(self, traced_run, tmp_path, capsys):
         rdir, path = self.damaged_copy(traced_run, tmp_path)

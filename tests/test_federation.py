@@ -574,6 +574,31 @@ class TestRunPersonalizedFedAvg:
             run_personalized_fedavg(spec, ds, bad_stage, None, eval_cfg(), seed=3)
         assert hasattr(err.value, "partial_run")
 
+    def test_on_round_sees_each_full_round_once_in_order(self):
+        args = (
+            ModelSpec(4, (6, 3)),
+            self.dataset(),
+            stage("fedavg", 3, "momentum", 0.5, epochs=2),
+            stage("reptile", 2, "adam", 0.01, steps=2),
+            EvalConfig(personalization=eval_cfg().personalization, every=2),
+        )
+        seen = []
+        run = run_personalized_fedavg(*args, seed=5, trace=True, on_round=seen.append)
+        assert [tr.round_index for tr in seen] == [0, 1, 2, 3, 4]
+        for tr in seen:
+            assert len(tr.results) == 2 and tr.aggregate is not None
+            assert all(res.step_gradients for res in tr.results)
+        # snapshots after rounds 2 and 4 (every=2) and at both stage ends
+        assert [tr.round_index for tr in seen if tr.snapshot] == [1, 2, 3, 4]
+        assert [tr.snapshot for tr in seen if tr.snapshot] == run.snapshots
+        # the run keeps a summary of each round, without per-client results
+        assert [tr.client_ids for tr in run.traces] == [tr.client_ids for tr in seen]
+        assert all(tr.results == [] and tr.aggregate is None for tr in run.traces)
+        plain = run_personalized_fedavg(*args, seed=5)
+        assert plain.final_params.tobytes() == run.final_params.tobytes()
+        assert plain.snapshots == run.snapshots
+        assert all(tr.results == [] and tr.aggregate is None for tr in plain.traces)
+
     def test_checkpoint_schedule(self):
         run = run_personalized_fedavg(
             ModelSpec(4, (6, 3)),
