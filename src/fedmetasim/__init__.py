@@ -7,9 +7,6 @@ averaged round update decomposes into single-step and adapted-gradient terms.
 """
 
 from .analysis import (
-    DecompositionReport,
-    ReplicaStats,
-    ThresholdStats,
     aggregate_replicas,
     decompose_round,
     fomaml_maml_gap,
@@ -34,13 +31,11 @@ from .errors import (
     ConfigError,
     ContractViolation,
     DivergenceError,
-    FedMetaSimError,
     NumericError,
     ParseError,
     SchemaError,
 )
 from .federation import (
-    ClientUpdateResult,
     EvalConfig,
     EvalSnapshot,
     RoundConfig,
@@ -74,9 +69,7 @@ from .optimizers import (
     server_apply,
 )
 from .personalization import (
-    ClientOutcome,
     PersonalizationConfig,
-    PersonalizationReport,
     epochs_sweep,
     eval_population,
     evaluate_accuracy,

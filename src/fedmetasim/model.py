@@ -74,6 +74,13 @@ class ModelSpec:
             layout.append((offset, bias, bias + fan_out, fan_out, fan_in))
             offset, fan_in = bias + fan_out, fan_out
         object.__setattr__(self, "_layout", tuple(layout))
+        # The kernel's 2-D products. np.dot reaches the same BLAS routines as
+        # matmul with less dispatch and matches it bit for bit, except when
+        # an operand is 1x1: np.dot then takes a scalar path that can keep
+        # the sign of a zero product and can give 0 where 0 * inf is nan.
+        # Only a width-1 layer makes such an operand; such a spec keeps matmul.
+        narrow = min(self.input_dim, *self.layer_dims) == 1
+        object.__setattr__(self, "_dot", np.matmul if narrow else np.dot)
 
     @property
     def num_classes(self) -> int:
@@ -134,7 +141,8 @@ def _check_batch(spec: ModelSpec, batch: Batch) -> None:
         )
     if y.shape != (n,):
         raise ContractViolation("labels must be one per example")
-    if np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= spec.num_classes:
+    # One reduce checks both bounds: a negative label reads as a huge uint64.
+    if np.maximum.reduce(y.view(np.uint64)) >= spec.num_classes:
         raise ContractViolation("labels must lie in [0, num_classes)")
     if batch.targets is not None and batch.targets.shape != (n, spec.num_classes):
         raise ContractViolation("targets must have shape (batch, num_classes)")
@@ -165,14 +173,14 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> list[np.ndar
     ``acts[0]`` is x and ``acts[-1]`` the logits. A hidden layer's
     pre-activation is activated in place just before it feeds the next layer.
     """
-    acts = [x]
+    acts, dot = [x], spec._dot
     for i, (w0, b0, end, fan_out, fan_in) in enumerate(spec._layout):
         a = acts[-1]
         if i and spec.activation == "relu":
             np.maximum(a, 0.0, out=a)
         elif i and spec.activation == "tanh":
             np.tanh(a, out=a)
-        z = a @ params[w0:b0].reshape(fan_out, fan_in).T
+        z = dot(a, params[w0:b0].reshape(fan_out, fan_in).T)
         z += params[b0:end]
         acts.append(z)
     return acts
@@ -230,31 +238,36 @@ def _gradient_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np
     logits = acts.pop()
     n = logits.shape[0]
 
+    # The logits buffer becomes the output error dz.
+    dz = logits
     if spec.loss == "softmax_cross_entropy":
-        dz = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+        dz -= np.maximum.reduce(dz, axis=1, keepdims=True)
         np.exp(dz, out=dz)
         dz /= np.add.reduce(dz, axis=1, keepdims=True)
         dz[np.arange(n), batch.y] -= 1.0
-        dz /= n
     else:
-        dz = logits - _loss_targets(spec, batch)
-        dz /= n
+        dz -= _loss_targets(spec, batch)
+    dz /= n
 
     # Backward from the last layer. Each layer's gradient is written straight
     # into its slice of the flat result, in the parameter layout; the
     # activation derivative is read off the activation itself (relu: a > 0
-    # exactly where z > 0; tanh: 1 - a^2; identity: 1).
-    flat = np.empty(spec.param_count)
+    # exactly where z > 0; tanh: 1 - a^2; identity: 1). A hidden activation
+    # is the kernel's own buffer and is dead once the products below have
+    # read it, so the tanh derivative is formed in it.
+    flat, dot = np.empty(spec.param_count), spec._dot
     for w0, b0, end, fan_out, fan_in in reversed(spec._layout):
         a = acts.pop()
-        np.matmul(dz.T, a, out=flat[w0:b0].reshape(fan_out, fan_in))
+        dot(dz.T, a, out=flat[w0:b0].reshape(fan_out, fan_in))
         np.add.reduce(dz, axis=0, out=flat[b0:end])
         if acts:
-            dz = dz @ params[w0:b0].reshape(fan_out, fan_in)
+            dz = dot(dz, params[w0:b0].reshape(fan_out, fan_in))
             if spec.activation == "relu":
                 dz *= a > 0.0
             elif spec.activation == "tanh":
-                dz *= 1.0 - a * a
+                np.multiply(a, a, out=a)
+                np.subtract(1.0, a, out=a)
+                dz *= a
 
     if not np.isfinite(flat).all():
         raise NumericError("non-finite gradient")

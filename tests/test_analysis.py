@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmetasim import (
     Batch,
@@ -71,6 +73,20 @@ class TestDecomposeRound:
         report = decompose_round(trace, lr)
         assert report.residual_norm <= 1e-10
         assert len(report.g_fomaml_by_j) == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        m=st.integers(1, 5),
+        activation=st.sampled_from(["identity", "relu", "tanh"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_residual_small_for_any_traced_round(self, k, m, activation, seed):
+        spec = ModelSpec(8, (16, 4), activation=activation)
+        trace, lr = traced_round(seed=seed, clients=m, k=k, spec=spec)
+        report = decompose_round(trace, lr)
+        assert report.residual_norm <= 1e-8
+        assert len(report.g_fomaml_by_j) == k - 1
 
     def test_single_step_round_has_no_adapted_terms(self):
         trace, lr = traced_round(seed=1, clients=3, k=1)

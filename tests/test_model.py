@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmetasim import (
@@ -13,6 +13,7 @@ from fedmetasim import (
     DivergenceError,
     ModelSpec,
     NumericError,
+    forward_logits,
     forward_loss,
     gradient,
     init_params,
@@ -29,6 +30,7 @@ from util import (
     onehot,
     quad_hessian,
     quadratic_problem,
+    reference_forward,
     reference_gradient,
 )
 
@@ -102,6 +104,15 @@ class TestForwardLoss:
         with pytest.raises(ContractViolation):
             forward_loss(spec, params, Batch(np.ones((1, 4)), np.array([3])))
 
+    @pytest.mark.parametrize("label", [-1, np.iinfo(np.int64).min])
+    def test_negative_label_rejected(self, label):
+        spec, params, _ = mlp_case(0)
+        batch = Batch(np.ones((2, 4)), np.array([0, label]))
+        with pytest.raises(ContractViolation):
+            forward_loss(spec, params, batch)
+        with pytest.raises(ContractViolation):
+            gradient(spec, params, batch)
+
     def test_empty_batch_rejected(self):
         spec, params, _ = mlp_case(0)
         with pytest.raises(ContractViolation):
@@ -167,12 +178,48 @@ def mlp_cases(draw):
     return spec, params, batch
 
 
+def saturated_unit_case():
+    """One input, a width-1 hidden layer and a batch of one, at a scale
+    where the softmax saturates: every product has a 1x1 operand, and the
+    zero output error makes zero products, which ``matmul`` returns as +0.0
+    and ``np.dot`` as -0.0."""
+    spec = ModelSpec(1, (1, 2), activation="identity")
+    params = np.array([18.9, -52.3, -41.3, -244.1, 180.0, 114.4])
+    return spec, params, Batch(np.array([[-32.5]]), np.array([1]))
+
+
+def gemv_examples(test):
+    """Always run the shapes whose products are gemv-shaped or have a 1x1
+    operand: a batch of one, a width-1 hidden layer, one input feature."""
+    for case in (
+        mlp_case(31, n=1),
+        mlp_case(32, dims=(1, 3), activation="relu"),
+        mlp_case(33, input_dim=1, dims=(6, 3)),
+        mlp_case(34, input_dim=1, dims=(1, 4), n=1),
+        saturated_unit_case(),
+    ):
+        test = example(case)(test)
+    return test
+
+
 class TestKernelMatchesReference:
-    """``gradient`` and ``sgd_trajectory`` equal the plain reference bit for
-    bit: every rewrite of the kernel must keep each output bit."""
+    """``gradient``, ``forward_logits`` and ``sgd_trajectory`` equal the
+    plain reference bit for bit: every rewrite of the kernel must keep each
+    output bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(mlp_cases())
+    @gemv_examples
+    def test_forward_logits_bytes_equal(self, case):
+        spec, params, batch = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_forward(spec, params, batch.x)
+            got = forward_logits(spec, params, batch.x)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(mlp_cases())
+    @gemv_examples
     def test_gradient_bytes_equal(self, case):
         spec, params, batch = case
         expected = reference_gradient(spec, params, batch)

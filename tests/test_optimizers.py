@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmetasim import (
     ClientOptimizerConfig,
@@ -10,7 +12,7 @@ from fedmetasim import (
     server_apply,
     substream,
 )
-from util import make_client
+from util import make_client, reference_client_batches
 
 
 class TestServerSgd:
@@ -157,6 +159,23 @@ class TestClientBatches:
             assert np.array_equal(
                 np.sort(xs, axis=0), np.sort(client.train.x, axis=0)
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 45),
+        batch_size=st.integers(1, 9),
+        epochs=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_epoch_loop(self, n, batch_size, epochs, seed):
+        client = make_client(np.random.default_rng(seed), n_train=n)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = make_client_batches(client, epochs, batch_size, rng)
+        expected = reference_client_batches(client, epochs, batch_size, ref_rng)
+        assert [(b.x.tobytes(), b.y.tobytes()) for b in got] == [
+            (b.x.tobytes(), b.y.tobytes()) for b in expected
+        ]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_deterministic_in_stream(self):
         client = make_client(np.random.default_rng(4), n_train=17)

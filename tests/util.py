@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's backprop and trajectory
 code paths: gradients come from central finite differences on the scalar
-loss or from a plainly written backprop reference, and quadratic-model
+loss or from a plainly written forward and backprop reference, client
+batches from a plain per-epoch shuffling loop, and quadratic-model
 expectations come from explicit matrix algebra on a Hessian assembled
 straight from the batch.
 """
@@ -29,13 +30,9 @@ def fd_gradient(spec, params, batch, h=1e-5):
     return out
 
 
-def reference_gradient(spec, params, batch):
-    """Backprop written plainly, as the exact-arithmetic contract of
-    ``model.gradient``: per-layer weight and bias arrays, ``a @ w.T + b``,
-    the softmax as ``exp(z - max)`` divided by its row sum, and each
-    activation derivative taken from the pre-activation. Every operation
-    rounds as the kernel's does, so the two agree bit for bit.
-    """
+def _reference_pass(spec, params, x):
+    """Per-layer (weight, bias) arrays, and the pre-activations and
+    activations of a forward pass written as ``a @ w.T + b``."""
     params = np.asarray(params, dtype=np.float64)
     layers, offset, fan_in = [], 0, spec.input_dim
     for fan_out in spec.layer_dims:
@@ -45,7 +42,7 @@ def reference_gradient(spec, params, batch):
         offset += fan_out
         fan_in = fan_out
 
-    pres, acts = [], [batch.x]
+    pres, acts = [], [np.asarray(x, dtype=np.float64)]
     for i, (w, b) in enumerate(layers):
         z = acts[-1] @ w.T + b
         pres.append(z)
@@ -55,7 +52,24 @@ def reference_gradient(spec, params, batch):
             acts.append(np.maximum(z, 0.0))
         else:
             acts.append(np.tanh(z))
+    return layers, pres, acts
 
+
+def reference_forward(spec, params, x):
+    """Logits written plainly, as the exact-arithmetic contract of
+    ``model.forward_logits``: ``a @ w.T + b`` per layer, each hidden layer
+    activated."""
+    return _reference_pass(spec, params, x)[2][-1]
+
+
+def reference_gradient(spec, params, batch):
+    """Backprop written plainly, as the exact-arithmetic contract of
+    ``model.gradient``: per-layer weight and bias arrays, ``a @ w.T + b``,
+    the softmax as ``exp(z - max)`` divided by its row sum, and each
+    activation derivative taken from the pre-activation. Every operation
+    rounds as the kernel's does, so the two agree bit for bit.
+    """
+    layers, pres, acts = _reference_pass(spec, params, batch.x)
     logits, n = acts[-1], batch.x.shape[0]
     if spec.loss == "softmax_cross_entropy":
         zmax = logits.max(axis=1, keepdims=True)
@@ -79,6 +93,21 @@ def reference_gradient(spec, params, batch):
             else:
                 dz = da
     return np.concatenate(parts)
+
+
+def reference_client_batches(client, epochs, batch_size, rng):
+    """The batching contract of ``optimizers.make_client_batches``, as a
+    plain per-epoch loop: draw one permutation per epoch, in epoch order,
+    gather the epoch's examples and chunk them, keeping the short tail. A
+    rewrite of the batcher must give the same bytes and leave the generator
+    in the same state."""
+    train, batches = client.train, []
+    for _ in range(epochs):
+        order = rng.permutation(train.n)
+        x, y = train.x[order], train.y[order]
+        for start in range(0, train.n, batch_size):
+            batches.append(Batch(x[start : start + batch_size], y[start : start + batch_size]))
+    return batches
 
 
 def max_relative_error(approx, exact, floor=1e-8):
