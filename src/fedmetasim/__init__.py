@@ -7,7 +7,6 @@ averaged round update decomposes into single-step and adapted-gradient terms.
 """
 
 from .analysis import (
-    aggregate_replicas,
     decompose_round,
     fomaml_maml_gap,
     format_mean_std,
@@ -40,7 +39,6 @@ from .federation import (
     EvalSnapshot,
     RoundConfig,
     RoundTrace,
-    ServerOptimizerConfig,
     StageConfig,
     TrainingRun,
     fomaml_update,

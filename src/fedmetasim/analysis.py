@@ -144,16 +144,13 @@ def rounds_to_threshold(run: TrainingRun, metric: str, threshold: float) -> int 
     if not snapshots:
         raise ContractViolation("run has no evaluation snapshots")
     for snap in snapshots:
-        value = snap.initial_mean if metric == "initial" else snap.personalized_mean
-        if value >= threshold:
+        if _snapshot_value(snap, metric) >= threshold:
             return snap.round_index
     return None
 
 
 @dataclass
 class ThresholdStats:
-    threshold: float
-    per_replica: list[int | None]
     mean_rounds: float | None
     reached_count: int
 
@@ -168,24 +165,7 @@ def threshold_stats(runs: list[TrainingRun], metric: str, threshold: float) -> T
     per_replica = [rounds_to_threshold(run, metric, threshold) for run in runs]
     reached = [r for r in per_replica if r is not None]
     mean_rounds = float(np.mean(reached)) if reached else None
-    return ThresholdStats(
-        threshold=threshold,
-        per_replica=per_replica,
-        mean_rounds=mean_rounds,
-        reached_count=len(reached),
-    )
-
-
-@dataclass
-class ReplicaStats:
-    metric: str
-    values: list[float]
-    mean: float
-    std: float
-    count: int
-
-    def format(self) -> str:
-        return format_mean_std(self.mean, self.std)
+    return ThresholdStats(mean_rounds=mean_rounds, reached_count=len(reached))
 
 
 def format_mean_std(mean: float, std: float) -> str:
@@ -206,23 +186,6 @@ def _check_schedules(runs: list[TrainingRun]) -> None:
         raise ContractViolation("runs have inconsistent snapshot schedules")
 
 
-def aggregate_replicas(runs: list[TrainingRun], metric: str) -> ReplicaStats:
-    """Final-snapshot mean and population standard deviation across replicas."""
-    if metric not in METRICS:
-        raise ContractViolation(f"unknown metric {metric!r}")
-    _check_schedules(runs)
-    values = [float(_snapshot_value(run.snapshots[-1], metric)) for run in runs]
-    # Sort before reducing so the stats are exactly permutation-invariant.
-    arr = np.sort(np.array(values))
-    return ReplicaStats(
-        metric=metric,
-        values=values,
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        count=len(values),
-    )
-
-
 def per_snapshot_stats(runs: list[TrainingRun], metric: str) -> list[tuple[int, float, float]]:
     """(round, mean, population std) across replicas at every snapshot."""
     if metric not in METRICS:
@@ -230,6 +193,7 @@ def per_snapshot_stats(runs: list[TrainingRun], metric: str) -> list[tuple[int, 
     _check_schedules(runs)
     out = []
     for i, snap in enumerate(runs[0].snapshots):
+        # Sort before reducing so the stats are exactly permutation-invariant.
         vals = np.sort([_snapshot_value(run.snapshots[i], metric) for run in runs])
         out.append((snap.round_index, float(vals.mean()), float(vals.std())))
     return out

@@ -23,7 +23,6 @@ import os
 import shutil
 import sys
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from . import __version__
 from .analysis import (
     decompose_round,
     decomposition_text,
-    aggregate_replicas,
+    format_mean_std,
     per_snapshot_stats,
     threshold_stats,
 )
@@ -125,8 +124,8 @@ def _metrics_lines(cfg_hash: str, seed: int, run: TrainingRun) -> str:
 
 def _timings_lines(cfg_hash: str, seed: int, run: TrainingRun) -> str:
     lines = [f"# config_hash={cfg_hash}", f"# seed={seed}", "round,wallclock_ms"]
-    for trace in run.traces:
-        lines.append(f"{trace.round_index},{trace.wallclock_ms:.3f}")
+    for round_index, wallclock_ms in enumerate(run.wallclock_ms):
+        lines.append(f"{round_index},{wallclock_ms:.3f}")
     return "\n".join(lines) + "\n"
 
 
@@ -182,12 +181,11 @@ def _load_trace(path: Path) -> tuple[RoundTrace, float]:
             deltas, weights = data["deltas"], data["weights"]
             results = [
                 ClientUpdateResult(
-                    client_id=cid,
                     delta=deltas[i],
                     weight=float(weights[i]),
                     step_gradients=list(data[f"grads_{i}"]),
                 )
-                for i, cid in enumerate(client_ids)
+                for i in range(len(client_ids))
             ]
             trace = RoundTrace(
                 round_index=int(data["round_index"]),
@@ -268,7 +266,7 @@ def cmd_train(args) -> int:
 
         last = run.snapshots[-1]
         print(
-            f"replica {replica} seed {seed}: rounds={len(run.traces)} "
+            f"replica {replica} seed {seed}: rounds={len(run.wallclock_ms)} "
             f"initial={last.initial_mean:.4f} personalized={last.personalized_mean:.4f}"
         )
     return 0
@@ -370,53 +368,38 @@ def cmd_decompose(args) -> int:
 REPORT_COLUMNS = "round,initial_mean,initial_std,personalized_mean,personalized_std"
 
 
-@dataclass
-class _LoadedRun:
-    """A replica's config hash, seed and snapshot series from its metrics.csv."""
-
-    cfg_hash: str
-    seed: int | None
-    snapshots: list[EvalSnapshot]
-
-
-def _load_metrics(path: Path) -> _LoadedRun:
-    run = _LoadedRun(cfg_hash="", seed=None, snapshots=[])
-    for line in path.read_text().splitlines():
-        if line.startswith("# config_hash="):
-            run.cfg_hash = line.split("=", 1)[1]
-        elif line.startswith("# seed="):
-            run.seed = int(line.split("=", 1)[1])
-        elif line.startswith("#") or line.startswith("round,") or not line.strip():
-            continue
-        else:
-            parts = line.split(",")
-            run.snapshots.append(
-                EvalSnapshot(
-                    round_index=int(parts[0]),
-                    initial_mean=float(parts[1]),
-                    initial_std=float(parts[2]),
-                    personalized_mean=float(parts[3]),
-                    personalized_std=float(parts[4]),
+def _load_metrics(path: Path) -> tuple[str, TrainingRun]:
+    """A replica's config hash, and its seed and snapshots, from its metrics.csv."""
+    cfg_hash, seed, snapshots = "", None, []
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            if line.startswith("# config_hash="):
+                cfg_hash = line.split("=", 1)[1]
+            elif line.startswith("# seed="):
+                seed = int(line.split("=", 1)[1])
+            elif line.startswith("#") or line.startswith("round,") or not line.strip():
+                continue
+            else:
+                rnd, im, istd, pm, pstd = line.split(",")
+                snapshots.append(
+                    EvalSnapshot(int(rnd), float(im), float(istd), float(pm), float(pstd))
                 )
-            )
-    return run
+        except ValueError as exc:
+            raise ParseError(f"{path}, line {number}: malformed {line!r}") from exc
+    if seed is None:
+        raise ParseError(f"{path} has no '# seed=' line")
+    return cfg_hash, TrainingRun(seed=seed, snapshots=snapshots)
 
 
-def _snapshot_rows(runs: list[_LoadedRun]) -> list[str]:
-    """One REPORT_COLUMNS row per snapshot: mean and std across replicas."""
+def _report(cfg_hash: str, runs: list[TrainingRun], threshold: float) -> tuple[str, list[str]]:
+    """The report text, and its REPORT_COLUMNS rows: the mean and std across
+    replicas at each snapshot."""
     stats_i = per_snapshot_stats(runs, "initial")
     stats_p = per_snapshot_stats(runs, "personalized")
-    return [
+    rows = [
         f"{rnd},{im:.6f},{istd:.6f},{pm:.6f},{pstd:.6f}"
         for (rnd, im, istd), (_, pm, pstd) in zip(stats_i, stats_p)
     ]
-
-
-def _report_text(
-    cfg_hash: str, runs: list[_LoadedRun], threshold: float, rows: list[str]
-) -> str:
-    init = aggregate_replicas(runs, "initial")
-    pers = aggregate_replicas(runs, "personalized")
     t_init = threshold_stats(runs, "initial", threshold)
     t_pers = threshold_stats(runs, "personalized", threshold)
     lines = [
@@ -426,38 +409,37 @@ def _report_text(
         f"threshold={threshold:g}",
         f"rounds_to_threshold initial: {t_init.format()}",
         f"rounds_to_threshold personalized: {t_pers.format()}",
-        f"final initial_accuracy: {init.format()}",
-        f"final personalized_accuracy: {pers.format()}",
+        f"final initial_accuracy: {format_mean_std(*stats_i[-1][1:])}",
+        f"final personalized_accuracy: {format_mean_std(*stats_p[-1][1:])}",
         "",
         REPORT_COLUMNS,
         *rows,
     ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", rows
 
 
 def cmd_report(args) -> int:
     out = Path(args.out) if args.out else None
     if out is not None:
         _ensure_writable([out / "report.txt", out / "report.csv"], args.force)
-    runs = []
+    hashes, runs = set(), []
     for rdir in args.run_dirs:
         path = Path(rdir) / "metrics.csv"
         if not path.exists():
             raise ConfigError(f"no metrics.csv in {rdir}")
-        runs.append(_load_metrics(path))
-    hashes = sorted({run.cfg_hash for run in runs})
+        cfg_hash, run = _load_metrics(path)
+        hashes.add(cfg_hash)
+        runs.append(run)
+    hashes = sorted(hashes)
     if len(hashes) != 1:
         raise ConfigError(
             "refusing to aggregate runs with different configs: " + ", ".join(hashes)
         )
     seeds = [run.seed for run in runs]
-    if None in seeds:
-        raise ConfigError("every metrics.csv needs a '# seed=' line")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"refusing to aggregate duplicate replicas: seeds {seeds}")
 
-    rows = _snapshot_rows(runs)
-    text = _report_text(hashes[0], runs, args.threshold, rows)
+    text, rows = _report(hashes[0], runs, args.threshold)
     print(text, end="")
     if out is not None:
         _write_atomic(out / "report.txt", text)

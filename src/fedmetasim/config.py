@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import CsvSchema, FederatedDataset, generate_synthetic, load_csv_dataset, split_train_eval
-from .errors import ConfigError
-from .federation import EvalConfig, RoundConfig, ServerOptimizerConfig, StageConfig
+from .errors import ConfigError, ContractViolation
+from .federation import EvalConfig, RoundConfig, StageConfig
 from .model import ModelSpec
-from .optimizers import ClientOptimizerConfig
+from .optimizers import ClientOptimizerConfig, ServerOptimizerState
 from .personalization import PersonalizationConfig
 
 _DEFAULTS = {
@@ -90,10 +90,9 @@ _DEFAULTS = {
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved configuration plus its canonical text and hash."""
+    """Fully resolved configuration plus the hash of its canonical text."""
 
     values: dict[str, dict[str, str]]
-    canonical: str
     hash: str
 
     def get(self, section: str, key: str) -> str:
@@ -152,7 +151,7 @@ def load_config(path) -> ExperimentConfig:
         for key in sorted(values[section])
     )
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-    return ExperimentConfig(values=values, canonical=canonical, hash=digest)
+    return ExperimentConfig(values=values, hash=digest)
 
 
 def build_dataset(cfg: ExperimentConfig) -> FederatedDataset:
@@ -225,7 +224,7 @@ def build_stage(cfg: ExperimentConfig, section: str) -> StageConfig:
         steps=int(steps) if steps else None,
         weighting=weighting,
     )
-    server = ServerOptimizerConfig(
+    server = ServerOptimizerState(
         kind=cfg.get(section, "server.kind"),
         lr=cfg.get_float(section, "server.lr"),
         momentum=cfg.get_float(section, "server.momentum"),
@@ -253,10 +252,13 @@ def build_eval_config(cfg: ExperimentConfig) -> EvalConfig:
 
 
 def validate(cfg: ExperimentConfig, dataset: FederatedDataset) -> None:
-    """Cross-checks that need the materialized dataset, and the ranges of
-    the run's counts and schedules."""
+    """Cross-checks that need the materialized dataset, each stage's round
+    and server settings, and the ranges of the run's counts and schedules."""
     for section in ("stage1", "stage2"):
-        stage = build_stage(cfg, section)
+        try:
+            stage = build_stage(cfg, section)
+        except ContractViolation as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
         if stage.rounds and stage.round_cfg.clients_per_round > len(dataset.train_client_ids):
             raise ConfigError(
                 f"[{section}] clients_per_round exceeds {len(dataset.train_client_ids)} "

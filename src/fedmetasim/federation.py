@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .optimizers import (
     make_client_batches,
     server_apply,
 )
+from .personalization import PersonalizationConfig, eval_population
 from .rng import StreamFactory
 
 ALGORITHMS = ("fedavg", "reptile", "fedsgd", "fomaml")
@@ -96,7 +97,6 @@ class RoundConfig:
 
 @dataclass
 class ClientUpdateResult:
-    client_id: int
     delta: np.ndarray
     weight: float
     step_gradients: list[np.ndarray] | None = None
@@ -113,34 +113,28 @@ class EvalSnapshot:
 
 @dataclass
 class RoundTrace:
-    """One round: sampled clients, their results and the applied aggregate.
-
-    The summaries a ``TrainingRun`` keeps have no results and no aggregate.
-    """
+    """One round: sampled clients, their results in the same order, and the
+    applied aggregate."""
 
     round_index: int
     client_ids: list[int]
     results: list[ClientUpdateResult]
-    aggregate: np.ndarray | None
+    aggregate: np.ndarray
     snapshot: EvalSnapshot | None = None
     wallclock_ms: float = 0.0
 
 
 @dataclass
 class TrainingRun:
-    """What one seeded training execution keeps: a summary of each round
-    (index, sampled ids, snapshot, wall time), periodic checkpoints and the
-    final parameters."""
+    """What one seeded training execution keeps: its evaluation snapshots,
+    each round's wall time (index i for round i), periodic checkpoints and
+    the final parameters."""
 
     seed: int
-    traces: list[RoundTrace] = field(default_factory=list)
+    snapshots: list[EvalSnapshot] = field(default_factory=list)
+    wallclock_ms: list[float] = field(default_factory=list)
     checkpoints: dict[int, np.ndarray] = field(default_factory=dict)
     final_params: np.ndarray | None = None
-    stage1_rounds: int = 0
-
-    @property
-    def snapshots(self) -> list[EvalSnapshot]:
-        return [t.snapshot for t in self.traces if t.snapshot is not None]
 
 
 def sample_clients(
@@ -161,7 +155,6 @@ def local_update(
     cfg: RoundConfig,
     rng: np.random.Generator,
     trace: bool = False,
-    client_id: int = -1,
 ) -> ClientUpdateResult:
     """One client's local SGD from ``params`` under the round's algorithm.
 
@@ -180,7 +173,6 @@ def local_update(
         batches = make_client_batches(client, epochs, batch_size, rng)[:k]
     final, grads = sgd_trajectory(spec, params, batches, lr)
     return ClientUpdateResult(
-        client_id=client_id,
         delta=-lr * grads[-1] if cfg.algorithm == "fomaml" else final - params,
         weight=float(client.weight) if cfg.weighting == "data_proportional" else 1.0,
         step_gradients=grads if trace else None,
@@ -225,7 +217,7 @@ def run_round(
     for cid in ids:
         rng = streams.stream("round.batch", round_index, cid)
         try:
-            res = local_update(spec, params, dataset.clients[cid], cfg, rng, trace, cid)
+            res = local_update(spec, params, dataset.clients[cid], cfg, rng, trace)
         except DivergenceError as exc:
             raise DivergenceError(
                 f"client {cid} diverged at step {exc.step_index} in round {round_index}",
@@ -257,25 +249,12 @@ def run_round(
 
 
 @dataclass(frozen=True)
-class ServerOptimizerConfig:
-    kind: str
-    lr: float
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def create_state(self, dim: int) -> ServerOptimizerState:
-        return ServerOptimizerState.create(
-            self.kind, dim, self.lr, self.momentum, self.beta1, self.beta2, self.eps
-        )
-
-
-@dataclass(frozen=True)
 class StageConfig:
+    """A stage's round count, round config and fresh server state."""
+
     rounds: int
     round_cfg: RoundConfig | None
-    server: ServerOptimizerConfig | None
+    server: ServerOptimizerState | None
 
     def __post_init__(self):
         if self.rounds < 0:
@@ -293,7 +272,7 @@ class EvalConfig:
     held-out evaluation clients.
     """
 
-    personalization: "PersonalizationConfig"
+    personalization: PersonalizationConfig
     every: int = 0
 
 
@@ -315,15 +294,12 @@ def run_personalized_fedavg(
     training, stage1=0 fine-tunes directly from the random initialization.
     Each finished round, with its snapshot attached when one is due, is
     passed to ``on_round`` once, in order; the run then keeps only its
-    summary, without client results or aggregate. On divergence the
-    partially completed run is attached to the raised error as
-    ``partial_run``.
+    snapshot and wall time. On divergence the partially completed run is
+    attached to the raised error as ``partial_run``.
     """
-    from .personalization import eval_population  # circular at import time
-
     streams = StreamFactory(seed)
     params = init_params(spec, streams.stream("init"))
-    run = TrainingRun(seed=seed, stage1_rounds=stage1.rounds)
+    run = TrainingRun(seed=seed)
 
     def snapshot(round_index: int) -> EvalSnapshot:
         report = eval_population(
@@ -344,7 +320,7 @@ def run_personalized_fedavg(
         for stage in stages:
             if stage.rounds == 0:
                 continue
-            server_state = stage.server.create_state(spec.param_count)
+            server_state = stage.server
             for r in range(stage.rounds):
                 params, server_state, tr = run_round(
                     spec, params, dataset, stage.round_cfg,
@@ -358,9 +334,11 @@ def run_personalized_fedavg(
                     tr.snapshot = snapshot(round_index)
                 if on_round is not None:
                     on_round(tr)
-                # Rebinding drops this round's results before the next one runs.
-                tr = replace(tr, results=[], aggregate=None)
-                run.traces.append(tr)
+                if tr.snapshot is not None:
+                    run.snapshots.append(tr.snapshot)
+                run.wallclock_ms.append(tr.wallclock_ms)
+                # Deleting drops this round's results before the next one runs.
+                del tr
                 if checkpoint_every and round_index % checkpoint_every == 0:
                     run.checkpoints[round_index] = params.copy()
     except DivergenceError as exc:

@@ -39,9 +39,13 @@ class ClientOptimizerConfig:
 
 @dataclass(frozen=True)
 class ServerOptimizerState:
+    """A server optimizer: its kind and hyperparameters, which are checked
+    here, and its state. A fresh state has no buffers; ``server_apply``
+    starts them at zero on the first step."""
+
     kind: str
     lr: float
-    momentum: float = 0.0
+    momentum: float = 0.9
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -50,30 +54,16 @@ class ServerOptimizerState:
     v: np.ndarray | None = None
     step_count: int = 0
 
-    @classmethod
-    def create(
-        cls,
-        kind: str,
-        dim: int,
-        lr: float,
-        momentum: float = 0.9,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "ServerOptimizerState":
-        if kind not in SERVER_KINDS:
-            raise ContractViolation(f"unknown server optimizer {kind!r}")
-        if lr <= 0:
+    def __post_init__(self):
+        if self.kind not in SERVER_KINDS:
+            raise ContractViolation(f"unknown server optimizer {self.kind!r}")
+        if not self.lr > 0:
             raise ContractViolation("server lr must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ContractViolation("momentum must lie in [0, 1)")
-        buffers = {}
-        if kind == "momentum":
-            buffers["velocity"] = np.zeros(dim)
-        elif kind == "adam":
-            buffers["m"] = np.zeros(dim)
-            buffers["v"] = np.zeros(dim)
-        return cls(kind=kind, lr=lr, momentum=momentum, beta1=beta1, beta2=beta2, eps=eps, **buffers)
+        for name in ("momentum", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ContractViolation(f"server {name} must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ContractViolation("server eps must be positive")
 
 
 def server_apply(
@@ -96,12 +86,14 @@ def server_apply(
         if state.kind == "sgd":
             new_params, new_state = params + state.lr * delta, replace(state, step_count=t)
         elif state.kind == "momentum":
-            velocity = state.momentum * state.velocity + delta
+            velocity = state.velocity if state.step_count else np.zeros_like(params)
+            velocity = state.momentum * velocity + delta
             new_params = params + state.lr * velocity
             new_state = replace(state, velocity=velocity, step_count=t)
         else:
+            m, v = (state.m, state.v) if state.step_count else (np.zeros_like(params),) * 2
             new_params, m, v = adam_step(
-                params, -delta, state.m, state.v, t, state.lr,
+                params, -delta, m, v, t, state.lr,
                 state.beta1, state.beta2, state.eps,
             )
             new_state = replace(state, m=m, v=v, step_count=t)

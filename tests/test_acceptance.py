@@ -15,23 +15,21 @@ import pytest
 from fedmetasim import (
     Batch,
     ClientOptimizerConfig,
-    EvalSnapshot,
     ModelSpec,
     PersonalizationConfig,
     RoundConfig,
-    RoundTrace,
     ServerOptimizerState,
     StageConfig,
     StreamFactory,
-    TrainingRun,
-    aggregate_replicas,
     decompose_round,
     eval_population,
     fomaml_maml_gap,
+    format_mean_std,
     generate_synthetic,
     gradient,
     init_params,
     maml_gradient_oracle,
+    per_snapshot_stats,
     rounds_to_threshold,
     run_personalized_fedavg,
     run_round,
@@ -46,7 +44,7 @@ from fedmetasim.config import (
     build_stage,
     load_config,
 )
-from util import fd_gradient, max_relative_error, quadratic_problem
+from util import fd_gradient, max_relative_error, quadratic_problem, snapshot_run
 
 pytestmark = pytest.mark.slow
 
@@ -126,7 +124,7 @@ def test_criterion_1_round_update_decomposition():
         input_dim=8, num_classes=4, heterogeneity=0.5,
     )
     cfg = RoundConfig("reptile", 3, ClientOptimizerConfig(0.05, 8), steps=4)
-    server = ServerOptimizerState.create("sgd", spec.param_count, lr=1.0)
+    server = ServerOptimizerState("sgd", lr=1.0)
     params = init_params(spec, substream(42, "init"))
     _, _, trace = run_round(
         spec, params, dataset, cfg, server, 0, StreamFactory(42), trace=True
@@ -248,14 +246,6 @@ def test_criterion_6_finetune_stability(finetune_runs, bundle):
     )
 
 
-def _random_snapshot_run(rng):
-    traces = []
-    for i, v in enumerate(rng.random(rng.integers(1, 12))):
-        snap = EvalSnapshot(i + 1, float(v), 0.0, float(v), 0.0)
-        traces.append(RoundTrace(i + 1, [], [], np.zeros(1), snapshot=snap))
-    return TrainingRun(seed=0, traces=traces)
-
-
 def test_criterion_7_protocol_exactness(tmp_path, capsys):
     # (a) zero-epoch personalization reports are exactly the initial metrics
     dataset = split_train_eval(
@@ -279,7 +269,7 @@ def test_criterion_7_protocol_exactness(tmp_path, capsys):
     # (b) rounds_to_threshold is monotone in the threshold over random traces
     rng = np.random.default_rng(7)
     for _ in range(100):
-        run = _random_snapshot_run(rng)
+        run = snapshot_run(rng.random(rng.integers(1, 12)).tolist())
         lo, hi = sorted(rng.random(2))
         r_lo = rounds_to_threshold(run, "initial", lo)
         r_hi = rounds_to_threshold(run, "initial", hi)
@@ -287,15 +277,9 @@ def test_criterion_7_protocol_exactness(tmp_path, capsys):
         assert (r_lo if r_lo is not None else inf) <= (r_hi if r_hi is not None else inf)
 
     # (c) replica aggregation uses the "mean (std)" format, against the golden
-    runs = []
-    for values in ((0.78, 0.80), (0.80, 0.82), (0.82, 0.78)):
-        traces = []
-        for i, v in enumerate(values):
-            snap = EvalSnapshot(i + 1, v, 0.0, v, 0.0)
-            traces.append(RoundTrace(i + 1, [], [], np.zeros(1), snapshot=snap))
-        runs.append(TrainingRun(seed=0, traces=traces))
-    stats = aggregate_replicas(runs, "initial")
-    assert stats.format() == "0.8000 (0.0163)"
+    runs = [snapshot_run(values) for values in ((0.78, 0.80), (0.80, 0.82), (0.82, 0.78))]
+    _, mean, std = per_snapshot_stats(runs, "initial")[-1]
+    assert format_mean_std(mean, std) == "0.8000 (0.0163)"
 
     # (d) identical train invocations write byte-identical metric CSVs
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -9,14 +9,11 @@ from fedmetasim import (
     Batch,
     ClientOptimizerConfig,
     ContractViolation,
-    EvalSnapshot,
     ModelSpec,
     RoundConfig,
-    RoundTrace,
     ServerOptimizerState,
     StreamFactory,
     TrainingRun,
-    aggregate_replicas,
     decompose_round,
     fomaml_maml_gap,
     format_mean_std,
@@ -29,7 +26,7 @@ from fedmetasim import (
     threshold_stats,
 )
 from fedmetasim.analysis import decomposition_text
-from util import max_relative_error, quadratic_problem
+from util import max_relative_error, quadratic_problem, snapshot_run
 
 
 def traced_round(seed=42, clients=3, k=4, spec=None, lr=0.05):
@@ -45,26 +42,11 @@ def traced_round(seed=42, clients=3, k=4, spec=None, lr=0.05):
     )
     params = init_params(spec, substream(seed, "init"))
     cfg = RoundConfig("reptile", clients, ClientOptimizerConfig(lr, 8), steps=k)
-    server = ServerOptimizerState.create("sgd", spec.param_count, lr=1.0)
+    server = ServerOptimizerState("sgd", lr=1.0)
     _, _, trace = run_round(
         spec, params, ds, cfg, server, 0, StreamFactory(seed), trace=True
     )
     return trace, lr
-
-
-def run_with_snapshots(values, metric="initial"):
-    """A run whose snapshot means follow the given series."""
-    traces = []
-    for i, v in enumerate(values):
-        snap = EvalSnapshot(
-            round_index=i + 1,
-            initial_mean=v if metric == "initial" else 0.0,
-            initial_std=0.0,
-            personalized_mean=v if metric == "personalized" else 0.0,
-            personalized_std=0.0,
-        )
-        traces.append(RoundTrace(i + 1, [], [], np.zeros(1), snapshot=snap))
-    return TrainingRun(seed=0, traces=traces)
 
 
 class TestDecomposeRound:
@@ -168,16 +150,16 @@ class TestFomamlMamlGap:
 
 class TestRoundsToThreshold:
     def test_never_reaching(self):
-        run = run_with_snapshots([0.1, 0.2, 0.3])
+        run = snapshot_run([0.1, 0.2, 0.3])
         assert rounds_to_threshold(run, "initial", 0.8) is None
 
     def test_first_snapshot_already_above(self):
-        run = run_with_snapshots([0.9, 0.95])
+        run = snapshot_run([0.9, 0.95])
         assert rounds_to_threshold(run, "initial", 0.8) == 1
 
     def test_monotone_series_crossing(self):
         values = [0.1 * i for i in range(1, 11)]  # crosses 0.65 at round 7
-        run = run_with_snapshots(values)
+        run = snapshot_run(values)
         assert rounds_to_threshold(run, "initial", 0.65) == 7
 
     def test_no_snapshots_rejected(self):
@@ -188,7 +170,7 @@ class TestRoundsToThreshold:
         rng = np.random.default_rng(0)
         for _ in range(100):
             values = rng.random(rng.integers(1, 12))
-            run = run_with_snapshots(list(values))
+            run = snapshot_run(list(values))
             t1, t2 = sorted(rng.random(2))
             r1 = rounds_to_threshold(run, "initial", t1)
             r2 = rounds_to_threshold(run, "initial", t2)
@@ -199,9 +181,9 @@ class TestRoundsToThreshold:
 class TestThresholdStats:
     def test_mean_excludes_never(self):
         runs = [
-            run_with_snapshots([0.5, 0.9]),
-            run_with_snapshots([0.2, 0.3]),
-            run_with_snapshots([0.95]),
+            snapshot_run([0.5, 0.9]),
+            snapshot_run([0.2, 0.3]),
+            snapshot_run([0.95]),
         ]
         stats = threshold_stats(runs, "initial", 0.8)
         assert stats.reached_count == 2
@@ -209,44 +191,47 @@ class TestThresholdStats:
         assert stats.format() == "1.5(2)"
 
     def test_never_format(self):
-        stats = threshold_stats([run_with_snapshots([0.1])], "initial", 0.8)
+        stats = threshold_stats([snapshot_run([0.1])], "initial", 0.8)
         assert stats.format() == "never"
+
+
+def final_stats(runs, metric="initial"):
+    """(mean, std) across replicas at the last snapshot, as the report's
+    final accuracy lines show them."""
+    return per_snapshot_stats(runs, metric)[-1][1:]
 
 
 class TestAggregateReplicas:
     def test_single_replica_zero_std(self):
-        stats = aggregate_replicas([run_with_snapshots([0.5, 0.7])], "initial")
-        assert stats.std == 0.0
-        assert stats.count == 1
+        mean, std = final_stats([snapshot_run([0.5, 0.7])])
+        assert (mean, std) == (0.7, 0.0)
 
     def test_equal_values_zero_std(self):
-        runs = [run_with_snapshots([0.4, 0.7]), run_with_snapshots([0.2, 0.7])]
-        stats = aggregate_replicas(runs, "initial")
-        assert stats.mean == 0.7
-        assert stats.std == 0.0
+        runs = [snapshot_run([0.4, 0.7]), snapshot_run([0.2, 0.7])]
+        mean, std = final_stats(runs)
+        assert mean == 0.7
+        assert std == 0.0
 
     def test_arithmetic(self):
-        runs = [run_with_snapshots([v]) for v in (0.78, 0.80, 0.82)]
-        stats = aggregate_replicas(runs, "initial")
-        assert stats.mean == pytest.approx(0.80)
+        runs = [snapshot_run([v]) for v in (0.78, 0.80, 0.82)]
+        mean, std = final_stats(runs)
+        assert mean == pytest.approx(0.80)
         # population std computed directly from the definition
         expected = math.sqrt(((0.02) ** 2 + 0.0 + (0.02) ** 2) / 3)
-        assert stats.std == pytest.approx(expected, rel=1e-12)
-        assert stats.format() == "0.8000 (0.0163)"
+        assert std == pytest.approx(expected, rel=1e-12)
+        assert format_mean_std(mean, std) == "0.8000 (0.0163)"
 
     def test_permutation_invariant(self):
-        runs = [run_with_snapshots([v]) for v in (0.3, 0.5, 0.9)]
-        a = aggregate_replicas(runs, "initial")
-        b = aggregate_replicas(runs[::-1], "initial")
-        assert a.mean == b.mean and a.std == b.std
+        runs = [snapshot_run([v]) for v in (0.3, 0.5, 0.9)]
+        assert per_snapshot_stats(runs, "initial") == per_snapshot_stats(runs[::-1], "initial")
 
     def test_inconsistent_schedules_rejected(self):
-        runs = [run_with_snapshots([0.1, 0.2]), run_with_snapshots([0.1])]
+        runs = [snapshot_run([0.1, 0.2]), snapshot_run([0.1])]
         with pytest.raises(ContractViolation):
-            aggregate_replicas(runs, "initial")
+            per_snapshot_stats(runs, "initial")
 
     def test_per_snapshot_stats(self):
-        runs = [run_with_snapshots([0.1, 0.3]), run_with_snapshots([0.3, 0.5])]
+        runs = [snapshot_run([0.1, 0.3]), snapshot_run([0.3, 0.5])]
         stats = per_snapshot_stats(runs, "initial")
         assert stats[0][0] == 1 and stats[1][0] == 2
         assert stats[0][1] == pytest.approx(0.2)

@@ -20,7 +20,7 @@ from fedmetasim import (
     run_round,
     substream,
 )
-from fedmetasim import cli
+from fedmetasim import cli, federation
 from fedmetasim.cli import _load_trace, _save_trace, main
 from fedmetasim.config import build_dataset, load_config, validate
 from fedmetasim.data import FederatedDataset
@@ -280,6 +280,24 @@ class TestTrain:
         rc = main(["train", "-c", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("replacement, message", [
+        (("server.kind = adam", "server.kind = adamw"), "unknown server optimizer 'adamw'"),
+        (("server.lr = 0.01", "server.lr = 0.01\nserver.adam_beta1 = 1.0"), "beta1"),
+        (("server.lr = 0.01", "server.lr = 0.01\nserver.adam_beta2 = 1.5"), "beta2"),
+        (("server.lr = 0.01", "server.lr = 0.01\nserver.adam_eps = -1"), "eps"),
+    ], ids=["kind", "beta1", "beta2", "eps"])
+    def test_bad_server_config_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch, replacement, message
+    ):
+        config = config_variant(tmp_path, "server.ini", (replacement,))
+        monkeypatch.setattr(federation, "run_round", must_not_run("run_round"))
+        out = tmp_path / "runs"
+        assert main(["train", "-c", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [stage2] ")
+        assert message in err
+        assert not out.exists()
+
 
 class TestReport:
     def run_dirs(self, root):
@@ -311,6 +329,18 @@ class TestReport:
         rc = main(["report", dirs[0], dirs[1], dirs[0]])
         assert rc == 1
         assert "duplicate replicas: seeds [7, 8, 7]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["x7,0.1,0.1,0.1,0.1", "7,0.1"], ids=["round", "columns"])
+    def test_malformed_row_is_parse_error(self, smoke_run, tmp_path, capsys, row):
+        rdir = tmp_path / "replica_00"
+        shutil.copytree(smoke_run / "replica_00", rdir)
+        metrics = rdir / "metrics.csv"
+        lines = metrics.read_text().splitlines()
+        lines[4] = row
+        metrics.write_text("\n".join(lines) + "\n")
+        rc = main(["report", str(rdir)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {metrics}, line 5: malformed ")
 
     def test_mixed_configs_refused(self, smoke_run, traced_run, capsys):
         rc = main(["report", self.run_dirs(smoke_run)[0], str(traced_run / "replica_00")])
@@ -518,7 +548,7 @@ def unequal_traced_round():
     )
     spec = ModelSpec(4, (5, 3))
     cfg = RoundConfig("fedavg", 4, ClientOptimizerConfig(0.05, 5), epochs=1)
-    server = ServerOptimizerState.create("sgd", spec.param_count, lr=1.0)
+    server = ServerOptimizerState("sgd", lr=1.0)
     params = init_params(spec, substream(3, "init"))
     _, _, trace = run_round(spec, params, ds, cfg, server, 6, StreamFactory(3), trace=True)
     return trace
@@ -540,7 +570,6 @@ class TestTraceFile:
         assert np.array_equal(loaded.aggregate, trace.aggregate)
         assert len(loaded.results) == len(trace.results)
         for got, want in zip(loaded.results, trace.results):
-            assert got.client_id == want.client_id
             assert got.weight == want.weight
             assert np.array_equal(got.delta, want.delta)
             assert len(got.step_gradients) == len(want.step_gradients)

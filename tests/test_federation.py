@@ -10,7 +10,6 @@ from fedmetasim import (
     ModelSpec,
     PersonalizationConfig,
     RoundConfig,
-    ServerOptimizerConfig,
     ServerOptimizerState,
     StageConfig,
     StreamFactory,
@@ -315,7 +314,7 @@ class TestRunRound:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(3, "init"))
         cfg = RoundConfig("fedavg", 1, ClientOptimizerConfig(0.05, 100), epochs=1)
-        server = ServerOptimizerState.create("sgd", spec.param_count, lr=1.0)
+        server = ServerOptimizerState("sgd", lr=1.0)
         streams = StreamFactory(3)
         new_params, _, trace = run_round(spec, params, ds, cfg, server, 0, streams)
         batch = make_client_batches(
@@ -329,7 +328,7 @@ class TestRunRound:
         ds = toy_dataset(num_clients=4, examples=20)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(4, "init"))
-        server = ServerOptimizerState.create("sgd", spec.param_count, lr=1.0)
+        server = ServerOptimizerState("sgd", lr=1.0)
         streams = StreamFactory(11)
         out = {}
         for weighting in ("data_proportional", "uniform"):
@@ -344,7 +343,7 @@ class TestRunRound:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(5, "init"))
         cfg = RoundConfig("fedavg", 3, ClientOptimizerConfig(0.05, 8), epochs=1)
-        server = ServerOptimizerState.create("sgd", spec.param_count, lr=1.0)
+        server = ServerOptimizerState("sgd", lr=1.0)
         _, _, trace = run_round(spec, params, ds, cfg, server, 2, StreamFactory(5))
         total = sum(r.weight for r in trace.results)
         expected = sum((r.weight / total) * r.delta for r in trace.results)
@@ -357,7 +356,7 @@ class TestRunRound:
         cfg = RoundConfig("reptile", 3, ClientOptimizerConfig(0.05, 8), steps=2)
         outs = []
         for _ in range(2):
-            server = ServerOptimizerState.create("adam", spec.param_count, lr=0.01)
+            server = ServerOptimizerState("adam", lr=0.01)
             outs.append(run_round(spec, params, ds, cfg, server, 7, StreamFactory(6)))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert outs[0][2].client_ids == outs[1][2].client_ids
@@ -368,7 +367,7 @@ class TestRunRound:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(7, "init"))
         cfg = RoundConfig("fomaml", 2, ClientOptimizerConfig(0.05, 8), steps=2)
-        server = ServerOptimizerState.create("sgd", spec.param_count, lr=1.0)
+        server = ServerOptimizerState("sgd", lr=1.0)
         _, _, trace = run_round(
             spec, params, ds, cfg, server, 0, StreamFactory(7), trace=True
         )
@@ -383,7 +382,7 @@ class TestRunRound:
         out = {}
         for algorithm in ("fedsgd", "reptile"):
             cfg = RoundConfig(algorithm, 3, ClientOptimizerConfig(0.05, 8), steps=1)
-            server = ServerOptimizerState.create("sgd", spec.param_count, lr=1.0)
+            server = ServerOptimizerState("sgd", lr=1.0)
             out[algorithm], _, _ = run_round(
                 spec, params, ds, cfg, server, 0, StreamFactory(12)
             )
@@ -402,7 +401,7 @@ class TestRunRound:
         )
         params = np.random.default_rng(0).normal(size=spec.param_count)
         cfg = RoundConfig("fedavg", 1, ClientOptimizerConfig(1e200, 50), epochs=30)
-        server = ServerOptimizerState.create("sgd", spec.param_count, lr=1.0)
+        server = ServerOptimizerState("sgd", lr=1.0)
         with pytest.raises(DivergenceError) as err:
             run_round(spec, params, ds, cfg, server, 4, StreamFactory(8))
         assert err.value.client_id == 0
@@ -418,7 +417,7 @@ class TestRunRound:
         spec = ModelSpec(6, (8, 3), activation="relu")
         params = init_params(spec, substream(0, "init"))
         cfg = RoundConfig("fedavg", 3, ClientOptimizerConfig(1e3, 10), epochs=30)
-        server = ServerOptimizerState.create("sgd", spec.param_count, lr=1.0)
+        server = ServerOptimizerState("sgd", lr=1.0)
         with pytest.raises(DivergenceError) as err:
             run_round(spec, params, ds, cfg, server, 2, StreamFactory(0))
         assert err.value.client_id in ds.train_client_ids
@@ -439,7 +438,7 @@ class TestRunRound:
         )
         params = np.full(spec.param_count, 1e300)
         cfg = RoundConfig("fedavg", 1, ClientOptimizerConfig(0.1, 50), epochs=1)
-        server = ServerOptimizerState.create("sgd", spec.param_count, lr=1e10)
+        server = ServerOptimizerState("sgd", lr=1e10)
         with pytest.raises(DivergenceError) as err:
             run_round(spec, params, ds, cfg, server, 4, StreamFactory(8))
         assert err.value.round_index == 4
@@ -480,7 +479,7 @@ def stage(algorithm, rounds, server_kind="sgd", lr=0.5, **round_kwargs):
     return StageConfig(
         rounds=rounds,
         round_cfg=round_cfg,
-        server=ServerOptimizerConfig(kind=server_kind, lr=lr),
+        server=ServerOptimizerState(kind=server_kind, lr=lr),
     )
 
 
@@ -497,8 +496,7 @@ class TestRunPersonalizedFedAvg:
             eval_cfg(),
             seed=1,
         )
-        assert len(run.traces) == 5
-        assert run.stage1_rounds == 3
+        assert len(run.wallclock_ms) == 5
         assert run.final_params is not None
         # snapshots at both stage ends
         assert [s.round_index for s in run.snapshots] == [3, 5]
@@ -512,7 +510,7 @@ class TestRunPersonalizedFedAvg:
             eval_cfg(),
             seed=1,
         )
-        assert len(run.traces) == 3
+        assert len(run.wallclock_ms) == 3
         assert [s.round_index for s in run.snapshots] == [3]
 
     def test_stage1_zero_finetunes_from_init(self):
@@ -524,8 +522,7 @@ class TestRunPersonalizedFedAvg:
             eval_cfg(),
             seed=1,
         )
-        assert len(run.traces) == 4
-        assert run.stage1_rounds == 0
+        assert len(run.wallclock_ms) == 4
 
     def test_bit_identical_reruns(self):
         args = (
@@ -568,7 +565,7 @@ class TestRunPersonalizedFedAvg:
         bad_stage = StageConfig(
             rounds=5,
             round_cfg=RoundConfig("fedavg", 1, ClientOptimizerConfig(1e200, 50), epochs=30),
-            server=ServerOptimizerConfig(kind="sgd", lr=1.0),
+            server=ServerOptimizerState(kind="sgd", lr=1.0),
         )
         with pytest.raises(DivergenceError) as err:
             run_personalized_fedavg(spec, ds, bad_stage, None, eval_cfg(), seed=3)
@@ -591,13 +588,12 @@ class TestRunPersonalizedFedAvg:
         # snapshots after rounds 2 and 4 (every=2) and at both stage ends
         assert [tr.round_index for tr in seen if tr.snapshot] == [1, 2, 3, 4]
         assert [tr.snapshot for tr in seen if tr.snapshot] == run.snapshots
-        # the run keeps a summary of each round, without per-client results
-        assert [tr.client_ids for tr in run.traces] == [tr.client_ids for tr in seen]
-        assert all(tr.results == [] and tr.aggregate is None for tr in run.traces)
+        # the run keeps each round's wall time
+        assert run.wallclock_ms == [tr.wallclock_ms for tr in seen]
         plain = run_personalized_fedavg(*args, seed=5)
         assert plain.final_params.tobytes() == run.final_params.tobytes()
         assert plain.snapshots == run.snapshots
-        assert all(tr.results == [] and tr.aggregate is None for tr in plain.traces)
+        assert len(plain.wallclock_ms) == 5
 
     def test_checkpoint_schedule(self):
         run = run_personalized_fedavg(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fedmetasim import (
@@ -363,14 +363,43 @@ class TestInitParams:
         assert not np.array_equal(a, c)
 
 
+@st.composite
+def checkpoint_cases(draw):
+    """Any valid spec, with parameters that mix arbitrary doubles with
+    signed zeros and subnormals."""
+    loss = draw(st.sampled_from(["softmax_cross_entropy", "quadratic"]))
+    if loss == "quadratic":
+        activation, dims = "identity", (draw(st.integers(1, 6)),)
+    else:
+        activation = draw(st.sampled_from(["identity", "relu", "tanh"]))
+        dims = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    spec = ModelSpec(draw(st.integers(1, 6)), dims, activation=activation, loss=loss)
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308])
+    values = st.one_of(special, st.floats(width=64))
+    n = spec.param_count
+    return spec, np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+
+checkpoint_settings = settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        spec, params, _ = mlp_case(21)
+    @checkpoint_settings
+    @given(case=checkpoint_cases())
+    def test_round_trip(self, tmp_path, case):
+        spec, params = case
         path = tmp_path / "model.fms"
         save_checkpoint(path, spec, params)
         loaded_spec, loaded = load_checkpoint(path)
         assert loaded_spec == spec
-        assert np.array_equal(loaded, params)
+        assert loaded.dtype == np.float64
+        assert loaded.tobytes() == params.tobytes()
+        again = tmp_path / "again.fms"
+        save_checkpoint(again, loaded_spec, loaded)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_header_is_versioned_text(self, tmp_path):
         spec, params, _ = mlp_case(22)
@@ -385,20 +414,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_truncated_payload_rejected(self, tmp_path):
-        spec, params, _ = mlp_case(23)
+    @checkpoint_settings
+    @given(case=checkpoint_cases())
+    def test_truncated_payload_rejected(self, tmp_path, case):
         path = tmp_path / "model.fms"
-        save_checkpoint(path, spec, params)
+        save_checkpoint(path, *case)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-9])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
 
-    def test_trailing_bytes_rejected(self, tmp_path):
-        spec, params, _ = mlp_case(24)
+    @checkpoint_settings
+    @given(case=checkpoint_cases(), suffix=st.binary(min_size=1, max_size=64))
+    def test_trailing_bytes_rejected(self, tmp_path, case, suffix):
         path = tmp_path / "model.fms"
-        save_checkpoint(path, spec, params)
-        path.write_bytes(path.read_bytes() + b"\x00")
+        save_checkpoint(path, *case)
+        path.write_bytes(path.read_bytes() + suffix)
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
 

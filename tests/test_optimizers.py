@@ -17,7 +17,7 @@ from util import make_client, reference_client_batches
 
 class TestServerSgd:
     def test_unit_lr_adds_delta(self):
-        state = ServerOptimizerState.create("sgd", 3, lr=1.0)
+        state = ServerOptimizerState("sgd", lr=1.0)
         params = np.array([1.0, -2.0, 0.5])
         delta = np.array([0.25, 0.5, -1.0])
         new, state2 = server_apply(state, params, delta)
@@ -25,18 +25,18 @@ class TestServerSgd:
         assert state2.step_count == 1
 
     def test_non_finite_delta_rejected(self):
-        state = ServerOptimizerState.create("sgd", 2, lr=1.0)
+        state = ServerOptimizerState("sgd", lr=1.0)
         with pytest.raises(NumericError):
             server_apply(state, np.zeros(2), np.array([1.0, np.inf]))
 
     def test_dim_mismatch_rejected(self):
-        state = ServerOptimizerState.create("sgd", 2, lr=1.0)
+        state = ServerOptimizerState("sgd", lr=1.0)
         with pytest.raises(ContractViolation):
             server_apply(state, np.zeros(2), np.zeros(3))
 
     def test_overflowing_step_rejected(self):
         # A finite delta can still carry the parameters past the float range.
-        state = ServerOptimizerState.create("sgd", 1, lr=10.0)
+        state = ServerOptimizerState("sgd", lr=10.0)
         with pytest.raises(NumericError, match="after the server step"):
             server_apply(state, np.array([1e308]), np.array([1e308]))
 
@@ -45,15 +45,15 @@ class TestServerMomentum:
     def test_first_step_equals_sgd(self):
         params = np.array([0.0, 1.0])
         delta = np.array([0.3, -0.7])
-        m_state = ServerOptimizerState.create("momentum", 2, lr=0.5, momentum=0.9)
+        m_state = ServerOptimizerState("momentum", lr=0.5, momentum=0.9)
         new, _ = server_apply(m_state, params, delta)
         assert np.array_equal(new, params + 0.5 * delta)
 
     def test_zero_momentum_matches_sgd_bitwise(self):
         rng = np.random.default_rng(0)
         params = rng.normal(size=5)
-        m_state = ServerOptimizerState.create("momentum", 5, lr=0.7, momentum=0.0)
-        s_state = ServerOptimizerState.create("sgd", 5, lr=0.7)
+        m_state = ServerOptimizerState("momentum", lr=0.7, momentum=0.0)
+        s_state = ServerOptimizerState("sgd", lr=0.7)
         for _ in range(6):
             delta = rng.normal(size=5)
             p_m, m_state = server_apply(m_state, params, delta)
@@ -64,20 +64,22 @@ class TestServerMomentum:
     def test_velocity_accumulates(self):
         params = np.zeros(2)
         delta = np.array([1.0, 1.0])
-        state = ServerOptimizerState.create("momentum", 2, lr=1.0, momentum=0.5)
+        state = ServerOptimizerState("momentum", lr=1.0, momentum=0.5)
         p1, state = server_apply(state, params, delta)
         p2, state = server_apply(state, p1, delta)
         # second velocity = 0.5 * 1 + 1 = 1.5
         np.testing.assert_allclose(p2 - p1, 1.5 * delta)
 
     def test_does_not_mutate_inputs(self):
-        state = ServerOptimizerState.create("momentum", 2, lr=1.0, momentum=0.9)
+        fresh = ServerOptimizerState("momentum", lr=1.0, momentum=0.9)
         params = np.array([1.0, 2.0])
         delta = np.array([0.5, 0.5])
+        _, state = server_apply(fresh, params, delta)
+        assert fresh.velocity is None and fresh.step_count == 0
         old_velocity = state.velocity.copy()
         server_apply(state, params, delta)
         assert np.array_equal(state.velocity, old_velocity)
-        assert state.step_count == 0
+        assert state.step_count == 1
 
 
 class TestServerAdam:
@@ -85,7 +87,7 @@ class TestServerAdam:
         params = np.array([0.0, 0.0, 0.0])
         delta = np.array([0.4, -0.02, 1e-12])
         lr, eps = 0.05, 1e-8
-        state = ServerOptimizerState.create("adam", 3, lr=lr, eps=eps)
+        state = ServerOptimizerState("adam", lr=lr, eps=eps)
         new, state2 = server_apply(state, params, delta)
         expected = params + lr * delta / (np.abs(delta) + eps)
         np.testing.assert_allclose(new, expected, rtol=1e-12)
@@ -94,19 +96,19 @@ class TestServerAdam:
     def test_first_step_magnitude_bounded_by_lr(self):
         rng = np.random.default_rng(1)
         lr = 0.3
-        state = ServerOptimizerState.create("adam", 8, lr=lr)
+        state = ServerOptimizerState("adam", lr=lr)
         new, _ = server_apply(state, np.zeros(8), rng.normal(size=8))
         assert np.all(np.abs(new) <= lr * (1 + 1e-9))
 
     def test_step_count_increments_by_one(self):
-        state = ServerOptimizerState.create("adam", 2, lr=0.1)
+        state = ServerOptimizerState("adam", lr=0.1)
         params = np.zeros(2)
         for t in range(1, 5):
             params, state = server_apply(state, params, np.array([0.1, -0.1]))
             assert state.step_count == t
 
     def test_pure_transition(self):
-        state = ServerOptimizerState.create("adam", 2, lr=0.1)
+        state = ServerOptimizerState("adam", lr=0.1)
         params = np.array([1.0, -1.0])
         delta = np.array([0.2, 0.1])
         a1 = server_apply(state, params, delta)
@@ -118,15 +120,29 @@ class TestServerAdam:
 class TestCreateValidation:
     def test_unknown_kind(self):
         with pytest.raises(ContractViolation):
-            ServerOptimizerState.create("nesterov", 2, lr=0.1)
+            ServerOptimizerState("nesterov", lr=0.1)
 
     def test_bad_momentum(self):
         with pytest.raises(ContractViolation):
-            ServerOptimizerState.create("momentum", 2, lr=0.1, momentum=1.0)
+            ServerOptimizerState("momentum", lr=0.1, momentum=1.0)
 
     def test_bad_lr(self):
         with pytest.raises(ContractViolation):
-            ServerOptimizerState.create("sgd", 2, lr=0.0)
+            ServerOptimizerState("sgd", lr=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("beta1", 1.0), ("beta1", -0.1),
+        ("beta2", 1.5), ("eps", -1.0), ("eps", 0.0),
+    ])
+    def test_bad_hyperparameter_named(self, field, value):
+        with pytest.raises(ContractViolation, match=f"^server {field} must "):
+            ServerOptimizerState("adam", **{"lr": 0.1, field: value})
+
+    def test_defaults_are_valid_for_every_kind(self):
+        for kind in ("sgd", "momentum", "adam"):
+            state = ServerOptimizerState(kind, lr=0.1)
+            assert (state.momentum, state.beta1, state.beta2, state.eps) == (0.9, 0.9, 0.999, 1e-8)
+            assert state.velocity is None and state.m is None and state.v is None
 
 
 class TestClientBatches:

@@ -278,7 +278,7 @@ class TestEpochsSweep:
         from fedmetasim import (
             ClientOptimizerConfig,
             RoundConfig,
-            ServerOptimizerConfig,
+            ServerOptimizerState,
             StageConfig,
             run_personalized_fedavg,
         )
@@ -288,7 +288,7 @@ class TestEpochsSweep:
         stage = StageConfig(
             rounds=30,
             round_cfg=RoundConfig("fedavg", 3, ClientOptimizerConfig(0.05, 10), epochs=2),
-            server=ServerOptimizerConfig("momentum", 0.5, 0.9),
+            server=ServerOptimizerState("momentum", 0.5, 0.9),
         )
         run = run_personalized_fedavg(spec, ds, stage, None, None, seed=8)
         cfgs = [

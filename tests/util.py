@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fedmetasim import Batch, ModelSpec, forward_loss
+from fedmetasim import Batch, EvalSnapshot, ModelSpec, TrainingRun, forward_loss
 from fedmetasim.data import ClientDataset, ExampleSet
 
 
@@ -169,6 +169,15 @@ def onehot(y, c):
     out = np.zeros((len(y), c))
     out[np.arange(len(y)), np.asarray(y)] = 1.0
     return out
+
+
+def snapshot_run(values):
+    """A run whose snapshots, at rounds 1, 2, ..., have both means equal to
+    the given series and zero stds."""
+    return TrainingRun(
+        seed=0,
+        snapshots=[EvalSnapshot(i + 1, v, 0.0, v, 0.0) for i, v in enumerate(values)],
+    )
 
 
 def make_client(rng, n_train=20, n_test=8, d=4, c=3):
