@@ -386,6 +386,8 @@ def _load_metrics(path: Path) -> tuple[str, TrainingRun]:
                 )
         except ValueError as exc:
             raise ParseError(f"{path}, line {number}: malformed {line!r}") from exc
+    if not cfg_hash:
+        raise ParseError(f"{path} has no '# config_hash=' line")
     if seed is None:
         raise ParseError(f"{path} has no '# seed=' line")
     return cfg_hash, TrainingRun(seed=seed, snapshots=snapshots)

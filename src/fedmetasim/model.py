@@ -26,13 +26,44 @@ from .errors import (
     NumericError,
 )
 
-ACTIVATIONS = ("identity", "relu", "tanh")
 LOSSES = ("softmax_cross_entropy", "quadratic")
 
 CKPT_MAGIC = "fms-ckpt/1"
 
 # The meta-gradient oracle costs two trajectory replays per parameter.
 MAML_ORACLE_MAX_DIM = 2000
+
+
+def _identity(*arrays: np.ndarray) -> None:
+    pass
+
+
+def _relu(a: np.ndarray) -> None:
+    np.maximum(a, 0.0, out=a)
+
+
+def _relu_derivative(dz: np.ndarray, a: np.ndarray) -> None:
+    dz *= a > 0.0
+
+
+def _tanh(a: np.ndarray) -> None:
+    np.tanh(a, out=a)
+
+
+def _tanh_derivative(dz: np.ndarray, a: np.ndarray) -> None:
+    np.multiply(a, a, out=a)
+    np.subtract(1.0, a, out=a)
+    dz *= a
+
+
+# Per activation: apply it in place, and scale the backpropagated error dz
+# by its derivative, read off the activation ``a`` itself (relu: a > 0
+# exactly where z > 0; tanh: 1 - a^2, formed in ``a``; identity: 1).
+_ACTIVATION_KERNELS = {
+    "identity": (_identity, _identity),
+    "relu": (_relu, _relu_derivative),
+    "tanh": (_tanh, _tanh_derivative),
+}
 
 
 @dataclass(frozen=True)
@@ -56,7 +87,7 @@ class ModelSpec:
             raise ContractViolation("input_dim must be positive")
         if not self.layer_dims or any(d < 1 for d in self.layer_dims):
             raise ContractViolation("layer_dims must be non-empty positive integers")
-        if self.activation not in ACTIVATIONS:
+        if self.activation not in _ACTIVATION_KERNELS:
             raise ContractViolation(f"unknown activation {self.activation!r}")
         if self.loss not in LOSSES:
             raise ContractViolation(f"unknown loss {self.loss!r}")
@@ -81,6 +112,15 @@ class ModelSpec:
         # Only a width-1 layer makes such an operand; such a spec keeps matmul.
         narrow = min(self.input_dim, *self.layer_dims) == 1
         object.__setattr__(self, "_dot", np.matmul if narrow else np.dot)
+        # The hidden activation and its derivative, bound once.
+        activate, derivative = _ACTIVATION_KERNELS[self.activation]
+        object.__setattr__(self, "_activate", activate)
+        object.__setattr__(self, "_derivative", derivative)
+        # One-hot rows: row c is the target of class c. Read-only, so every
+        # batch can gather from it; C*C*8 bytes per spec.
+        eye = np.eye(self.layer_dims[-1])
+        eye.flags.writeable = False
+        object.__setattr__(self, "_eye", eye)
 
     @property
     def num_classes(self) -> int:
@@ -173,13 +213,11 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> list[np.ndar
     ``acts[0]`` is x and ``acts[-1]`` the logits. A hidden layer's
     pre-activation is activated in place just before it feeds the next layer.
     """
-    acts, dot = [x], spec._dot
+    acts, dot, activate = [x], spec._dot, spec._activate
     for i, (w0, b0, end, fan_out, fan_in) in enumerate(spec._layout):
         a = acts[-1]
-        if i and spec.activation == "relu":
-            np.maximum(a, 0.0, out=a)
-        elif i and spec.activation == "tanh":
-            np.tanh(a, out=a)
+        if i:
+            activate(a)
         z = dot(a, params[w0:b0].reshape(fan_out, fan_in).T)
         z += params[b0:end]
         acts.append(z)
@@ -198,9 +236,7 @@ def forward_logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.nda
 def _loss_targets(spec: ModelSpec, batch: Batch) -> np.ndarray:
     if batch.targets is not None:
         return batch.targets
-    onehot = np.zeros((batch.size, spec.num_classes))
-    onehot[np.arange(batch.size), batch.y] = 1.0
-    return onehot
+    return spec._eye.take(batch.y, axis=0)
 
 
 def forward_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
@@ -235,39 +271,33 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
 
 def _gradient_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     acts = _forward(spec, params, batch.x)
-    logits = acts.pop()
-    n = logits.shape[0]
 
-    # The logits buffer becomes the output error dz.
-    dz = logits
+    # The logits buffer becomes the output error dz. Subtracting whole
+    # one-hot rows keeps every bit of the label-entry subtraction, since
+    # x - 0.0 == x for every double.
+    dz = acts[-1]
     if spec.loss == "softmax_cross_entropy":
         dz -= np.maximum.reduce(dz, axis=1, keepdims=True)
         np.exp(dz, out=dz)
         dz /= np.add.reduce(dz, axis=1, keepdims=True)
-        dz[np.arange(n), batch.y] -= 1.0
+        dz -= spec._eye.take(batch.y, axis=0)
     else:
         dz -= _loss_targets(spec, batch)
-    dz /= n
+    dz /= dz.shape[0]
 
     # Backward from the last layer. Each layer's gradient is written straight
-    # into its slice of the flat result, in the parameter layout; the
-    # activation derivative is read off the activation itself (relu: a > 0
-    # exactly where z > 0; tanh: 1 - a^2; identity: 1). A hidden activation
-    # is the kernel's own buffer and is dead once the products below have
-    # read it, so the tanh derivative is formed in it.
-    flat, dot = np.empty(spec.param_count), spec._dot
-    for w0, b0, end, fan_out, fan_in in reversed(spec._layout):
-        a = acts.pop()
+    # into its slice of the flat result, in the parameter layout. A hidden
+    # activation is the kernel's own buffer and is dead once the products
+    # below have read it, so the derivative may be formed in it.
+    flat, dot, derivative = np.empty(spec.param_count), spec._dot, spec._derivative
+    for i in range(len(spec._layout) - 1, -1, -1):
+        w0, b0, end, fan_out, fan_in = spec._layout[i]
+        a = acts[i]
         dot(dz.T, a, out=flat[w0:b0].reshape(fan_out, fan_in))
         np.add.reduce(dz, axis=0, out=flat[b0:end])
-        if acts:
+        if i:
             dz = dot(dz, params[w0:b0].reshape(fan_out, fan_in))
-            if spec.activation == "relu":
-                dz *= a > 0.0
-            elif spec.activation == "tanh":
-                np.multiply(a, a, out=a)
-                np.subtract(1.0, a, out=a)
-                dz *= a
+            derivative(dz, a)
 
     if not np.isfinite(flat).all():
         raise NumericError("non-finite gradient")

@@ -7,8 +7,14 @@ bias-corrected update. State transitions are pure; ``server_apply`` returns a
 new state and never mutates its inputs.
 
 ``adam_step`` is the one Adam update, shared by the server and by client
-personalization; ``make_client_batches`` is the one per-epoch shuffler,
-shared by local training and personalization.
+personalization. Its caller owns every buffer: the step updates the moment
+buffers ``m`` and ``v`` in place and writes the new parameters into ``out``,
+using ``scratch`` for intermediates, and allocates nothing.
+``server_apply`` hands it copies of the state's moments (or fresh zeros)
+and fresh ``out`` and ``scratch`` arrays, so server transitions stay pure;
+``personalization.personalize`` allocates its buffers once per client and
+reuses them on every step. ``make_client_batches`` is the one per-epoch
+shuffler, shared by local training and personalization.
 """
 
 from __future__ import annotations
@@ -91,10 +97,14 @@ def server_apply(
             new_params = params + state.lr * velocity
             new_state = replace(state, velocity=velocity, step_count=t)
         else:
-            m, v = (state.m, state.v) if state.step_count else (np.zeros_like(params),) * 2
-            new_params, m, v = adam_step(
-                params, -delta, m, v, t, state.lr,
-                state.beta1, state.beta2, state.eps,
+            if state.step_count:
+                m, v = state.m.copy(), state.v.copy()
+            else:
+                m, v = np.zeros_like(params), np.zeros_like(params)
+            new_params = np.empty_like(params)
+            adam_step(
+                params, -delta, m, v, t, state.lr, state.beta1, state.beta2, state.eps,
+                out=new_params, scratch=np.empty_like(params),
             )
             new_state = replace(state, m=m, v=v, step_count=t)
     if not np.isfinite(new_params).all():
@@ -112,16 +122,33 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    *,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
     """Step ``t`` (counted from 1) of bias-corrected Adam on gradient ``g``.
 
-    Returns (new params, new m, new v); the inputs are not mutated.
+    Updates ``m`` and ``v`` in place and writes the new parameters into
+    ``out``; ``params`` and ``g`` are only read. ``out`` and ``scratch``
+    must not overlap each other or any input. Each operation rounds as in
+    ``params - lr * m_hat / (sqrt(v_hat) + eps)`` with
+    ``m_hat = (beta1 * m + (1 - beta1) * g) / (1 - beta1**t)`` and
+    ``v_hat = (beta2 * v + (1 - beta2) * g * g) / (1 - beta2**t)``.
     """
-    m = beta1 * m + (1.0 - beta1) * g
-    v = beta2 * v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=scratch)
+    m += scratch
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=scratch)
+    scratch *= g
+    v += scratch
+    np.divide(m, 1.0 - beta1**t, out=scratch)
+    scratch *= lr
+    np.divide(v, 1.0 - beta2**t, out=out)
+    np.sqrt(out, out=out)
+    out += eps
+    np.divide(scratch, out, out=scratch)
+    np.subtract(params, scratch, out=out)
 
 
 def make_client_batches(

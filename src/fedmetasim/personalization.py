@@ -83,14 +83,20 @@ def personalize(
 ) -> tuple[np.ndarray, bool]:
     """Adapt ``params`` on the client's train split for cfg.epochs epochs.
 
-    Returns (adapted params, diverged flag). With epochs=0 the parameters
-    are returned unchanged. Optimizer state always starts from zero.
+    Returns (adapted params, diverged flag); the result is a new array and
+    ``params`` is not mutated. With epochs=0 the parameters are returned
+    unchanged. Optimizer state always starts from zero.
     """
-    theta = np.asarray(params, dtype=np.float64).copy()
+    theta = np.array(params, dtype=np.float64)
     if cfg.epochs == 0:
         return theta, False
     batches = make_client_batches(client, cfg.epochs, cfg.batch_size, rng)
-    m = v = np.zeros_like(theta)
+    # Each step writes its candidate into the spare buffer; a finite
+    # candidate becomes the iterate and the old iterate the next spare, so
+    # the last finite iterate survives a divergent step untouched.
+    candidate = np.empty_like(theta)
+    if cfg.optimizer == "adam":
+        m, v, scratch = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
 
     # Divergence is tolerated: keep the last finite iterate and flag it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -100,12 +106,13 @@ def personalize(
             except NumericError:
                 return theta, True
             if cfg.optimizer == "sgd":
-                candidate = theta - cfg.lr * g
+                g *= cfg.lr
+                np.subtract(theta, g, out=candidate)
             else:
-                candidate, m, v = adam_step(theta, g, m, v, t, ADAM_LR)
+                adam_step(theta, g, m, v, t, ADAM_LR, out=candidate, scratch=scratch)
             if not np.isfinite(candidate).all():
                 return theta, True
-            theta = candidate
+            theta, candidate = candidate, theta
     return theta, False
 
 

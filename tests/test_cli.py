@@ -342,6 +342,23 @@ class TestReport:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {metrics}, line 5: malformed ")
 
+    @pytest.mark.parametrize("header", ["# config_hash=", "# seed="])
+    def test_missing_header_line_is_parse_error(self, smoke_run, tmp_path, capsys, header):
+        dirs = []
+        for i in range(2):
+            rdir = tmp_path / f"replica_{i:02d}"
+            shutil.copytree(smoke_run / f"replica_{i:02d}", rdir)
+            metrics = rdir / "metrics.csv"
+            lines = metrics.read_text().splitlines()
+            metrics.write_text("\n".join(l for l in lines if not l.startswith(header)) + "\n")
+            dirs.append(str(rdir))
+        rc = main(["report", *dirs])
+        assert rc == 1
+        captured = capsys.readouterr()
+        first = tmp_path / "replica_00" / "metrics.csv"
+        assert captured.err == f"error: {first} has no '{header}' line\n"
+        assert captured.out == ""
+
     def test_mixed_configs_refused(self, smoke_run, traced_run, capsys):
         rc = main(["report", self.run_dirs(smoke_run)[0], str(traced_run / "replica_00")])
         assert rc == 1

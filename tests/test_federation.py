@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmetasim import (
     Batch,
@@ -324,19 +326,30 @@ class TestRunRound:
         np.testing.assert_allclose(new_params, expected, rtol=0, atol=5e-15)
         assert trace.client_ids == [0]
 
-    def test_uniform_equals_proportional_for_equal_data(self):
-        ds = toy_dataset(num_clients=4, examples=20)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_clients=st.integers(1, 7),
+        data=st.data(),
+        examples=st.integers(2, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_uniform_equals_proportional_for_equal_data(self, num_clients, data, examples, seed):
+        # Equal client sizes make every data-proportional weight n / (M n),
+        # which rounds to exactly 1 / M.
+        m = data.draw(st.integers(1, num_clients))
+        ds = toy_dataset(seed=seed, num_clients=num_clients, examples=examples)
+        assert len({c.train.n for c in ds.clients.values()}) == 1
         spec = ModelSpec(4, (6, 3))
-        params = init_params(spec, substream(4, "init"))
+        params = init_params(spec, substream(seed, "init"))
         server = ServerOptimizerState("sgd", lr=1.0)
-        streams = StreamFactory(11)
         out = {}
         for weighting in ("data_proportional", "uniform"):
             cfg = RoundConfig(
-                "fedavg", 4, ClientOptimizerConfig(0.05, 8), epochs=2, weighting=weighting
+                "fedavg", m, ClientOptimizerConfig(0.05, 8), epochs=2, weighting=weighting
             )
-            out[weighting], _, _ = run_round(spec, params, ds, cfg, server, 0, streams)
-        assert np.array_equal(out["uniform"], out["data_proportional"])
+            new, _, trace = run_round(spec, params, ds, cfg, server, 0, StreamFactory(seed))
+            out[weighting] = new.tobytes(), trace.aggregate.tobytes()
+        assert out["uniform"] == out["data_proportional"]
 
     def test_aggregate_is_weighted_mean_of_deltas(self):
         ds = toy_dataset(num_clients=5, examples=24)

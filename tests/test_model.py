@@ -60,6 +60,19 @@ class TestModelSpec:
         with pytest.raises(ContractViolation):
             ModelSpec(4, (5, 3), activation="identity", loss="quadratic")
 
+    def test_identity_rows_read_only_and_not_part_of_the_spec(self, tmp_path):
+        spec = ModelSpec(4, (5, 3))
+        assert np.array_equal(spec._eye, np.eye(3))
+        assert not spec._eye.flags.writeable
+        with pytest.raises(ValueError):
+            spec._eye[0, 0] = 2.0
+        twin = ModelSpec(4, (5, 3))
+        assert twin._eye is not spec._eye
+        assert twin == spec and hash(twin) == hash(spec)
+        assert "_eye" not in repr(spec)
+        save_checkpoint(tmp_path / "model.fms", spec, np.zeros(spec.param_count))
+        assert load_checkpoint(tmp_path / "model.fms")[0] == spec
+
     def test_rejects_bad_dims(self):
         with pytest.raises(ContractViolation):
             ModelSpec(0, (3,))
@@ -162,12 +175,13 @@ class TestGradient:
 
 @st.composite
 def mlp_cases(draw):
-    """An MLP of 0 to 3 hidden layers with parameters and a batch drawn at a
-    random scale, so saturated tanh, dead relu units and overflowing
-    logits all occur."""
+    """An MLP of 0 to 3 hidden layers and 1 to 6 classes, with parameters
+    and a batch drawn at a random scale, so saturated tanh, dead relu
+    units and overflowing logits all occur. With one class the one-hot
+    subtraction touches every entry of the output error."""
     activation = draw(st.sampled_from(["identity", "relu", "tanh"]))
     hidden = draw(st.lists(st.integers(1, 12), min_size=0, max_size=3))
-    dims = (*hidden, draw(st.integers(2, 6)))
+    dims = (*hidden, draw(st.integers(1, 6)))
     input_dim = draw(st.integers(1, 8))
     n = draw(st.integers(1, 49))
     scale = 10.0 ** draw(st.floats(-2.0, 2.5))
@@ -190,12 +204,14 @@ def saturated_unit_case():
 
 def gemv_examples(test):
     """Always run the shapes whose products are gemv-shaped or have a 1x1
-    operand: a batch of one, a width-1 hidden layer, one input feature."""
+    operand: a batch of one, a width-1 hidden layer, one input feature, one
+    class."""
     for case in (
         mlp_case(31, n=1),
         mlp_case(32, dims=(1, 3), activation="relu"),
         mlp_case(33, input_dim=1, dims=(6, 3)),
         mlp_case(34, input_dim=1, dims=(1, 4), n=1),
+        mlp_case(35, dims=(6, 1), activation="relu"),
         saturated_unit_case(),
     ):
         test = example(case)(test)

@@ -12,7 +12,8 @@ from fedmetasim import (
     server_apply,
     substream,
 )
-from util import make_client, reference_client_batches
+from fedmetasim.optimizers import adam_step
+from util import make_client, reference_adam_step, reference_client_batches
 
 
 class TestServerSgd:
@@ -115,6 +116,65 @@ class TestServerAdam:
         a2 = server_apply(state, params, delta)
         assert np.array_equal(a1[0], a2[0])
         assert np.array_equal(a1[1].m, a2[1].m)
+
+    def test_state_buffers_untouched_and_unshared(self):
+        rng = np.random.default_rng(2)
+        state = ServerOptimizerState("adam", lr=0.1)
+        params = rng.normal(size=6)
+        params, state = server_apply(state, params, rng.normal(size=6))
+        m_bytes, v_bytes = state.m.tobytes(), state.v.tobytes()
+        params_bytes = params.tobytes()
+        new_params, new_state = server_apply(state, params, rng.normal(size=6))
+        assert (state.m.tobytes(), state.v.tobytes()) == (m_bytes, v_bytes)
+        assert params.tobytes() == params_bytes
+        for old in (state.m, state.v, params):
+            for new in (new_state.m, new_state.v, new_params):
+                assert not np.shares_memory(old, new)
+
+    def test_steps_match_reference_adam(self):
+        rng = np.random.default_rng(3)
+        lr, beta1, beta2, eps = 0.05, 0.8, 0.99, 1e-6
+        state = ServerOptimizerState("adam", lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        params = rng.normal(size=5)
+        expected, m, v = params, np.zeros(5), np.zeros(5)
+        for t in range(1, 5):
+            delta = rng.normal(size=5)
+            params, state = server_apply(state, params, delta)
+            expected, m, v = reference_adam_step(expected, -delta, m, v, t, lr, beta1, beta2, eps)
+            assert params.tobytes() == expected.tobytes()
+            assert (state.m.tobytes(), state.v.tobytes()) == (m.tobytes(), v.tobytes())
+
+
+adam_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150, 1e300, -1e300]),
+    st.floats(-1e6, 1e6),
+)
+
+
+class TestAdamStep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 8),
+        t=st.integers(1, 100_000),
+        lr=st.floats(1e-8, 10.0),
+        beta1=st.floats(0.0, 0.999999),
+        beta2=st.floats(0.0, 0.999999),
+        eps=st.floats(1e-300, 1.0),
+    )
+    def test_in_place_matches_reference(self, data, n, t, lr, beta1, beta2, eps):
+        vector = st.lists(adam_values, min_size=n, max_size=n).map(np.array)
+        params, g, m = data.draw(vector), data.draw(vector), data.draw(vector)
+        v = np.abs(data.draw(vector))
+        with np.errstate(all="ignore"):
+            expected = reference_adam_step(params, g, m, v, t, lr, beta1, beta2, eps)
+            inputs = params.tobytes(), g.tobytes()
+            out, scratch = np.empty(n), np.empty(n)
+            adam_step(params, g, m, v, t, lr, beta1, beta2, eps, out=out, scratch=scratch)
+        assert (out.tobytes(), m.tobytes(), v.tobytes()) == tuple(
+            a.tobytes() for a in expected
+        )
+        assert (params.tobytes(), g.tobytes()) == inputs
 
 
 class TestCreateValidation:

@@ -14,12 +14,14 @@ from fedmetasim import (
     generate_synthetic,
     gradient,
     init_params,
+    make_client_batches,
     personalize,
     split_train_eval,
     substream,
 )
 from fedmetasim.data import ClientDataset, ExampleSet
-from util import make_client, onehot, quad_hessian, quad_linear_term
+from fedmetasim.errors import NumericError
+from util import make_client, onehot, quad_hessian, quad_linear_term, reference_adam_step
 
 SPEC = ModelSpec(4, (6, 3))
 
@@ -116,6 +118,48 @@ class TestPersonalize:
         assert diverged
         assert np.all(np.isfinite(adapted))
 
+    @pytest.mark.parametrize("optimizer, cause", [
+        ("sgd", "gradient"), ("adam", "gradient"), ("sgd", "iterate"),
+    ])
+    def test_divergent_client_returns_replayed_iterate(self, optimizer, cause):
+        # One example far out of range makes the gradient of the step that
+        # draws it overflow; a huge SGD step size makes the iterate
+        # overflow after a few steps instead.
+        rng = np.random.default_rng(6)
+        spec = ModelSpec(3, (2,), activation="identity", loss="quadratic")
+        x = rng.normal(size=(9, 3))
+        if cause == "gradient":
+            x[4] = 1e200
+        y = rng.integers(0, 2, size=9)
+        client = ClientDataset(train=ExampleSet(x, y), test=ExampleSet(x[:2], y[:2]))
+        params = rng.normal(size=spec.param_count)
+        lr = 1e120 if cause == "iterate" else 0.05
+        cfg = PersonalizationConfig(optimizer=optimizer, lr=lr, epochs=2, batch_size=2)
+
+        theta, m, v = params.copy(), np.zeros_like(params), np.zeros_like(params)
+        steps = make_client_batches(client, cfg.epochs, cfg.batch_size, substream(6, "p"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, batch in enumerate(steps):
+                try:
+                    g = gradient(spec, theta, batch)
+                except NumericError:
+                    break
+                if optimizer == "sgd":
+                    candidate = theta - lr * g
+                else:
+                    candidate, m, v = reference_adam_step(theta, g, m, v, j + 1, 0.001)
+                if not np.isfinite(candidate).all():
+                    break
+                theta = candidate
+        assert 2 <= j < len(steps) - 1
+
+        before = params.tobytes()
+        adapted, diverged = personalize(spec, params, client, cfg, substream(6, "p"))
+        assert diverged
+        assert adapted.tobytes() == theta.tobytes()
+        assert params.tobytes() == before
+        assert not np.shares_memory(adapted, params)
+
     def test_adam_runs_with_defaults(self):
         client = make_client(np.random.default_rng(4))
         params = init_params(SPEC, substream(4, "init"))
@@ -129,8 +173,8 @@ class TestPersonalize:
 
     def test_adam_matches_hand_replay(self):
         # Replay: per-epoch permutation of the train split chunked into
-        # batches, then bias-corrected Adam (lr 1e-3, betas 0.9/0.999,
-        # eps 1e-8) written out step by step; equal at atol=0.
+        # batches, then the reference Adam (lr 1e-3, betas 0.9/0.999,
+        # eps 1e-8) step by step; equal at atol=0.
         client = make_client(np.random.default_rng(8), n_train=23)
         params = init_params(SPEC, substream(8, "init"))
         cfg = PersonalizationConfig(optimizer="adam", epochs=3, batch_size=10)
@@ -148,11 +192,7 @@ class TestPersonalize:
                 idx = order[start : start + cfg.batch_size]
                 g = gradient(SPEC, theta, Batch(train.x[idx], train.y[idx]))
                 t += 1
-                m = 0.9 * m + (1.0 - 0.9) * g
-                v = 0.999 * v + (1.0 - 0.999) * g * g
-                m_hat = m / (1.0 - 0.9**t)
-                v_hat = v / (1.0 - 0.999**t)
-                theta = theta - 0.001 * m_hat / (np.sqrt(v_hat) + 1e-8)
+                theta, m, v = reference_adam_step(theta, g, m, v, t, 0.001)
         assert t == 9
         assert not diverged
         assert np.array_equal(adapted, theta)

@@ -3,9 +3,9 @@
 Everything here deliberately avoids the library's backprop and trajectory
 code paths: gradients come from central finite differences on the scalar
 loss or from a plainly written forward and backprop reference, client
-batches from a plain per-epoch shuffling loop, and quadratic-model
-expectations come from explicit matrix algebra on a Hessian assembled
-straight from the batch.
+batches from a plain per-epoch shuffling loop, Adam from its textbook
+expression, and quadratic-model expectations come from explicit matrix
+algebra on a Hessian assembled straight from the batch.
 """
 
 from __future__ import annotations
@@ -108,6 +108,17 @@ def reference_client_batches(client, epochs, batch_size, rng):
         for start in range(0, train.n, batch_size):
             batches.append(Batch(x[start : start + batch_size], y[start : start + batch_size]))
     return batches
+
+
+def reference_adam_step(params, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam written out, as the exact-arithmetic contract of
+    ``optimizers.adam_step``: returns (new params, new m, new v) as fresh
+    arrays and mutates nothing."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
 def max_relative_error(approx, exact, floor=1e-8):
