@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import io
 import json
+import math
 import os
 import shutil
 import sys
@@ -159,7 +162,51 @@ def _manifest_text(cfg: ExperimentConfig, seed: int, replica: int, dataset) -> s
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=256)
+def _npy_header(dtype: np.dtype, shape: tuple[int, ...]) -> bytes:
+    """The .npy 1.0 header ``np.save`` writes for a C-ordered array."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": np.lib.format.dtype_to_descr(dtype),
+        "fortran_order": False,
+        "shape": shape,
+    })
+    return buf.getvalue()
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_npy_header(header: bytes) -> tuple[tuple[int, ...], np.dtype]:
+    """The shape and dtype a .npy 1.0 header declares; raises ValueError on
+    a bad magic, another version, Fortran order or an object dtype."""
+    fp = io.BytesIO(header)
+    version = np.lib.format.read_magic(fp)
+    if version != (1, 0):
+        raise ValueError(f"unsupported .npy version {version}")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fp)
+    if fortran_order or dtype.hasobject:
+        raise ValueError(f"unsupported array layout {dtype}, fortran_order={fortran_order}")
+    return shape, dtype
+
+
+def _npy_array(name: str, blob: bytes) -> np.ndarray:
+    """A read-only view of the array in the .npy bytes ``blob``."""
+    end = 10 + int.from_bytes(blob[8:10], "little")  # magic, version, header length
+    try:
+        shape, dtype = _parse_npy_header(blob[:end])
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    count = math.prod(shape)
+    if len(blob) - end != count * dtype.itemsize:
+        raise ValueError(
+            f"{name}: {len(blob) - end} data bytes for shape {shape} of {dtype}"
+        )
+    return np.frombuffer(blob, dtype, count, end).reshape(shape)
+
+
 def _save_trace(path: Path, trace: RoundTrace, beta: float) -> None:
+    """Write ``trace`` as the bytes ``np.savez`` writes for the same members:
+    a stored zip64 member ``<name>.npy`` per array, built in memory and
+    written with one call."""
     arrays = {
         "round_index": np.array(trace.round_index),
         "client_ids": np.array(trace.client_ids),
@@ -170,30 +217,45 @@ def _save_trace(path: Path, trace: RoundTrace, beta: float) -> None:
     }
     for i, res in enumerate(trace.results):
         arrays[f"grads_{i}"] = np.stack(res.step_gradients)
-    np.savez(path, **arrays)
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", allowZip64=True) as archive:
+        for name, array in arrays.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                member.write(_npy_header(array.dtype, array.shape))
+                member.write(np.ascontiguousarray(array))
+    path.write_bytes(buf.getbuffer())
 
 
 def _load_trace(path: Path) -> tuple[RoundTrace, float]:
-    """Read a trace written by ``_save_trace``, each member exactly once."""
+    """Read a trace written by ``_save_trace``, each member exactly once.
+
+    The file is read whole; each member's CRC is checked, and it must hold
+    the .npy magic, a C-ordered non-object dtype and exactly the data its
+    header declares. The arrays returned are read-only views of the
+    members' bytes.
+    """
     try:
-        with np.load(path) as data:
-            client_ids = [int(c) for c in data["client_ids"]]
-            deltas, weights = data["deltas"], data["weights"]
+        with zipfile.ZipFile(io.BytesIO(path.read_bytes())) as archive:
+            def member(name: str) -> np.ndarray:
+                return _npy_array(name, archive.read(f"{name}.npy"))
+
+            client_ids = [int(c) for c in member("client_ids")]
+            deltas, weights = member("deltas"), member("weights")
             results = [
                 ClientUpdateResult(
                     delta=deltas[i],
                     weight=float(weights[i]),
-                    step_gradients=list(data[f"grads_{i}"]),
+                    step_gradients=list(member(f"grads_{i}")),
                 )
                 for i in range(len(client_ids))
             ]
             trace = RoundTrace(
-                round_index=int(data["round_index"]),
+                round_index=int(member("round_index")),
                 client_ids=client_ids,
                 results=results,
-                aggregate=data["aggregate"],
+                aggregate=member("aggregate"),
             )
-            return trace, float(data["beta"])
+            return trace, float(member("beta"))
     except (zipfile.BadZipFile, KeyError, IndexError, ValueError, EOFError) as exc:
         raise ParseError(f"damaged trace {path}: {exc}") from exc
 
@@ -450,7 +512,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fedmetasim",
         description="Deterministic federated averaging / meta-learning simulator",
@@ -467,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="record per-step gradients; each round's trace is written "
                               "as it ends, so disk, not memory, is the limit")
     p_train.add_argument("--force", action="store_true")
-    p_train.set_defaults(func=cmd_train)
 
     p_pers = sub.add_parser("personalize", help="evaluate personalization of a checkpoint")
     p_pers.add_argument("-c", "--config", required=True)
@@ -477,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pers.add_argument("--which", choices=("eval", "train"), default="eval")
     p_pers.add_argument("--sweep-epochs", type=int, default=0)
     p_pers.add_argument("--force", action="store_true")
-    p_pers.set_defaults(func=cmd_personalize)
 
     p_dec = sub.add_parser("decompose", help="decompose a traced round update")
     p_dec.add_argument("-c", "--config", required=True)
@@ -485,21 +547,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--round", type=int, required=True)
     p_dec.add_argument("--out", default=None)
     p_dec.add_argument("--force", action="store_true")
-    p_dec.set_defaults(func=cmd_decompose)
 
     p_rep = sub.add_parser("report", help="aggregate replica runs into tables")
     p_rep.add_argument("run_dirs", nargs="+")
     p_rep.add_argument("--threshold", type=float, default=0.8)
     p_rep.add_argument("--out", default=None)
     p_rep.add_argument("--force", action="store_true")
-    p_rep.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command]  # looked up per call, so it can be replaced
     try:
-        return args.func(args)
+        return command(args)
     except (FedMetaSimError, FileNotFoundError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,17 +1,23 @@
+import gc
+import io
 import json
 import shutil
+import struct
 import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-
-from numpy.lib.npyio import NpzFile
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedmetasim import (
     ClientOptimizerConfig,
     ConfigError,
     ModelSpec,
+    ParseError,
     RoundConfig,
     ServerOptimizerState,
     StreamFactory,
@@ -24,6 +30,7 @@ from fedmetasim import cli, federation
 from fedmetasim.cli import _load_trace, _save_trace, main
 from fedmetasim.config import build_dataset, load_config, validate
 from fedmetasim.data import FederatedDataset
+from fedmetasim.federation import ClientUpdateResult, RoundTrace
 from util import make_client
 
 SMOKE = "configs/smoke.ini"
@@ -89,6 +96,17 @@ def interrupt_at_round(monkeypatch, stop):
         save(path, trace, beta)
 
     monkeypatch.setattr(cli, "_save_trace", interrupting)
+
+
+def replace_member(path, name, blob):
+    """Rewrites the archive at ``path`` with member ``<name>.npy`` holding ``blob``."""
+    with zipfile.ZipFile(path) as archive:
+        members = {info.filename: archive.read(info) for info in archive.infolist()}
+    assert f"{name}.npy" in members
+    members[f"{name}.npy"] = blob
+    with zipfile.ZipFile(path, "w") as archive:
+        for filename, data in members.items():
+            archive.writestr(filename, data)
 
 
 def refused_without_change(argv, root, capsys):
@@ -241,6 +259,7 @@ class TestTrain:
             config = config_variant(tmp_path, f"r{rounds}.ini", (
                 ("rounds = 3", f"rounds = {rounds}"),
             ), base=DECOMPOSE)
+            gc.collect()  # so an earlier run's reference cycles are not freed mid-run
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             argv = ["train", "-c", str(config), "--out", str(tmp_path / f"runs{rounds}"),
@@ -547,6 +566,19 @@ class TestDecompose:
         assert err.startswith(f"error: damaged trace {path}: ")
         assert "grads_2" in err
 
+    @pytest.mark.parametrize("name", ["deltas", "weights", "grads_2"])
+    def test_member_without_npy_magic_is_parse_error(
+        self, traced_run, tmp_path, capsys, name
+    ):
+        rdir, path = self.damaged_copy(traced_run, tmp_path)
+        replace_member(path, name, bytes(64))
+        rc = main(["decompose", "-c", DECOMPOSE, "--run-dir", str(rdir), "--round", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: damaged trace {path}: {name}: ")
+        assert "magic" in captured.err
+        assert captured.out == ""
+
 
 def unequal_traced_round():
     """A traced epoch-counted fedavg round over four clients of different
@@ -594,23 +626,139 @@ class TestTraceFile:
                 assert np.array_equal(g, w)
 
     def test_load_reads_each_member_once(self, tmp_path, monkeypatch):
-        trace = unequal_traced_round()
-        path = tmp_path / "round.npz"
-        _save_trace(path, trace, self.BETA)
+        path, trace = self.saved(tmp_path)
         reads = []
-        original = NpzFile.__getitem__
+        original = zipfile.ZipFile.read
 
-        def counting(self, key):
-            reads.append(key)
-            return original(self, key)
+        def counting(self, name, *args, **kwargs):
+            reads.append(name)
+            return original(self, name, *args, **kwargs)
 
-        monkeypatch.setattr(NpzFile, "__getitem__", counting)
+        monkeypatch.setattr(zipfile.ZipFile, "read", counting)
         _load_trace(path)
         assert len(reads) == 6 + len(trace.results)
         assert len(set(reads)) == len(reads)
 
+    def saved(self, tmp_path):
+        """The path of a saved ``unequal_traced_round`` trace, and the trace."""
+        trace = unequal_traced_round()
+        path = tmp_path / "round.npz"
+        _save_trace(path, trace, self.BETA)
+        return path, trace
+
+    def test_flipped_data_byte_is_parse_error(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("aggregate.npy")
+        name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+        data_end = info.header_offset + 30 + name_len + extra_len + info.compress_size
+        blob[data_end - 1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="CRC"):
+            _load_trace(path)
+
+    def test_header_declaring_more_rows_is_parse_error(self, tmp_path):
+        path, trace = self.saved(tmp_path)
+        deltas = np.stack([r.delta for r in trace.results])
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(buf, {
+            "descr": "<f8", "fortran_order": False,
+            "shape": (deltas.shape[0] + 1, deltas.shape[1]),
+        })
+        replace_member(path, "deltas", buf.getvalue() + deltas.tobytes())
+        with pytest.raises(ParseError, match="deltas"):
+            _load_trace(path)
+
+    def test_object_dtype_member_is_parse_error(self, tmp_path):
+        path, trace = self.saved(tmp_path)
+        buf = io.BytesIO()
+        np.save(buf, np.array([1.0, None, 2.0, 3.0], dtype=object), allow_pickle=True)
+        replace_member(path, "weights", buf.getvalue())
+        with pytest.raises(ParseError, match="weights"):
+            _load_trace(path)
+
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        loaded, _ = _load_trace(path)
+        arrays = [loaded.aggregate, *(r.delta for r in loaded.results),
+                  *(g for r in loaded.results for g in r.step_gradients)]
+        assert not any(a.flags.writeable for a in arrays)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bytes_equal_savez(self, tmp_path_factory, data):
+        value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(width=64))
+        m = data.draw(st.integers(1, 6))
+        p = data.draw(st.integers(1, 40))
+        steps = data.draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+        results = [
+            ClientUpdateResult(
+                delta=data.draw(hnp.arrays(np.float64, p, elements=value)),
+                weight=data.draw(value),
+                step_gradients=list(data.draw(hnp.arrays(np.float64, (k, p), elements=value))),
+            )
+            for k in steps
+        ]
+        trace = RoundTrace(
+            round_index=data.draw(st.integers(0, 10**6)),
+            client_ids=sorted(data.draw(st.sets(st.integers(0, 10**4), min_size=m, max_size=m))),
+            results=results,
+            aggregate=data.draw(hnp.arrays(np.float64, p, elements=value)),
+        )
+        beta = data.draw(value)
+        members = {
+            "round_index": np.array(trace.round_index),
+            "client_ids": np.array(trace.client_ids),
+            "aggregate": trace.aggregate,
+            "weights": np.array([r.weight for r in results]),
+            "deltas": np.stack([r.delta for r in results]),
+            "beta": np.array(beta),
+            **{f"grads_{i}": np.stack(r.step_gradients) for i, r in enumerate(results)},
+        }
+        path = tmp_path_factory.mktemp("trace") / "round.npz"
+        _save_trace(path, trace, beta)
+        reference = io.BytesIO()
+        np.savez(reference, **members)
+        assert path.read_bytes() == reference.getvalue()
+        with np.load(path) as archive:
+            assert archive.files == list(members)
+            for name, array in members.items():
+                assert archive[name].dtype == array.dtype
+                assert archive[name].shape == array.shape
+                assert archive[name].tobytes() == array.tobytes()
+        loaded, loaded_beta = _load_trace(path)
+        assert np.array(loaded_beta).tobytes() == np.array(beta).tobytes()
+        assert loaded.client_ids == trace.client_ids
+        for got, want in zip(loaded.results, results):
+            assert np.stack(got.step_gradients).tobytes() == np.stack(want.step_gradients).tobytes()
+
 
 class TestUsage:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_parse_independently(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_train", lambda args: seen.append(vars(args)) or 0)
+        assert main(["train", "-c", SMOKE, "--seed", "5", "--replicas", "2", "--force"]) == 0
+        assert main(["train", "-c", DECOMPOSE]) == 0
+        keys = ("config", "seed", "replicas", "out", "trace", "force")
+        assert [[args[k] for k in keys] for args in seen] == [
+            [SMOKE, 5, 2, None, False, True],
+            [DECOMPOSE, None, None, None, False, False],
+        ]
+
+    def test_command_replaced_after_first_call_runs(self, traced_run, monkeypatch, capsys):
+        argv = ["decompose", "-c", DECOMPOSE, "--run-dir",
+                str(traced_run / "replica_00"), "--round", "1"]
+        assert main(argv) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_decompose", lambda args: calls.append(args.round) or 7)
+        assert main(argv) == 7
+        assert calls == [1]
+        capsys.readouterr()
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
