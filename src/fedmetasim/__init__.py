@@ -41,7 +41,6 @@ from .federation import (
     RoundTrace,
     StageConfig,
     TrainingRun,
-    fomaml_update,
     local_update,
     run_personalized_fedavg,
     run_round,

@@ -6,7 +6,9 @@ plain SGD steps and updates are averaged uniformly, the round's mean
 parameter delta is, term for term, the single-step baseline update plus the
 K-1 adapted-gradient updates built from the same recorded trajectories.
 Because every term comes from the same trajectory record, the identity
-holds to floating-point roundoff, not just in expectation.
+holds to floating-point roundoff, not just in expectation. The record is the
+round's ``RoundTrace``: its (K, P) gradient arrays, one per client, stack
+into an (M, K, P) array whose client mean gives every term at once.
 
 Convention: recorded step gradients are raw loss gradients; the client step
 size enters once, with a minus sign, when an update vector is built from
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .federation import RoundTrace, TrainingRun, fomaml_update
+from .federation import RoundTrace, TrainingRun
 from .model import (
     Batch,
     ModelSpec,
@@ -49,30 +51,29 @@ def decompose_round(trace: RoundTrace, beta: float) -> DecompositionReport:
     data-proportional weights the rearrangement does not telescope and the
     round is rejected rather than approximated.
     """
-    if not trace.results:
-        raise ContractViolation("trace has no client results")
-    for res in trace.results:
-        if res.step_gradients is None:
-            raise ContractViolation(
-                "round was not traced with step gradients; rerun with tracing enabled"
-            )
-    lengths = {len(res.step_gradients) for res in trace.results}
+    grads = trace.step_gradients
+    if grads is None:
+        raise ContractViolation(
+            "round was not traced with step gradients; rerun with tracing enabled"
+        )
+    if not grads:
+        raise ContractViolation("trace has no clients")
+    lengths = {len(g) for g in grads}
     if len(lengths) != 1:
         raise ContractViolation(
             f"clients took different step counts {sorted(lengths)}; "
             "the decomposition requires a common K"
         )
-    weights = {res.weight for res in trace.results}
-    if len(weights) != 1:
+    if len(set(trace.weights.tolist())) != 1:
         raise ContractViolation(
             "decomposition requires uniform client weights"
         )
-    k = lengths.pop()
-    grad_lists = [res.step_gradients for res in trace.results]
 
     g_fedavg = np.asarray(trace.aggregate, dtype=np.float64)
-    g_fedsgd = fomaml_update(grad_lists, 0, beta)
-    terms = [fomaml_update(grad_lists, j, beta) for j in range(1, k)]
+    # Row 0 is the FedSGD update, row j the jth FOMAML term. The mean adds
+    # the clients in order, as a per-step (M, P) mean does when P >= 2
+    # (every ModelSpec); at P = 1 numpy would sum that axis pairwise.
+    g_fedsgd, *terms = -beta * np.stack(grads).mean(axis=0)
 
     reconstruction = g_fedsgd.copy()
     for term in terms:

@@ -51,7 +51,7 @@ from .config import (
 )
 from .data import dataset_manifest
 from .errors import ConfigError, ContractViolation, DivergenceError, FedMetaSimError, ParseError
-from .federation import ClientUpdateResult, EvalSnapshot, RoundTrace, TrainingRun, run_personalized_fedavg
+from .federation import EvalSnapshot, RoundTrace, TrainingRun, run_personalized_fedavg
 from .model import load_checkpoint, save_checkpoint
 from .personalization import PersonalizationConfig, epochs_sweep, eval_population, sweep_csv
 from .rng import StreamFactory
@@ -211,12 +211,12 @@ def _save_trace(path: Path, trace: RoundTrace, beta: float) -> None:
         "round_index": np.array(trace.round_index),
         "client_ids": np.array(trace.client_ids),
         "aggregate": trace.aggregate,
-        "weights": np.array([r.weight for r in trace.results]),
-        "deltas": np.stack([r.delta for r in trace.results]),
+        "weights": trace.weights,
+        "deltas": trace.deltas,
         "beta": np.array(beta),
     }
-    for i, res in enumerate(trace.results):
-        arrays[f"grads_{i}"] = np.stack(res.step_gradients)
+    for i, grads in enumerate(trace.step_gradients):
+        arrays[f"grads_{i}"] = grads
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w", allowZip64=True) as archive:
         for name, array in arrays.items():
@@ -230,30 +230,38 @@ def _load_trace(path: Path) -> tuple[RoundTrace, float]:
     """Read a trace written by ``_save_trace``, each member exactly once.
 
     The file is read whole; each member's CRC is checked, and it must hold
-    the .npy magic, a C-ordered non-object dtype and exactly the data its
-    header declares. The arrays returned are read-only views of the
-    members' bytes.
+    the .npy magic, a C-ordered non-object dtype, exactly the data its
+    header declares, and its shape in the record: () for round_index and
+    beta, (M,) for client_ids and weights, (P,) for aggregate, (M, P) for
+    deltas and (K_i, P) for grads_i, where M >= 1 is the length of
+    client_ids, P >= 1 that of aggregate and K_i >= 1. The arrays returned
+    are read-only views of the members' bytes.
     """
     try:
         with zipfile.ZipFile(io.BytesIO(path.read_bytes())) as archive:
-            def member(name: str) -> np.ndarray:
-                return _npy_array(name, archive.read(f"{name}.npy"))
+            dims = {}
 
-            client_ids = [int(c) for c in member("client_ids")]
-            deltas, weights = member("deltas"), member("weights")
-            results = [
-                ClientUpdateResult(
-                    delta=deltas[i],
-                    weight=float(weights[i]),
-                    step_gradients=list(member(f"grads_{i}")),
-                )
-                for i in range(len(client_ids))
-            ]
+            def member(name: str, shape: str = "") -> np.ndarray:
+                array = _npy_array(name, archive.read(f"{name}.npy"))
+                want = shape.split()
+                if len(array.shape) != len(want) or not all(
+                    got >= 1 and got == dims.get(d, got) for got, d in zip(array.shape, want)
+                ):
+                    expected = "(" + ", ".join(want) + ("," if len(want) == 1 else "") + ")"
+                    sizes = "".join(f", {d} = {dims[d]}" for d in want if d in dims)
+                    raise ValueError(f"{name}: shape {array.shape}, expected {expected}{sizes}")
+                return array
+
+            client_ids = member("client_ids", "M")
+            aggregate = member("aggregate", "P")
+            dims.update(M=len(client_ids), P=len(aggregate))
             trace = RoundTrace(
                 round_index=int(member("round_index")),
-                client_ids=client_ids,
-                results=results,
-                aggregate=member("aggregate"),
+                client_ids=[int(c) for c in client_ids],
+                weights=member("weights", "M"),
+                deltas=member("deltas", "M P"),
+                aggregate=aggregate,
+                step_gradients=[member(f"grads_{i}", "K P") for i in range(dims["M"])],
             )
             return trace, float(member("beta"))
     except (zipfile.BadZipFile, KeyError, IndexError, ValueError, EOFError) as exc:

@@ -14,11 +14,14 @@ which vector the client returns:
 - fomaml: K adaptation steps plus one on the next batch; the update is
   -beta times that last gradient, evaluated at the adapted parameters.
 
-A non-finite gradient or iterate raises DivergenceError naming the client,
-round and step; a non-finite server step raises it naming the round. Raw
-per-step gradients can be recorded (``trace=True``) so that an averaged
-round update can later be decomposed exactly into its single-step and
-adapted-gradient components.
+A round's record, ``RoundTrace``, holds the same arrays as its trace file:
+the weights (M,), the client deltas (M, P) row by row in client-id order,
+the aggregate (P,), and, with ``trace=True``, one (K_i, P) array of raw
+per-step gradients per client, from which the averaged round update can
+later be decomposed exactly into its single-step and adapted-gradient
+components. A non-finite gradient or iterate raises DivergenceError naming
+the client, round and step; a non-finite server step raises it naming the
+round.
 
 Randomness is drawn from counter-based substreams keyed by (purpose, round,
 client), so per-client work is order-independent and a run is a pure
@@ -96,13 +99,6 @@ class RoundConfig:
 
 
 @dataclass
-class ClientUpdateResult:
-    delta: np.ndarray
-    weight: float
-    step_gradients: list[np.ndarray] | None = None
-
-
-@dataclass
 class EvalSnapshot:
     round_index: int
     initial_mean: float
@@ -113,13 +109,17 @@ class EvalSnapshot:
 
 @dataclass
 class RoundTrace:
-    """One round: sampled clients, their results in the same order, and the
-    applied aggregate."""
+    """One round, as its trace file holds it: the M sampled clients in
+    ascending order, their aggregation weights (M,) and deltas (M, P) in
+    the same order, the applied aggregate (P,), and one (K_i, P) array of
+    raw step gradients per client, or None when the round was not traced."""
 
     round_index: int
     client_ids: list[int]
-    results: list[ClientUpdateResult]
+    weights: np.ndarray
+    deltas: np.ndarray
     aggregate: np.ndarray
+    step_gradients: list[np.ndarray] | None = None
     snapshot: EvalSnapshot | None = None
     wallclock_ms: float = 0.0
 
@@ -155,14 +155,15 @@ def local_update(
     cfg: RoundConfig,
     rng: np.random.Generator,
     trace: bool = False,
-) -> ClientUpdateResult:
-    """One client's local SGD from ``params`` under the round's algorithm.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One client's local SGD from ``params`` under the round's algorithm:
+    its update, and with ``trace`` its (K, P) raw step gradients (else None).
 
     Epoch-counted fedavg runs E full epochs; otherwise the trajectory covers
     the first K batches (K+1 for fomaml) of as many epochs as that needs.
     fomaml returns -beta times the last recorded gradient, i.e. the gradient
     at the adapted parameters on the extra batch; every other algorithm
-    returns the parameter delta. The weight follows ``cfg.weighting``.
+    returns the parameter delta.
     """
     lr, batch_size = cfg.client_cfg.lr, cfg.client_cfg.batch_size
     if cfg.epochs is not None:
@@ -172,30 +173,8 @@ def local_update(
         epochs = math.ceil(k / math.ceil(client.train.n / batch_size))
         batches = make_client_batches(client, epochs, batch_size, rng)[:k]
     final, grads = sgd_trajectory(spec, params, batches, lr)
-    return ClientUpdateResult(
-        delta=-lr * grads[-1] if cfg.algorithm == "fomaml" else final - params,
-        weight=float(client.weight) if cfg.weighting == "data_proportional" else 1.0,
-        step_gradients=grads if trace else None,
-    )
-
-
-def fomaml_update(
-    step_gradient_lists: list[list[np.ndarray]], k: int, beta: float
-) -> np.ndarray:
-    """Average of -beta times each client's (k+1)th recorded raw gradient.
-
-    With k = 0 this is the single-step baseline update built from each
-    client's first gradient.
-    """
-    if not step_gradient_lists:
-        raise ContractViolation("need at least one client trajectory")
-    for grads in step_gradient_lists:
-        if len(grads) < k + 1:
-            raise ContractViolation(
-                f"trajectory has {len(grads)} gradients, need at least {k + 1}"
-            )
-    stacked = np.stack([grads[k] for grads in step_gradient_lists])
-    return -beta * stacked.mean(axis=0)
+    delta = -lr * grads[-1] if cfg.algorithm == "fomaml" else final - params
+    return delta, np.stack(grads) if trace else None
 
 
 def run_round(
@@ -213,11 +192,16 @@ def run_round(
     sample_rng = streams.stream("round.sample", round_index)
     ids = sample_clients(dataset.train_client_ids, cfg.clients_per_round, sample_rng)
 
-    results = []
-    for cid in ids:
+    proportional = cfg.weighting == "data_proportional"
+    weights = [float(dataset.clients[cid].weight) if proportional else 1.0 for cid in ids]
+    deltas = np.empty((len(ids), params.size))
+    grads = [None] * len(ids)
+    for i, cid in enumerate(ids):
         rng = streams.stream("round.batch", round_index, cid)
         try:
-            res = local_update(spec, params, dataset.clients[cid], cfg, rng, trace)
+            deltas[i], grads[i] = local_update(
+                spec, params, dataset.clients[cid], cfg, rng, trace
+            )
         except DivergenceError as exc:
             raise DivergenceError(
                 f"client {cid} diverged at step {exc.step_index} in round {round_index}",
@@ -225,14 +209,13 @@ def run_round(
                 client_id=cid,
                 round_index=round_index,
             ) from exc
-        results.append(res)
 
     # Normalize weights before scaling so equal weights reduce to exactly
     # 1/M coefficients regardless of their common magnitude.
-    total_weight = sum(r.weight for r in results)
+    total_weight = sum(weights)
     aggregate = np.zeros_like(params)
-    for r in results:
-        aggregate += (r.weight / total_weight) * r.delta
+    for w, delta in zip(weights, deltas):
+        aggregate += (w / total_weight) * delta
 
     try:
         new_params, new_state = server_apply(server_state, params, aggregate)
@@ -242,7 +225,8 @@ def run_round(
             round_index=round_index,
         ) from exc
     trace_record = RoundTrace(
-        round_index, ids, results, aggregate,
+        round_index, ids, np.array(weights), deltas, aggregate,
+        grads if trace else None,
         wallclock_ms=1000.0 * (time.perf_counter() - started),
     )
     return new_params, new_state, trace_record
@@ -337,7 +321,7 @@ def run_personalized_fedavg(
                 if tr.snapshot is not None:
                     run.snapshots.append(tr.snapshot)
                 run.wallclock_ms.append(tr.wallclock_ms)
-                # Deleting drops this round's results before the next one runs.
+                # Deleting drops this round's arrays before the next one runs.
                 del tr
                 if checkpoint_every and round_index % checkpoint_every == 0:
                     run.checkpoints[round_index] = params.copy()

@@ -85,20 +85,19 @@ class TestDecomposeRound:
 
     def test_untraced_round_rejected(self):
         trace, lr = traced_round(seed=3, clients=3, k=2)
-        for res in trace.results:
-            res.step_gradients = None
+        trace.step_gradients = None
         with pytest.raises(ContractViolation, match="trac"):
             decompose_round(trace, lr)
 
     def test_unequal_step_counts_rejected(self):
         trace, lr = traced_round(seed=4, clients=3, k=3)
-        trace.results[1].step_gradients = trace.results[1].step_gradients[:-1]
+        trace.step_gradients[1] = trace.step_gradients[1][:-1]
         with pytest.raises(ContractViolation, match="common K"):
             decompose_round(trace, lr)
 
     def test_non_uniform_weights_rejected(self):
         trace, lr = traced_round(seed=5, clients=3, k=3)
-        trace.results[0].weight = 2.0
+        trace.weights[0] = 2.0
         with pytest.raises(ContractViolation, match="uniform"):
             decompose_round(trace, lr)
 

@@ -30,7 +30,7 @@ from fedmetasim import cli, federation
 from fedmetasim.cli import _load_trace, _save_trace, main
 from fedmetasim.config import build_dataset, load_config, validate
 from fedmetasim.data import FederatedDataset
-from fedmetasim.federation import ClientUpdateResult, RoundTrace
+from fedmetasim.federation import RoundTrace
 from util import make_client
 
 SMOKE = "configs/smoke.ini"
@@ -566,6 +566,32 @@ class TestDecompose:
         assert err.startswith(f"error: damaged trace {path}: ")
         assert "grads_2" in err
 
+    @pytest.mark.parametrize("damage, named", [
+        ("round_index", "round_index"),  # two elements, not 0-d
+        ("beta", "beta"),
+        ("aggregate", "deltas"),  # one column short, so P no longer fits deltas
+        ("grads_0", "grads_0"),
+        ("client_ids", "weights"),  # 2 of 3 ids, so M no longer fits weights
+        ("deltas", "deltas"),
+    ])
+    def test_misshaped_member_is_parse_error(self, traced_run, tmp_path, capsys, damage, named):
+        rdir, path = self.damaged_copy(traced_run, tmp_path)
+        with np.load(path) as data:
+            arrays = {k: data[k].copy() for k in data.files}
+        array = arrays[damage]
+        if array.ndim == 0:
+            arrays[damage] = np.stack([array, array])
+        elif damage == "client_ids":
+            arrays[damage] = array[:2]
+        else:
+            arrays[damage] = array[..., :-1]
+        np.savez(path, **arrays)
+        rc = main(["decompose", "-c", DECOMPOSE, "--run-dir", str(rdir), "--round", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: damaged trace {path}: {named}: shape ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("name", ["deltas", "weights", "grads_2"])
     def test_member_without_npy_magic_is_parse_error(
         self, traced_run, tmp_path, capsys, name
@@ -580,9 +606,11 @@ class TestDecompose:
         assert captured.out == ""
 
 
-def unequal_traced_round():
-    """A traced epoch-counted fedavg round over four clients of different
-    sizes: distinct deltas, data-proportional weights, unequal step counts."""
+def unequal_traced_round(algorithm="fedavg"):
+    """A traced round over four clients of different sizes. Epoch-counted
+    fedavg gives distinct deltas, data-proportional weights and unequal step
+    counts; reptile and fomaml take 3 steps (fomaml one more) at uniform
+    weights."""
     rng = np.random.default_rng(3)
     clients = {
         cid: make_client(rng, n_train=n, n_test=4)
@@ -596,7 +624,8 @@ def unequal_traced_round():
         num_classes=3,
     )
     spec = ModelSpec(4, (5, 3))
-    cfg = RoundConfig("fedavg", 4, ClientOptimizerConfig(0.05, 5), epochs=1)
+    local = {"epochs": 1} if algorithm == "fedavg" else {"steps": 3}
+    cfg = RoundConfig(algorithm, 4, ClientOptimizerConfig(0.05, 5), **local)
     server = ServerOptimizerState("sgd", lr=1.0)
     params = init_params(spec, substream(3, "init"))
     _, _, trace = run_round(spec, params, ds, cfg, server, 6, StreamFactory(3), trace=True)
@@ -608,8 +637,8 @@ class TestTraceFile:
 
     def test_round_trip_is_exact(self, tmp_path):
         trace = unequal_traced_round()
-        assert len({len(r.step_gradients) for r in trace.results}) == 4
-        assert len({r.weight for r in trace.results}) == 4
+        assert len({len(g) for g in trace.step_gradients}) == 4
+        assert len(set(trace.weights.tolist())) == 4
         path = tmp_path / "round.npz"
         _save_trace(path, trace, self.BETA)
         loaded, beta = _load_trace(path)
@@ -617,13 +646,19 @@ class TestTraceFile:
         assert loaded.round_index == trace.round_index
         assert loaded.client_ids == trace.client_ids
         assert np.array_equal(loaded.aggregate, trace.aggregate)
-        assert len(loaded.results) == len(trace.results)
-        for got, want in zip(loaded.results, trace.results):
-            assert got.weight == want.weight
-            assert np.array_equal(got.delta, want.delta)
-            assert len(got.step_gradients) == len(want.step_gradients)
-            for g, w in zip(got.step_gradients, want.step_gradients):
-                assert np.array_equal(g, w)
+        assert np.array_equal(loaded.weights, trace.weights)
+        assert np.array_equal(loaded.deltas, trace.deltas)
+        assert len(loaded.step_gradients) == len(trace.step_gradients)
+        for got, want in zip(loaded.step_gradients, trace.step_gradients):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "reptile", "fomaml"])
+    def test_resave_reproduces_file(self, tmp_path, algorithm):
+        trace = unequal_traced_round(algorithm)
+        path, again = tmp_path / "round.npz", tmp_path / "again.npz"
+        _save_trace(path, trace, self.BETA)
+        _save_trace(again, *_load_trace(path))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_load_reads_each_member_once(self, tmp_path, monkeypatch):
         path, trace = self.saved(tmp_path)
@@ -636,7 +671,7 @@ class TestTraceFile:
 
         monkeypatch.setattr(zipfile.ZipFile, "read", counting)
         _load_trace(path)
-        assert len(reads) == 6 + len(trace.results)
+        assert len(reads) == 6 + len(trace.client_ids)
         assert len(set(reads)) == len(reads)
 
     def saved(self, tmp_path):
@@ -660,7 +695,7 @@ class TestTraceFile:
 
     def test_header_declaring_more_rows_is_parse_error(self, tmp_path):
         path, trace = self.saved(tmp_path)
-        deltas = np.stack([r.delta for r in trace.results])
+        deltas = trace.deltas
         buf = io.BytesIO()
         np.lib.format.write_array_header_1_0(buf, {
             "descr": "<f8", "fortran_order": False,
@@ -681,8 +716,7 @@ class TestTraceFile:
     def test_loaded_arrays_are_read_only(self, tmp_path):
         path, _ = self.saved(tmp_path)
         loaded, _ = _load_trace(path)
-        arrays = [loaded.aggregate, *(r.delta for r in loaded.results),
-                  *(g for r in loaded.results for g in r.step_gradients)]
+        arrays = [loaded.aggregate, loaded.weights, loaded.deltas, *loaded.step_gradients]
         assert not any(a.flags.writeable for a in arrays)
 
     @settings(max_examples=60, deadline=None)
@@ -692,29 +726,25 @@ class TestTraceFile:
         m = data.draw(st.integers(1, 6))
         p = data.draw(st.integers(1, 40))
         steps = data.draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
-        results = [
-            ClientUpdateResult(
-                delta=data.draw(hnp.arrays(np.float64, p, elements=value)),
-                weight=data.draw(value),
-                step_gradients=list(data.draw(hnp.arrays(np.float64, (k, p), elements=value))),
-            )
-            for k in steps
-        ]
         trace = RoundTrace(
             round_index=data.draw(st.integers(0, 10**6)),
             client_ids=sorted(data.draw(st.sets(st.integers(0, 10**4), min_size=m, max_size=m))),
-            results=results,
+            weights=data.draw(hnp.arrays(np.float64, m, elements=value)),
+            deltas=data.draw(hnp.arrays(np.float64, (m, p), elements=value)),
             aggregate=data.draw(hnp.arrays(np.float64, p, elements=value)),
+            step_gradients=[
+                data.draw(hnp.arrays(np.float64, (k, p), elements=value)) for k in steps
+            ],
         )
         beta = data.draw(value)
         members = {
             "round_index": np.array(trace.round_index),
             "client_ids": np.array(trace.client_ids),
             "aggregate": trace.aggregate,
-            "weights": np.array([r.weight for r in results]),
-            "deltas": np.stack([r.delta for r in results]),
+            "weights": trace.weights,
+            "deltas": trace.deltas,
             "beta": np.array(beta),
-            **{f"grads_{i}": np.stack(r.step_gradients) for i, r in enumerate(results)},
+            **{f"grads_{i}": g for i, g in enumerate(trace.step_gradients)},
         }
         path = tmp_path_factory.mktemp("trace") / "round.npz"
         _save_trace(path, trace, beta)
@@ -730,8 +760,10 @@ class TestTraceFile:
         loaded, loaded_beta = _load_trace(path)
         assert np.array(loaded_beta).tobytes() == np.array(beta).tobytes()
         assert loaded.client_ids == trace.client_ids
-        for got, want in zip(loaded.results, results):
-            assert np.stack(got.step_gradients).tobytes() == np.stack(want.step_gradients).tobytes()
+        for name in ("weights", "deltas", "aggregate"):
+            assert getattr(loaded, name).tobytes() == getattr(trace, name).tobytes()
+        for got, want in zip(loaded.step_gradients, trace.step_gradients, strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestUsage:

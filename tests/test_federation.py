@@ -14,8 +14,9 @@ from fedmetasim import (
     RoundConfig,
     ServerOptimizerState,
     StageConfig,
+    RoundTrace,
     StreamFactory,
-    fomaml_update,
+    decompose_round,
     generate_synthetic,
     gradient,
     init_params,
@@ -55,6 +56,21 @@ def quadratic_client(seed, d=3, c=2, n=8):
     return spec, client, a, lin
 
 
+def round_weight(spec, params, client, cfg):
+    """The aggregation weight ``run_round`` gives ``client`` as the one
+    client of a round."""
+    ds = FederatedDataset(
+        clients={0: client},
+        train_client_ids=(0,),
+        eval_client_ids=(),
+        input_dim=spec.input_dim,
+        num_classes=spec.num_classes,
+    )
+    server = ServerOptimizerState("sgd", lr=1.0)
+    _, _, trace = run_round(spec, params, ds, cfg, server, 0, StreamFactory(0))
+    return trace.weights[0]
+
+
 class TestSampleClients:
     def test_exhaustive_sample_sorted(self):
         ids = (5, 1, 9, 3)
@@ -83,28 +99,26 @@ class TestClientUpdate:
         client = make_client(np.random.default_rng(0), n_train=20)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(0, "init"))
-        res = local_update(spec, params, client, fedavg(CFG, epochs=1), substream(0, "b", 0))
+        delta, _ = local_update(spec, params, client, fedavg(CFG, epochs=1), substream(0, "b", 0))
         batch = make_client_batches(client, 1, CFG.batch_size, substream(0, "b", 0))[0]
         expected = -CFG.lr * gradient(spec, params, batch)
-        np.testing.assert_allclose(res.delta, expected, rtol=0, atol=5e-15)
+        np.testing.assert_allclose(delta, expected, rtol=0, atol=5e-15)
 
     def test_zero_lr_zero_delta(self):
         client = make_client(np.random.default_rng(1), n_train=12)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(1, "init"))
         cfg = ClientOptimizerConfig(lr=0.0, batch_size=4)
-        res = local_update(spec, params, client, fedavg(cfg, epochs=3), substream(1, "b"))
-        assert np.array_equal(res.delta, np.zeros_like(params))
-        assert res.weight == 12.0
+        delta, _ = local_update(spec, params, client, fedavg(cfg, epochs=3), substream(1, "b"))
+        assert np.array_equal(delta, np.zeros_like(params))
+        assert round_weight(spec, params, client, fedavg(cfg, epochs=3)) == 12.0
 
     def test_uniform_weight_is_one(self):
         client = make_client(np.random.default_rng(2), n_train=9)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(2, "init"))
-        res = local_update(
-            spec, params, client, fedavg(CFG, epochs=1, weighting="uniform"), substream(2, "b")
-        )
-        assert res.weight == 1.0
+        cfg = fedavg(CFG, epochs=1, weighting="uniform")
+        assert round_weight(spec, params, client, cfg) == 1.0
 
     def test_quadratic_affine_recurrence(self):
         # Oracle: iterate theta <- theta - beta (A theta - c) with A, c built
@@ -114,23 +128,25 @@ class TestClientUpdate:
         beta = 0.2 / np.linalg.eigvalsh(a).max()
         cfg = ClientOptimizerConfig(lr=beta, batch_size=50)  # full batch
         k = 5
-        res = local_update(spec, params, client, fedavg(cfg, epochs=k), substream(5, "b"))
+        delta, _ = local_update(spec, params, client, fedavg(cfg, epochs=k), substream(5, "b"))
         expected = params.copy()
         for _ in range(k):
             expected = expected - beta * (a @ expected - lin)
-        np.testing.assert_allclose(res.delta, expected - params, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(delta, expected - params, rtol=1e-9, atol=1e-12)
 
     def test_trace_records_per_step_gradients(self):
         client = make_client(np.random.default_rng(3), n_train=10)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(3, "init"))
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=5)
-        res = local_update(
+        delta, grads = local_update(
             spec, params, client, fedavg(cfg, epochs=2), substream(3, "b"), trace=True
         )
-        assert len(res.step_gradients) == 4  # 2 epochs x 2 batches
-        total = sum(res.step_gradients)
-        np.testing.assert_allclose(res.delta, -cfg.lr * total, rtol=0, atol=1e-14)
+        assert grads.shape == (4, spec.param_count)  # 2 epochs x 2 batches
+        total = sum(grads)
+        np.testing.assert_allclose(delta, -cfg.lr * total, rtol=0, atol=1e-14)
+        untraced = local_update(spec, params, client, fedavg(cfg, epochs=2), substream(3, "b"))
+        assert np.array_equal(untraced[0], delta) and untraced[1] is None
 
 
 class TestInnerLoopReptile:
@@ -138,22 +154,22 @@ class TestInnerLoopReptile:
         client = make_client(np.random.default_rng(4), n_train=20)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(4, "init"))
-        res = local_update(spec, params, client, reptile(CFG, 1), substream(4, "b"))
+        delta, _ = local_update(spec, params, client, reptile(CFG, 1), substream(4, "b"))
         batch = make_client_batches(client, 1, CFG.batch_size, substream(4, "b"))[0]
         np.testing.assert_allclose(
-            res.delta, -CFG.lr * gradient(spec, params, batch), rtol=0, atol=5e-15
+            delta, -CFG.lr * gradient(spec, params, batch), rtol=0, atol=5e-15
         )
-        assert res.weight == 1.0
+        assert round_weight(spec, params, client, reptile(CFG, 1)) == 1.0
 
     def test_step_count_exact(self):
         client = make_client(np.random.default_rng(5), n_train=7)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(5, "init"))
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=3)
-        res = local_update(
+        _, grads = local_update(
             spec, params, client, reptile(cfg, 5), substream(5, "b"), trace=True
         )
-        assert len(res.step_gradients) == 5
+        assert len(grads) == 5
 
     def test_quadratic_closed_form(self):
         spec, client, a, lin = quadratic_client(seed=6, n=10)
@@ -161,39 +177,44 @@ class TestInnerLoopReptile:
         beta = 0.15 / np.linalg.eigvalsh(a).max()
         cfg = ClientOptimizerConfig(lr=beta, batch_size=50)
         k = 4
-        res = local_update(spec, params, client, reptile(cfg, k), substream(6, "b"))
+        delta, _ = local_update(spec, params, client, reptile(cfg, k), substream(6, "b"))
         expected = params.copy()
         for _ in range(k):
             expected = expected - beta * (a @ expected - lin)
-        np.testing.assert_allclose(res.delta, expected - params, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(delta, expected - params, rtol=1e-9, atol=1e-12)
 
 
 class TestFomamlUpdate:
+    """The FedSGD and FOMAML terms ``decompose_round`` builds from traced
+    trajectories: row k is -beta times the clients' mean (k+1)th gradient."""
+
     def traced(self, seed, steps):
         client = make_client(np.random.default_rng(seed), n_train=12)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(seed, "init"))
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=4)
-        res = local_update(
+        _, grads = local_update(
             spec, params, client, reptile(cfg, steps), substream(seed, "b"), trace=True
         )
-        return res.step_gradients
+        return grads
+
+    def terms(self, grads, beta):
+        """[FedSGD term, FOMAML term 1, ...] of a uniform round with ``grads``."""
+        m, p = len(grads), grads[0].shape[1]
+        trace = RoundTrace(0, list(range(m)), np.ones(m), np.zeros((m, p)), np.zeros(p), grads)
+        report = decompose_round(trace, beta)
+        return [report.g_fedsgd, *report.g_fomaml_by_j]
 
     def test_k0_is_mean_first_gradient(self):
         lists = [self.traced(s, 3) for s in (0, 1, 2)]
-        got = fomaml_update(lists, 0, 0.05)
+        got = self.terms(lists, 0.05)[0]
         expected = -0.05 * np.mean([g[0] for g in lists], axis=0)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-16)
 
     def test_single_client(self):
         lists = [self.traced(7, 4)]
-        got = fomaml_update(lists, 2, 0.1)
+        got = self.terms(lists, 0.1)[2]
         np.testing.assert_allclose(got, -0.1 * lists[0][2], rtol=0, atol=1e-16)
-
-    def test_insufficient_trajectory_rejected(self):
-        lists = [self.traced(8, 2)]
-        with pytest.raises(ContractViolation):
-            fomaml_update(lists, 2, 0.1)
 
     def test_matches_replayed_trajectories(self):
         # Replay oracle: rebuild each client's batch sequence from the same
@@ -207,10 +228,10 @@ class TestFomamlUpdate:
         lists = [
             local_update(
                 spec, params, c, reptile(cfg, k + 1), substream(9, "b", i), trace=True
-            ).step_gradients
+            )[1]
             for i, c in enumerate(clients)
         ]
-        got = fomaml_update(lists, k, cfg.lr)
+        got = self.terms(lists, cfg.lr)[k]
 
         replayed = []
         for i, c in enumerate(clients):
@@ -232,17 +253,15 @@ class TestLocalUpdate:
         params = init_params(spec, substream(20, "init"))
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=4)
         k = 3
-        res = local_update(
-            spec, params, client, RoundConfig("fomaml", 1, cfg, steps=k),
-            substream(20, "b"),
-        )
+        fomaml = RoundConfig("fomaml", 1, cfg, steps=k)
+        delta, _ = local_update(spec, params, client, fomaml, substream(20, "b"))
         batches = make_client_batches(client, 2, cfg.batch_size, substream(20, "b"))
         theta = params.copy()
         for b in batches[:k]:
             theta = theta - cfg.lr * gradient(spec, theta, b)
         expected = -cfg.lr * gradient(spec, theta, batches[k])
-        assert np.array_equal(res.delta, expected)
-        assert res.weight == 1.0
+        assert np.array_equal(delta, expected)
+        assert round_weight(spec, params, client, fomaml) == 1.0
 
     def test_fomaml_nonfinite_extra_gradient_names_step(self):
         # Two single-example batches; the second holds a feature so large
@@ -268,11 +287,11 @@ class TestLocalUpdate:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(21, "init"))
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=4)
-        res = local_update(spec, params, client, fedavg(cfg, steps=5), substream(21, "b"))
-        assert res.weight == client.train.n == 13
-        rep = local_update(spec, params, client, reptile(cfg, 5), substream(21, "b"))
-        assert np.array_equal(res.delta, rep.delta)
-        assert rep.weight == 1.0
+        delta, _ = local_update(spec, params, client, fedavg(cfg, steps=5), substream(21, "b"))
+        assert round_weight(spec, params, client, fedavg(cfg, steps=5)) == client.train.n == 13
+        rep, _ = local_update(spec, params, client, reptile(cfg, 5), substream(21, "b"))
+        assert np.array_equal(delta, rep)
+        assert round_weight(spec, params, client, reptile(cfg, 5)) == 1.0
 
 
 class TestRoundConfig:
@@ -351,6 +370,51 @@ class TestRunRound:
             out[weighting] = new.tobytes(), trace.aggregate.tobytes()
         assert out["uniform"] == out["data_proportional"]
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), weighting=st.sampled_from(["data_proportional", "uniform"]))
+    def test_aggregate_is_weighted_mean_of_client_updates(self, data, weighting):
+        # Quadratic clients of unequal train sizes; the expected aggregate is
+        # rebuilt from per-client local_update calls and the clients' own
+        # weights: exact in ascending-id order, within roundoff in any order.
+        sizes = data.draw(st.lists(st.integers(2, 30), min_size=1, max_size=8))
+        seed = data.draw(st.integers(0, 2**16))
+        clients = {cid: quadratic_client(seed + cid, n=n)[1] for cid, n in enumerate(sizes)}
+        spec = quadratic_client(seed)[0]
+        ds = FederatedDataset(
+            clients=clients, train_client_ids=tuple(clients), eval_client_ids=(),
+            input_dim=3, num_classes=2,
+        )
+        params = np.random.default_rng(seed).normal(size=spec.param_count)
+        cfg = RoundConfig(
+            "fedavg", len(sizes), ClientOptimizerConfig(0.05, 4), epochs=2, weighting=weighting
+        )
+        server = ServerOptimizerState("sgd", lr=1.0)
+        _, _, trace = run_round(spec, params, ds, cfg, server, 3, StreamFactory(seed))
+
+        ids = sorted(clients)
+        weights = {
+            cid: float(clients[cid].weight) if weighting == "data_proportional" else 1.0
+            for cid in ids
+        }
+        deltas = {
+            cid: local_update(
+                spec, params, clients[cid], cfg, StreamFactory(seed).stream("round.batch", 3, cid)
+            )[0]
+            for cid in ids
+        }
+
+        def weighted_sum(order):
+            total = sum(weights[cid] for cid in order)
+            out = np.zeros(spec.param_count)
+            for cid in order:
+                out += (weights[cid] / total) * deltas[cid]
+            return out
+
+        assert np.array_equal(weighted_sum(ids), trace.aggregate)
+        order = data.draw(st.permutations(ids))
+        scale = sum(weights[cid] / sum(weights.values()) * np.abs(deltas[cid]) for cid in ids)
+        assert np.all(np.abs(weighted_sum(order) - trace.aggregate) <= 1e-12 * scale)
+
     def test_aggregate_is_weighted_mean_of_deltas(self):
         ds = toy_dataset(num_clients=5, examples=24)
         spec = ModelSpec(4, (6, 3))
@@ -358,8 +422,8 @@ class TestRunRound:
         cfg = RoundConfig("fedavg", 3, ClientOptimizerConfig(0.05, 8), epochs=1)
         server = ServerOptimizerState("sgd", lr=1.0)
         _, _, trace = run_round(spec, params, ds, cfg, server, 2, StreamFactory(5))
-        total = sum(r.weight for r in trace.results)
-        expected = sum((r.weight / total) * r.delta for r in trace.results)
+        total = sum(trace.weights)
+        expected = sum((w / total) * d for w, d in zip(trace.weights, trace.deltas))
         np.testing.assert_allclose(trace.aggregate, expected, rtol=0, atol=1e-16)
 
     def test_deterministic_trace(self):
@@ -384,9 +448,9 @@ class TestRunRound:
         _, _, trace = run_round(
             spec, params, ds, cfg, server, 0, StreamFactory(7), trace=True
         )
-        for res in trace.results:
-            assert len(res.step_gradients) == 3  # K steps + evaluation gradient
-            assert res.weight == 1.0
+        for grads in trace.step_gradients:
+            assert len(grads) == 3  # K steps + evaluation gradient
+        assert np.array_equal(trace.weights, [1.0, 1.0])
 
     def test_fedsgd_round_equals_single_step_reptile(self):
         ds = toy_dataset(num_clients=4)
@@ -471,13 +535,15 @@ class TestFedAvgReptileCoincidence:
         e = 4
         for cid in ds.train_client_ids:
             client = ds.clients[cid]
-            avg = local_update(
-                spec, params, client, fedavg(cfg, epochs=e, weighting="uniform"),
-                substream(9, "b", cid),
+            avg_cfg = fedavg(cfg, epochs=e, weighting="uniform")
+            avg, _ = local_update(spec, params, client, avg_cfg, substream(9, "b", cid))
+            rep, _ = local_update(spec, params, client, reptile(cfg, e), substream(9, "b", cid))
+            assert np.array_equal(avg, rep)
+            assert (
+                round_weight(spec, params, client, avg_cfg)
+                == round_weight(spec, params, client, reptile(cfg, e))
+                == 1.0
             )
-            rep = local_update(spec, params, client, reptile(cfg, e), substream(9, "b", cid))
-            assert np.array_equal(avg.delta, rep.delta)
-            assert avg.weight == rep.weight == 1.0
 
 
 def eval_cfg():
@@ -596,8 +662,8 @@ class TestRunPersonalizedFedAvg:
         run = run_personalized_fedavg(*args, seed=5, trace=True, on_round=seen.append)
         assert [tr.round_index for tr in seen] == [0, 1, 2, 3, 4]
         for tr in seen:
-            assert len(tr.results) == 2 and tr.aggregate is not None
-            assert all(res.step_gradients for res in tr.results)
+            assert len(tr.deltas) == 2 and tr.aggregate is not None
+            assert len(tr.step_gradients) == 2 and all(len(g) for g in tr.step_gradients)
         # snapshots after rounds 2 and 4 (every=2) and at both stage ends
         assert [tr.round_index for tr in seen if tr.snapshot] == [1, 2, 3, 4]
         assert [tr.snapshot for tr in seen if tr.snapshot] == run.snapshots
