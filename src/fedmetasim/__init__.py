@@ -41,7 +41,6 @@ from .federation import (
     RoundTrace,
     StageConfig,
     TrainingRun,
-    local_update,
     run_personalized_fedavg,
     run_round,
     sample_clients,

@@ -127,7 +127,7 @@ def fomaml_maml_gap(
         eval_batch = merge_batches(adapt)
 
     g_maml = maml_gradient_oracle(spec, params, adapt, beta, eval_batch, fd_step)
-    theta = sgd_trajectory(spec, params, adapt, beta)[0] if steps else np.asarray(params, dtype=np.float64)
+    theta = sgd_trajectory(spec, params, [adapt], beta)[0][0] if steps else np.asarray(params, dtype=np.float64)
     g_first_order = gradient(spec, theta, eval_batch)
 
     gap = float(np.linalg.norm(g_maml - g_first_order))

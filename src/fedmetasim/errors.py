@@ -17,7 +17,9 @@ class DivergenceError(NumericError):
     """Local optimization left the finite range.
 
     Carries the step index (and, when raised by the round driver, the
-    client and round) at which parameters stopped being finite.
+    client and round) at which parameters stopped being finite. Raised by
+    ``model.sgd_trajectory``, ``client_id`` is the position of the diverging
+    trajectory among its schedules.
     """
 
     def __init__(self, message, step_index=None, client_id=None, round_index=None):

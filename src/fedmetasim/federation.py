@@ -1,12 +1,12 @@
 """The round engine.
 
-One communication round samples clients, runs ``local_update`` per client,
+One communication round samples clients, runs their local SGD trajectories
+in lockstep (``model.sgd_trajectory``, one call per schedule length),
 aggregates the weighted parameter deltas in ascending client-id order, and
 applies the server optimizer.
 
-``local_update`` is the single local routine behind all four algorithms,
-which differ only in how many batches the client's SGD trajectory covers and
-which vector the client returns:
+The four algorithms differ only in how many batches a client's trajectory
+covers and which vector the client returns:
 
 - fedavg: E epochs (or exactly K steps) of local SGD, delta = theta_K - theta.
 - reptile: exactly K local SGD steps, same delta, uniform weighting.
@@ -20,8 +20,9 @@ the aggregate (P,), and, with ``trace=True``, one (K_i, P) array of raw
 per-step gradients per client, from which the averaged round update can
 later be decomposed exactly into its single-step and adapted-gradient
 components. A non-finite gradient or iterate raises DivergenceError naming
-the client, round and step; a non-finite server step raises it naming the
-round.
+the round and the lowest-id client that diverged, at its own step, as if
+the clients had run one after another; a non-finite server step raises it
+naming the round.
 
 Randomness is drawn from counter-based substreams keyed by (purpose, round,
 client), so per-client work is order-independent and a run is a pure
@@ -34,15 +35,17 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .data import ClientDataset, FederatedDataset
+from .data import FederatedDataset
 from .errors import ContractViolation, DivergenceError, NumericError
 from .model import ModelSpec, init_params, sgd_trajectory
 from .optimizers import (
     ClientOptimizerConfig,
     ServerOptimizerState,
+    lockstep_groups,
     make_client_batches,
     server_apply,
 )
@@ -148,35 +151,6 @@ def sample_clients(
     return sorted(ids[i] for i in picked)
 
 
-def local_update(
-    spec: ModelSpec,
-    params: np.ndarray,
-    client: ClientDataset,
-    cfg: RoundConfig,
-    rng: np.random.Generator,
-    trace: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One client's local SGD from ``params`` under the round's algorithm:
-    its update, and with ``trace`` its (K, P) raw step gradients (else None).
-
-    Epoch-counted fedavg runs E full epochs; otherwise the trajectory covers
-    the first K batches (K+1 for fomaml) of as many epochs as that needs.
-    fomaml returns -beta times the last recorded gradient, i.e. the gradient
-    at the adapted parameters on the extra batch; every other algorithm
-    returns the parameter delta.
-    """
-    lr, batch_size = cfg.client_cfg.lr, cfg.client_cfg.batch_size
-    if cfg.epochs is not None:
-        batches = make_client_batches(client, cfg.epochs, batch_size, rng)
-    else:
-        k = cfg.steps + (cfg.algorithm == "fomaml")
-        epochs = math.ceil(k / math.ceil(client.train.n / batch_size))
-        batches = make_client_batches(client, epochs, batch_size, rng)[:k]
-    final, grads = sgd_trajectory(spec, params, batches, lr)
-    delta = -lr * grads[-1] if cfg.algorithm == "fomaml" else final - params
-    return delta, np.stack(grads) if trace else None
-
-
 def run_round(
     spec: ModelSpec,
     params: np.ndarray,
@@ -187,28 +161,63 @@ def run_round(
     streams: StreamFactory,
     trace: bool = False,
 ) -> tuple[np.ndarray, ServerOptimizerState, RoundTrace]:
-    """One communication round: sample, update, aggregate, apply."""
+    """One communication round: sample, update, aggregate, apply.
+
+    The sampled clients' trajectories run in lockstep, one group per
+    schedule length. Epoch-counted fedavg runs E full epochs; otherwise a
+    trajectory covers the first K batches (K+1 for fomaml) of as many epochs
+    as that needs. fomaml's update is -beta times the last gradient, taken at
+    the adapted parameters on the extra batch; every other algorithm's is
+    the parameter delta.
+    """
     started = time.perf_counter()
     sample_rng = streams.stream("round.sample", round_index)
     ids = sample_clients(dataset.train_client_ids, cfg.clients_per_round, sample_rng)
+    clients = [dataset.clients[cid] for cid in ids]
 
     proportional = cfg.weighting == "data_proportional"
-    weights = [float(dataset.clients[cid].weight) if proportional else 1.0 for cid in ids]
+    weights = [float(c.weight) if proportional else 1.0 for c in clients]
+    lr, batch_size = cfg.client_cfg.lr, cfg.client_cfg.batch_size
+    fomaml = cfg.algorithm == "fomaml"
+    per_epoch = [math.ceil(c.train.n / batch_size) for c in clients]
+    if cfg.epochs is not None:
+        lengths = [cfg.epochs * b for b in per_epoch]
+    else:
+        lengths = [cfg.steps + fomaml] * len(ids)
+
+    def schedule(i: int):
+        rng = streams.stream("round.batch", round_index, ids[i])
+        epochs = math.ceil(lengths[i] / per_epoch[i])
+        return islice(make_client_batches(clients[i], epochs, batch_size, rng), lengths[i])
+
     deltas = np.empty((len(ids), params.size))
     grads = [None] * len(ids)
-    for i, cid in enumerate(ids):
-        rng = streams.stream("round.batch", round_index, cid)
+    # The first client to diverge and its error. A client after it is not
+    # run, as if the clients had run one after another in id order.
+    first, failure = len(ids), None
+    for rows in lockstep_groups(lengths):
+        rows = [i for i in rows if i < first]
+        if not rows:
+            continue
+        stacked = np.empty((len(rows), lengths[rows[0]], params.size)) if trace else None
         try:
-            deltas[i], grads[i] = local_update(
-                spec, params, dataset.clients[cid], cfg, rng, trace
+            final, last = sgd_trajectory(
+                spec, params, [schedule(i) for i in rows], lr, stacked
             )
         except DivergenceError as exc:
-            raise DivergenceError(
-                f"client {cid} diverged at step {exc.step_index} in round {round_index}",
-                step_index=exc.step_index,
-                client_id=cid,
-                round_index=round_index,
-            ) from exc
+            first, failure = rows[exc.client_id], exc
+            continue
+        deltas[rows] = -lr * last if fomaml else final - params
+        if trace:
+            for i, g in zip(rows, stacked):
+                grads[i] = g
+    if failure is not None:
+        raise DivergenceError(
+            f"client {ids[first]} diverged at step {failure.step_index} in round {round_index}",
+            step_index=failure.step_index,
+            client_id=ids[first],
+            round_index=round_index,
+        ) from failure
 
     # Normalize weights before scaling so equal weights reduce to exactly
     # 1/M coefficients regardless of their common magnitude.

@@ -14,6 +14,7 @@ can check each other.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,40 +308,64 @@ def _gradient_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np
 def sgd_trajectory(
     spec: ModelSpec,
     params: np.ndarray,
-    batches: list[Batch],
+    schedules: list[Iterable[Batch]],
     beta: float,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run sequential SGD steps over ``batches`` with step size ``beta``.
+    grads: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one SGD trajectory with step size ``beta`` per schedule, all from
+    ``params`` and in lockstep.
 
-    Returns the final parameters and the raw per-step gradients, i.e. the
-    gradient evaluated at the parameters *before* each step. The step-size
-    scaling is not folded into the recorded gradients. A non-finite gradient
-    or iterate raises DivergenceError carrying the step index.
+    ``schedules`` holds M batch sequences of one common length K. At each
+    step ``gradient`` is called once per trajectory, on its own iterate and
+    batch, and then all M steps are applied at once; every operation is
+    elementwise, so each row rounds exactly as its trajectory would alone.
+    Returns the (M, P) final parameters and the (M, P) raw gradients of the
+    last step, i.e. evaluated at the parameters before it; the step-size
+    scaling is not folded into recorded gradients. With ``grads``, an
+    (M, K, P) array, step j's raw gradients are written into ``grads[:, j]``.
+
+    A non-finite gradient or iterate stops its trajectory and every later
+    one, while the earlier ones run to their end: as if the trajectories had
+    run one after another. DivergenceError is then raised for the first
+    trajectory that diverged, carrying its step index and, as ``client_id``,
+    its position in ``schedules``.
     """
-    params = _check_params(spec, params).copy()
+    params = _check_params(spec, params)
     if beta < 0:
         raise ContractViolation("beta must be non-negative")
-    if not batches:
-        raise ContractViolation("batches must be non-empty")
-    grads = []
-    step = np.empty_like(params)
+    theta = np.tile(params, (len(schedules), 1))
+    step, last = np.empty_like(theta), np.empty_like(theta)
+    # Rows [0, live) are still stepping.
+    live, failure, g = len(schedules), None, None
     # Overflow here is an anticipated outcome, reported via DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, batch in enumerate(batches):
-            try:
-                g = gradient(spec, params, batch)
-            except NumericError as exc:
-                raise DivergenceError(
-                    f"non-finite gradient at step {j}", step_index=j
-                ) from exc
-            np.multiply(g, beta, out=step)
-            params -= step
-            if not np.isfinite(params).all():
-                raise DivergenceError(
-                    f"parameters diverged at step {j}", step_index=j
+        for j, batches in enumerate(zip(*schedules, strict=True)):
+            g = last if grads is None else grads[:, j]
+            for i in range(live):
+                try:
+                    g[i] = gradient(spec, theta[i], batches[i])
+                except NumericError as exc:
+                    failure = DivergenceError(
+                        f"non-finite gradient at step {j}", step_index=j, client_id=i
+                    )
+                    failure.__cause__ = exc
+                    live = i
+                    break
+            np.multiply(g[:live], beta, out=step[:live])
+            theta[:live] -= step[:live]
+            finite = np.isfinite(theta[:live]).all(axis=1)
+            if not finite.all():
+                live = int(finite.argmin())
+                failure = DivergenceError(
+                    f"parameters diverged at step {j}", step_index=j, client_id=live
                 )
-            grads.append(g)
-    return params, grads
+            if not live:
+                break
+    if g is None:
+        raise ContractViolation("batches must be non-empty")
+    if failure is not None:
+        raise failure
+    return theta, g
 
 
 def merge_batches(batches: list[Batch]) -> Batch:

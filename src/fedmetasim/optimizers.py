@@ -12,13 +12,17 @@ buffers ``m`` and ``v`` in place and writes the new parameters into ``out``,
 using ``scratch`` for intermediates, and allocates nothing.
 ``server_apply`` hands it copies of the state's moments (or fresh zeros)
 and fresh ``out`` and ``scratch`` arrays, so server transitions stay pure;
-``personalization.personalize`` allocates its buffers once per client and
-reuses them on every step. ``make_client_batches`` is the one per-epoch
-shuffler, shared by local training and personalization.
+``personalization.personalize`` allocates (M, P) buffers once per
+population and steps every client's row with one call per step.
+``make_client_batches`` is the one per-epoch shuffler, shared by local
+training and personalization; it builds batches lazily, one epoch at a
+time, and ``lockstep_groups`` groups the clients whose schedules have equal
+length, so that they can step together.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,22 +157,37 @@ def adam_step(
 
 def make_client_batches(
     client, epochs: int, batch_size: int, rng: np.random.Generator
-) -> list[Batch]:
+) -> Iterator[Batch]:
     """Shuffle the client's train split once per epoch and chunk it.
 
     The final short chunk of each epoch is kept, so an epoch always covers
-    every training example exactly once.
+    every training example exactly once. The batches are built lazily, one
+    epoch at a time: an epoch's permutation is drawn when its first batch is
+    taken, so a consumer that stops early builds no batch it does not use.
+    The arguments are checked at the call.
     """
     if epochs < 1:
         raise ContractViolation("epochs must be positive")
     train = client.train
     if train.n == 0:
         raise ContractViolation("client has no training data")
-    batches = []
+    return _epoch_batches(train, epochs, batch_size, rng)
+
+
+def _epoch_batches(train, epochs, batch_size, rng) -> Iterator[Batch]:
     for _ in range(epochs):
         order = rng.permutation(train.n)
         x, y = train.x[order], train.y[order]
         for start in range(0, train.n, batch_size):
             end = start + batch_size
-            batches.append(Batch(x[start:end], y[start:end]))
-    return batches
+            yield Batch(x[start:end], y[start:end])
+
+
+def lockstep_groups(lengths: list[int]) -> list[list[int]]:
+    """Positions grouped by schedule length, for trajectories that step
+    together: each group in ascending order, the groups ordered by their
+    first position."""
+    groups: dict[int, list[int]] = {}
+    for i, k in enumerate(lengths):
+        groups.setdefault(k, []).append(i)
+    return list(groups.values())

@@ -1,14 +1,17 @@
 """Per-client personalization evaluation.
 
 A global model is adapted on each client's train split and scored on its
-test split. Aggregates are uniform over clients (every device counts the
-same, regardless of its data volume). A client whose adaptation leaves the
+test split. The whole population adapts in lockstep, one group per
+schedule length, with one stacked SGD or Adam update per step position.
+Aggregates are uniform over clients (every device counts the same,
+regardless of its data volume). A client whose adaptation leaves the
 finite range is scored from its last finite iterate and flagged, not
 dropped; dropping would bias the uniform averages.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +19,7 @@ import numpy as np
 from .data import ClientDataset, ExampleSet, FederatedDataset
 from .errors import ContractViolation, NumericError
 from .model import ModelSpec, forward_logits, gradient
-from .optimizers import adam_step, make_client_batches
+from .optimizers import adam_step, lockstep_groups, make_client_batches
 from .rng import StreamFactory
 
 PERSONALIZATION_OPTIMIZERS = ("sgd", "adam")
@@ -77,43 +80,67 @@ def evaluate_accuracy(spec: ModelSpec, params: np.ndarray, examples: ExampleSet)
 def personalize(
     spec: ModelSpec,
     params: np.ndarray,
-    client: ClientDataset,
+    clients: list[ClientDataset],
     cfg: PersonalizationConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, bool]:
-    """Adapt ``params`` on the client's train split for cfg.epochs epochs.
+    rngs: list[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adapt ``params`` on each client's train split for cfg.epochs epochs.
 
-    Returns (adapted params, diverged flag); the result is a new array and
-    ``params`` is not mutated. With epochs=0 the parameters are returned
-    unchanged. Optimizer state always starts from zero.
+    Client i draws its batches from ``rngs[i]``. The clients step in
+    lockstep, one group per schedule length: ``gradient`` is called once per
+    client step, and each step's SGD or Adam update runs once for the whole
+    group; every operation is elementwise, so each row rounds exactly as
+    that client adapted alone would. Returns the (M, P) adapted parameters,
+    row i for client i, and the (M,) diverged flags; ``params`` is not
+    mutated. With epochs=0 every row is ``params``. Optimizer state always
+    starts from zero.
     """
-    theta = np.array(params, dtype=np.float64)
+    params = np.asarray(params, dtype=np.float64)
+    adapted = np.tile(params, (len(clients), 1))
+    diverged = np.zeros(len(clients), dtype=bool)
     if cfg.epochs == 0:
-        return theta, False
-    batches = make_client_batches(client, cfg.epochs, cfg.batch_size, rng)
-    # Each step writes its candidate into the spare buffer; a finite
-    # candidate becomes the iterate and the old iterate the next spare, so
-    # the last finite iterate survives a divergent step untouched.
-    candidate = np.empty_like(theta)
+        return adapted, diverged
+    schedules = [
+        make_client_batches(c, cfg.epochs, cfg.batch_size, rng) for c, rng in zip(clients, rngs)
+    ]
+    lengths = [cfg.epochs * math.ceil(c.train.n / cfg.batch_size) for c in clients]
+    # One set of buffers for the population; a group uses its leading rows.
+    # Each step writes the candidates into the spare buffer; the two then
+    # swap, after a frozen row's last finite iterate is copied across.
+    theta, spare, g = (np.empty_like(adapted) for _ in range(3))
     if cfg.optimizer == "adam":
-        m, v, scratch = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
+        m, v, scratch = (np.empty_like(adapted) for _ in range(3))
 
-    # Divergence is tolerated: keep the last finite iterate and flag it.
+    # Divergence is tolerated: a client keeps its last finite iterate, is
+    # flagged, and takes no further gradient.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, batch in enumerate(batches, start=1):
-            try:
-                g = gradient(spec, theta, batch)
-            except NumericError:
-                return theta, True
-            if cfg.optimizer == "sgd":
-                g *= cfg.lr
-                np.subtract(theta, g, out=candidate)
-            else:
-                adam_step(theta, g, m, v, t, ADAM_LR, out=candidate, scratch=scratch)
-            if not np.isfinite(candidate).all():
-                return theta, True
-            theta, candidate = candidate, theta
-    return theta, False
+        for rows in lockstep_groups(lengths):
+            n = len(rows)
+            it, cand, grad, frozen = theta[:n], spare[:n], g[:n], diverged[rows]
+            it[...] = params
+            if cfg.optimizer == "adam":
+                m[:n], v[:n] = 0.0, 0.0
+            for t, batches in enumerate(zip(*(schedules[i] for i in rows)), start=1):
+                for i, batch in enumerate(batches):
+                    if frozen[i]:
+                        continue
+                    try:
+                        grad[i] = gradient(spec, it[i], batch)
+                    except NumericError:
+                        frozen[i] = True
+                if cfg.optimizer == "sgd":
+                    grad *= cfg.lr
+                    np.subtract(it, grad, out=cand)
+                else:
+                    adam_step(it, grad, m[:n], v[:n], t, ADAM_LR, out=cand, scratch=scratch[:n])
+                frozen |= ~np.isfinite(cand).all(axis=1)
+                if frozen.any():
+                    cand[frozen] = it[frozen]
+                    if frozen.all():
+                        break
+                it, cand = cand, it
+            adapted[rows], diverged[rows] = it, frozen
+    return adapted, diverged
 
 
 def _report_from_outcomes(outcomes: list[ClientOutcome]) -> PersonalizationReport:
@@ -153,26 +180,26 @@ def eval_population(
     if not ids:
         raise ContractViolation(f"no clients in population {which!r}")
 
-    outcomes = []
-    for cid in ids:
-        client = dataset.clients[cid]
+    clients = [dataset.clients[cid] for cid in ids]
+    for cid, client in zip(ids, clients):
         if client.test.n == 0:
             raise ContractViolation(f"client {cid} has no test examples")
-        initial = evaluate_accuracy(spec, params, client.test)
-        adapted, diverged = personalize(
-            spec, params, client, cfg, streams.stream("personalize", snapshot_index, cid)
+    initial = [evaluate_accuracy(spec, params, c.test) for c in clients]
+    adapted, diverged = personalize(
+        spec, params, clients, cfg,
+        [streams.stream("personalize", snapshot_index, cid) for cid in ids],
+    )
+    outcomes = [
+        ClientOutcome(
+            client_id=cid,
+            initial_acc=initial[i],
+            personalized_acc=evaluate_accuracy(spec, adapted[i], clients[i].test),
+            n_train=clients[i].train.n,
+            n_test=clients[i].test.n,
+            diverged=bool(diverged[i]),
         )
-        personalized = evaluate_accuracy(spec, adapted, client.test)
-        outcomes.append(
-            ClientOutcome(
-                client_id=cid,
-                initial_acc=initial,
-                personalized_acc=personalized,
-                n_train=client.train.n,
-                n_test=client.test.n,
-                diverged=diverged,
-            )
-        )
+        for i, cid in enumerate(ids)
+    ]
     return _report_from_outcomes(outcomes)
 
 

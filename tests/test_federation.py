@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fedmetasim import (
@@ -20,7 +20,6 @@ from fedmetasim import (
     generate_synthetic,
     gradient,
     init_params,
-    local_update,
     make_client_batches,
     run_personalized_fedavg,
     run_round,
@@ -30,7 +29,14 @@ from fedmetasim import (
 )
 from fedmetasim.data import ClientDataset, ExampleSet, FederatedDataset
 from fedmetasim.errors import NumericError
-from util import make_client, quad_hessian, quad_linear_term, onehot
+from util import (
+    make_client,
+    onehot,
+    quad_hessian,
+    quad_linear_term,
+    reference_local_update,
+    reference_round_updates,
+)
 
 CFG = ClientOptimizerConfig(lr=0.05, batch_size=20)
 
@@ -99,8 +105,10 @@ class TestClientUpdate:
         client = make_client(np.random.default_rng(0), n_train=20)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(0, "init"))
-        delta, _ = local_update(spec, params, client, fedavg(CFG, epochs=1), substream(0, "b", 0))
-        batch = make_client_batches(client, 1, CFG.batch_size, substream(0, "b", 0))[0]
+        delta, _ = reference_local_update(
+            spec, params, client, fedavg(CFG, epochs=1), substream(0, "b", 0)
+        )
+        batch = list(make_client_batches(client, 1, CFG.batch_size, substream(0, "b", 0)))[0]
         expected = -CFG.lr * gradient(spec, params, batch)
         np.testing.assert_allclose(delta, expected, rtol=0, atol=5e-15)
 
@@ -109,7 +117,9 @@ class TestClientUpdate:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(1, "init"))
         cfg = ClientOptimizerConfig(lr=0.0, batch_size=4)
-        delta, _ = local_update(spec, params, client, fedavg(cfg, epochs=3), substream(1, "b"))
+        delta, _ = reference_local_update(
+            spec, params, client, fedavg(cfg, epochs=3), substream(1, "b")
+        )
         assert np.array_equal(delta, np.zeros_like(params))
         assert round_weight(spec, params, client, fedavg(cfg, epochs=3)) == 12.0
 
@@ -128,7 +138,9 @@ class TestClientUpdate:
         beta = 0.2 / np.linalg.eigvalsh(a).max()
         cfg = ClientOptimizerConfig(lr=beta, batch_size=50)  # full batch
         k = 5
-        delta, _ = local_update(spec, params, client, fedavg(cfg, epochs=k), substream(5, "b"))
+        delta, _ = reference_local_update(
+            spec, params, client, fedavg(cfg, epochs=k), substream(5, "b")
+        )
         expected = params.copy()
         for _ in range(k):
             expected = expected - beta * (a @ expected - lin)
@@ -139,13 +151,15 @@ class TestClientUpdate:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(3, "init"))
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=5)
-        delta, grads = local_update(
+        delta, grads = reference_local_update(
             spec, params, client, fedavg(cfg, epochs=2), substream(3, "b"), trace=True
         )
         assert grads.shape == (4, spec.param_count)  # 2 epochs x 2 batches
         total = sum(grads)
         np.testing.assert_allclose(delta, -cfg.lr * total, rtol=0, atol=1e-14)
-        untraced = local_update(spec, params, client, fedavg(cfg, epochs=2), substream(3, "b"))
+        untraced = reference_local_update(
+            spec, params, client, fedavg(cfg, epochs=2), substream(3, "b")
+        )
         assert np.array_equal(untraced[0], delta) and untraced[1] is None
 
 
@@ -154,8 +168,8 @@ class TestInnerLoopReptile:
         client = make_client(np.random.default_rng(4), n_train=20)
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(4, "init"))
-        delta, _ = local_update(spec, params, client, reptile(CFG, 1), substream(4, "b"))
-        batch = make_client_batches(client, 1, CFG.batch_size, substream(4, "b"))[0]
+        delta, _ = reference_local_update(spec, params, client, reptile(CFG, 1), substream(4, "b"))
+        batch = list(make_client_batches(client, 1, CFG.batch_size, substream(4, "b")))[0]
         np.testing.assert_allclose(
             delta, -CFG.lr * gradient(spec, params, batch), rtol=0, atol=5e-15
         )
@@ -166,7 +180,7 @@ class TestInnerLoopReptile:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(5, "init"))
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=3)
-        _, grads = local_update(
+        _, grads = reference_local_update(
             spec, params, client, reptile(cfg, 5), substream(5, "b"), trace=True
         )
         assert len(grads) == 5
@@ -177,7 +191,7 @@ class TestInnerLoopReptile:
         beta = 0.15 / np.linalg.eigvalsh(a).max()
         cfg = ClientOptimizerConfig(lr=beta, batch_size=50)
         k = 4
-        delta, _ = local_update(spec, params, client, reptile(cfg, k), substream(6, "b"))
+        delta, _ = reference_local_update(spec, params, client, reptile(cfg, k), substream(6, "b"))
         expected = params.copy()
         for _ in range(k):
             expected = expected - beta * (a @ expected - lin)
@@ -193,7 +207,7 @@ class TestFomamlUpdate:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(seed, "init"))
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=4)
-        _, grads = local_update(
+        _, grads = reference_local_update(
             spec, params, client, reptile(cfg, steps), substream(seed, "b"), trace=True
         )
         return grads
@@ -226,7 +240,7 @@ class TestFomamlUpdate:
         k = 3
 
         lists = [
-            local_update(
+            reference_local_update(
                 spec, params, c, reptile(cfg, k + 1), substream(9, "b", i), trace=True
             )[1]
             for i, c in enumerate(clients)
@@ -235,7 +249,7 @@ class TestFomamlUpdate:
 
         replayed = []
         for i, c in enumerate(clients):
-            batches = make_client_batches(c, 2, cfg.batch_size, substream(9, "b", i))[: k + 1]
+            batches = list(make_client_batches(c, 2, cfg.batch_size, substream(9, "b", i)))[: k + 1]
             theta = params.copy()
             for b in batches[:k]:
                 theta = theta - cfg.lr * gradient(spec, theta, b)
@@ -254,8 +268,8 @@ class TestLocalUpdate:
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=4)
         k = 3
         fomaml = RoundConfig("fomaml", 1, cfg, steps=k)
-        delta, _ = local_update(spec, params, client, fomaml, substream(20, "b"))
-        batches = make_client_batches(client, 2, cfg.batch_size, substream(20, "b"))
+        delta, _ = reference_local_update(spec, params, client, fomaml, substream(20, "b"))
+        batches = list(make_client_batches(client, 2, cfg.batch_size, substream(20, "b")))
         theta = params.copy()
         for b in batches[:k]:
             theta = theta - cfg.lr * gradient(spec, theta, b)
@@ -274,12 +288,12 @@ class TestLocalUpdate:
         )
         seed = next(
             s for s in range(50)
-            if make_client_batches(client, 1, 1, substream(s, "b"))[1].x[0, 0] > 1.0
+            if list(make_client_batches(client, 1, 1, substream(s, "b")))[1].x[0, 0] > 1.0
         )
         cfg = RoundConfig("fomaml", 1, ClientOptimizerConfig(0.01, 1), steps=1)
         params = np.full(spec.param_count, 0.3)
         with pytest.raises(DivergenceError) as err:
-            local_update(spec, params, client, cfg, substream(seed, "b"))
+            reference_local_update(spec, params, client, cfg, substream(seed, "b"))
         assert err.value.step_index == 1
 
     def test_step_counted_fedavg_weights_by_train_size(self):
@@ -287,9 +301,11 @@ class TestLocalUpdate:
         spec = ModelSpec(4, (6, 3))
         params = init_params(spec, substream(21, "init"))
         cfg = ClientOptimizerConfig(lr=0.05, batch_size=4)
-        delta, _ = local_update(spec, params, client, fedavg(cfg, steps=5), substream(21, "b"))
+        delta, _ = reference_local_update(
+            spec, params, client, fedavg(cfg, steps=5), substream(21, "b")
+        )
         assert round_weight(spec, params, client, fedavg(cfg, steps=5)) == client.train.n == 13
-        rep, _ = local_update(spec, params, client, reptile(cfg, 5), substream(21, "b"))
+        rep, _ = reference_local_update(spec, params, client, reptile(cfg, 5), substream(21, "b"))
         assert np.array_equal(delta, rep)
         assert round_weight(spec, params, client, reptile(cfg, 5)) == 1.0
 
@@ -338,9 +354,9 @@ class TestRunRound:
         server = ServerOptimizerState("sgd", lr=1.0)
         streams = StreamFactory(3)
         new_params, _, trace = run_round(spec, params, ds, cfg, server, 0, streams)
-        batch = make_client_batches(
+        batch = list(make_client_batches(
             ds.clients[0], 1, cfg.client_cfg.batch_size, streams.stream("round.batch", 0, 0)
-        )[0]
+        ))[0]
         expected = params - 0.05 * gradient(spec, params, batch)
         np.testing.assert_allclose(new_params, expected, rtol=0, atol=5e-15)
         assert trace.client_ids == [0]
@@ -374,8 +390,9 @@ class TestRunRound:
     @given(data=st.data(), weighting=st.sampled_from(["data_proportional", "uniform"]))
     def test_aggregate_is_weighted_mean_of_client_updates(self, data, weighting):
         # Quadratic clients of unequal train sizes; the expected aggregate is
-        # rebuilt from per-client local_update calls and the clients' own
-        # weights: exact in ascending-id order, within roundoff in any order.
+        # rebuilt from per-client reference_local_update calls and the
+        # clients' own weights: exact in ascending-id order, within roundoff
+        # in any order.
         sizes = data.draw(st.lists(st.integers(2, 30), min_size=1, max_size=8))
         seed = data.draw(st.integers(0, 2**16))
         clients = {cid: quadratic_client(seed + cid, n=n)[1] for cid, n in enumerate(sizes)}
@@ -397,7 +414,7 @@ class TestRunRound:
             for cid in ids
         }
         deltas = {
-            cid: local_update(
+            cid: reference_local_update(
                 spec, params, clients[cid], cfg, StreamFactory(seed).stream("round.batch", 3, cid)
             )[0]
             for cid in ids
@@ -497,9 +514,13 @@ class TestRunRound:
         server = ServerOptimizerState("sgd", lr=1.0)
         with pytest.raises(DivergenceError) as err:
             run_round(spec, params, ds, cfg, server, 2, StreamFactory(0))
-        assert err.value.client_id in ds.train_client_ids
+        with pytest.raises(DivergenceError) as expected:
+            reference_round_updates(spec, params, ds, cfg, 2, StreamFactory(0))
+        assert err.value.client_id == expected.value.client_id
         assert err.value.round_index == 2
-        assert err.value.step_index is not None
+        assert err.value.step_index == expected.value.step_index
+        assert str(err.value) == str(expected.value)
+        assert str(err.value.__cause__) == str(expected.value.__cause__)
         assert "non-finite gradient" in str(err.value.__cause__)
 
     def test_server_overflow_names_round(self):
@@ -536,8 +557,10 @@ class TestFedAvgReptileCoincidence:
         for cid in ds.train_client_ids:
             client = ds.clients[cid]
             avg_cfg = fedavg(cfg, epochs=e, weighting="uniform")
-            avg, _ = local_update(spec, params, client, avg_cfg, substream(9, "b", cid))
-            rep, _ = local_update(spec, params, client, reptile(cfg, e), substream(9, "b", cid))
+            avg, _ = reference_local_update(spec, params, client, avg_cfg, substream(9, "b", cid))
+            rep, _ = reference_local_update(
+                spec, params, client, reptile(cfg, e), substream(9, "b", cid)
+            )
             assert np.array_equal(avg, rep)
             assert (
                 round_weight(spec, params, client, avg_cfg)
@@ -685,3 +708,147 @@ class TestRunPersonalizedFedAvg:
             checkpoint_every=2,
         )
         assert sorted(run.checkpoints) == [2, 4]
+
+
+MODES = {
+    "fedavg-epochs": lambda cfg, m, k, w: RoundConfig("fedavg", m, cfg, epochs=k, weighting=w),
+    "fedavg-steps": lambda cfg, m, k, w: RoundConfig("fedavg", m, cfg, steps=k, weighting=w),
+    "reptile": lambda cfg, m, k, w: RoundConfig("reptile", m, cfg, steps=k),
+    "fedsgd": lambda cfg, m, k, w: RoundConfig("fedsgd", m, cfg),
+    "fomaml": lambda cfg, m, k, w: RoundConfig("fomaml", m, cfg, steps=k),
+}
+
+
+def poisoned_dataset(sizes, poisoned, seed, d=4, c=3):
+    """Clients of the given train sizes; a poisoned client holds one example
+    of magnitude 1e150, which can make its gradient or iterate overflow."""
+    rng = np.random.default_rng(seed)
+    clients = {}
+    for cid, (n, bad) in enumerate(zip(sizes, poisoned)):
+        x = rng.normal(size=(n, d))
+        if bad:
+            x[rng.integers(n)] *= 1e150
+        clients[cid] = ClientDataset(
+            train=ExampleSet(x, rng.integers(0, c, size=n)),
+            test=ExampleSet(x[:1], np.zeros(1, dtype=np.int64)),
+        )
+    return FederatedDataset(
+        clients=clients, train_client_ids=tuple(clients), eval_client_ids=(),
+        input_dim=d, num_classes=c,
+    )
+
+
+def lockstep_params(data, spec):
+    """Parameters with entries replaced by +-0.0 and large magnitudes."""
+    seed = data.draw(st.integers(0, 2**16), label="params seed")
+    params = np.random.default_rng(seed).normal(size=spec.param_count)
+    special = st.sampled_from([0.0, -0.0, 1e100, -1e100, 3e7])
+    for i in data.draw(st.lists(st.integers(0, spec.param_count - 1), max_size=6), label="at"):
+        params[i] = data.draw(special)
+    return params
+
+
+def divergence_facts(err):
+    """What a round's DivergenceError reports, its cause's text included."""
+    return (str(err), err.client_id, err.step_index, err.round_index, str(err.__cause__))
+
+
+class TestLockstepRound:
+    """``run_round`` steps its clients in lockstep; every output byte, and
+    every divergence report, equals the clients run one after another by
+    the one-client oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        mode=st.sampled_from(sorted(MODES)),
+        weighting=st.sampled_from(["data_proportional", "uniform"]),
+        trace=st.booleans(),
+        activation=st.sampled_from(["tanh", "relu"]),
+    )
+    def test_round_bytes_equal_one_client_oracle(self, data, mode, weighting, trace, activation):
+        sizes = data.draw(st.lists(st.integers(1, 25), min_size=1, max_size=6), label="sizes")
+        poisoned = data.draw(
+            st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)), label="poisoned"
+        )
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        m = data.draw(st.integers(1, len(sizes)), label="m")
+        k = data.draw(st.integers(1, 4), label="k")
+        batch_size = data.draw(st.integers(1, 9), label="batch_size")
+        lr = data.draw(st.sampled_from([0.05, 0.5, 1e250]), label="lr")
+        ds = poisoned_dataset(sizes, poisoned, seed)
+        spec = ModelSpec(4, (5, 3), activation=activation)
+        params = lockstep_params(data, spec)
+        cfg = MODES[mode](ClientOptimizerConfig(lr, batch_size), m, k, weighting)
+        server = ServerOptimizerState("sgd", lr=1.0)
+
+        try:
+            ids, deltas, grads = reference_round_updates(
+                spec, params, ds, cfg, 3, StreamFactory(seed), trace
+            )
+        except DivergenceError as exc:
+            event(f"client diverged: {str(exc.__cause__).split(' at ')[0]}")
+            with pytest.raises(DivergenceError) as err:
+                run_round(spec, params, ds, cfg, server, 3, StreamFactory(seed), trace)
+            assert divergence_facts(err.value) == divergence_facts(exc)
+            return
+        try:
+            _, _, tr = run_round(spec, params, ds, cfg, server, 3, StreamFactory(seed), trace)
+        except DivergenceError as err:
+            assert err.client_id is None  # only the server step may still overflow
+            event("server step diverged")
+            return
+        if cfg.epochs is not None:
+            per_epoch = {-(-ds.clients[cid].train.n // batch_size) for cid in ids}
+            event(f"{len(per_epoch)} lockstep group(s)")
+        assert tr.client_ids == ids
+        assert tr.deltas.tobytes() == deltas.tobytes()
+        weights = [
+            float(ds.clients[cid].weight) if cfg.weighting == "data_proportional" else 1.0
+            for cid in ids
+        ]
+        aggregate = np.zeros(spec.param_count)
+        for w, delta in zip(weights, deltas):
+            aggregate += (w / sum(weights)) * delta
+        assert tr.aggregate.tobytes() == aggregate.tobytes()
+        if trace:
+            assert [g.tobytes() for g in tr.step_gradients] == [g.tobytes() for g in grads]
+        else:
+            assert tr.step_gradients is None
+
+    def test_lower_id_client_diverging_later_is_named(self):
+        # Client 1 overflows its gradient on its first step; client 0's
+        # iterate only overflows after a few steps. Run one after another,
+        # client 0 fails first, so the error must name client 0 at its own
+        # step, although client 1 diverged at an earlier step position.
+        spec = ModelSpec(3, (2,), activation="identity", loss="quadratic")
+        rng = np.random.default_rng(4)
+        x0, x1 = rng.normal(size=(4, 3)) * 1e40, rng.normal(size=(4, 3))
+        x1[2] = 1e200
+        clients = {
+            cid: ClientDataset(train=ExampleSet(x, np.zeros(4)), test=ExampleSet(x[:1], [0]))
+            for cid, x in enumerate((x0, x1))
+        }
+        ds = FederatedDataset(
+            clients=clients, train_client_ids=(0, 1), eval_client_ids=(),
+            input_dim=3, num_classes=2,
+        )
+        params = rng.normal(size=spec.param_count)
+        cfg = RoundConfig("fedavg", 2, ClientOptimizerConfig(1.0, 4), epochs=20)
+        alone = {}
+        for cid, client in clients.items():
+            with pytest.raises(DivergenceError) as err:
+                reference_local_update(spec, params, client, cfg, substream(0, "b"))
+            alone[cid] = err.value
+        assert alone[1].step_index == 0 < alone[0].step_index
+        assert "non-finite gradient" in str(alone[1])
+
+        with pytest.raises(DivergenceError) as expected:
+            reference_round_updates(spec, params, ds, cfg, 6, StreamFactory(2))
+        with pytest.raises(DivergenceError) as err:
+            run_round(
+                spec, params, ds, cfg, ServerOptimizerState("sgd", lr=1.0), 6, StreamFactory(2)
+            )
+        assert divergence_facts(err.value) == divergence_facts(expected.value)
+        assert err.value.client_id == 0 and err.value.round_index == 6
+        assert err.value.step_index > 0

@@ -270,9 +270,11 @@ class TestKernelMatchesReference:
         for batch in batches:
             expected.append(reference_gradient(spec, theta, batch))
             theta = theta - beta * expected[-1]
-        final, grads = sgd_trajectory(spec, params, batches, beta)
-        assert final.tobytes() == theta.tobytes()
-        assert [g.tobytes() for g in grads] == [g.tobytes() for g in expected]
+        grads = np.empty((1, len(batches), spec.param_count))
+        final, last = sgd_trajectory(spec, params, [batches], beta, grads)
+        assert final[0].tobytes() == theta.tobytes()
+        assert [g.tobytes() for g in grads[0]] == [g.tobytes() for g in expected]
+        assert last[0].tobytes() == expected[-1].tobytes()
 
 
 class TestSgdTrajectory:
@@ -280,41 +282,46 @@ class TestSgdTrajectory:
         spec, params, batch = mlp_case(5)
         rng = np.random.default_rng(5)
         other = Batch(rng.normal(size=(4, 4)), rng.integers(0, 3, size=4))
-        final, grads = sgd_trajectory(spec, params, [batch, other, batch], 0.0)
-        assert np.array_equal(final, params)
+        grads = np.empty((1, 3, spec.param_count))
+        final, _ = sgd_trajectory(spec, params, [[batch, other, batch]], 0.0, grads)
+        grads = grads[0]
+        assert np.array_equal(final[0], params)
         assert np.array_equal(grads[0], gradient(spec, params, batch))
         assert np.array_equal(grads[1], gradient(spec, params, other))
 
     def test_single_step(self):
         spec, params, batch = mlp_case(6)
-        final, grads = sgd_trajectory(spec, params, [batch], 0.1)
-        assert len(grads) == 1
-        np.testing.assert_allclose(final, params - 0.1 * grads[0], rtol=0, atol=5e-16)
+        final, grads = sgd_trajectory(spec, params, [[batch]], 0.1)
+        assert final.shape == grads.shape == (1, spec.param_count)
+        np.testing.assert_allclose(final[0], params - 0.1 * grads[0], rtol=0, atol=5e-16)
 
     def test_quadratic_closed_form(self):
         spec, params, batch, a = quadratic_problem(seed=9, d=3, c=2, n=8)
         beta = 0.2 / np.linalg.eigvalsh(a).max()
         k = 6
-        final, grads = sgd_trajectory(spec, params, [batch] * k, beta)
+        grads = np.full((1, k, spec.param_count), np.nan)
+        final, _ = sgd_trajectory(spec, params, [[batch] * k], beta, grads)
         expected = np.linalg.matrix_power(np.eye(a.shape[0]) - beta * a, k) @ params
-        np.testing.assert_allclose(final, expected, rtol=1e-10, atol=1e-13)
-        assert len(grads) == k
+        np.testing.assert_allclose(final[0], expected, rtol=1e-10, atol=1e-13)
+        assert np.isfinite(grads).all()
 
     def test_divergence_reports_step(self):
         spec, params, batch, _ = quadratic_problem(seed=2)
         with pytest.raises(DivergenceError) as err:
-            sgd_trajectory(spec, params, [batch] * 50, 1e200)
+            sgd_trajectory(spec, params, [[batch] * 50], 1e200)
         assert err.value.step_index is not None
 
     def test_rejects_empty_batches(self):
         spec, params, _ = mlp_case(0)
         with pytest.raises(ContractViolation):
+            sgd_trajectory(spec, params, [[]], 0.1)
+        with pytest.raises(ContractViolation):
             sgd_trajectory(spec, params, [], 0.1)
 
     def test_deterministic(self):
         spec, params, batch = mlp_case(12)
-        a = sgd_trajectory(spec, params, [batch] * 3, 0.05)
-        b = sgd_trajectory(spec, params, [batch] * 3, 0.05)
+        a = sgd_trajectory(spec, params, [[batch] * 3], 0.05)
+        b = sgd_trajectory(spec, params, [[batch] * 3], 0.05)
         assert np.array_equal(a[0], b[0])
 
 
@@ -461,8 +468,8 @@ class TestGapScaling:
 
         def gap(b):
             g_meta = maml_gradient_oracle(spec, params, [batch] * k, b)
-            theta, _ = sgd_trajectory(spec, params, [batch] * k, b)
-            return np.linalg.norm(g_meta - gradient(spec, theta, batch))
+            theta, _ = sgd_trajectory(spec, params, [[batch] * k], b)
+            return np.linalg.norm(g_meta - gradient(spec, theta[0], batch))
 
         ratio = gap(beta / 2) / gap(beta)
         assert 0.3 <= ratio <= 0.7

@@ -209,26 +209,26 @@ class TestClientBatches:
     def test_single_full_batch(self):
         client = make_client(np.random.default_rng(0), n_train=20)
         cfg = ClientOptimizerConfig(lr=0.02, batch_size=20)
-        batches = make_client_batches(client, 1, cfg.batch_size, substream(0, "b"))
+        batches = list(make_client_batches(client, 1, cfg.batch_size, substream(0, "b")))
         assert len(batches) == 1
         assert batches[0].size == 20
 
     def test_one_batch_per_epoch(self):
         client = make_client(np.random.default_rng(1), n_train=20)
         cfg = ClientOptimizerConfig(lr=0.02, batch_size=20)
-        batches = make_client_batches(client, 10, cfg.batch_size, substream(1, "b"))
+        batches = list(make_client_batches(client, 10, cfg.batch_size, substream(1, "b")))
         assert [b.size for b in batches] == [20] * 10
 
     def test_chunk_arithmetic_with_short_tail(self):
         client = make_client(np.random.default_rng(2), n_train=45)
         cfg = ClientOptimizerConfig(lr=0.02, batch_size=20)
-        batches = make_client_batches(client, 2, cfg.batch_size, substream(2, "b"))
+        batches = list(make_client_batches(client, 2, cfg.batch_size, substream(2, "b")))
         assert [b.size for b in batches] == [20, 20, 5, 20, 20, 5]
 
     def test_each_epoch_covers_every_example(self):
         client = make_client(np.random.default_rng(3), n_train=13)
         cfg = ClientOptimizerConfig(lr=0.02, batch_size=5)
-        batches = make_client_batches(client, 2, cfg.batch_size, substream(3, "b"))
+        batches = list(make_client_batches(client, 2, cfg.batch_size, substream(3, "b")))
         for epoch_batches in (batches[:3], batches[3:]):
             xs = np.concatenate([b.x for b in epoch_batches])
             assert xs.shape[0] == 13
@@ -246,7 +246,7 @@ class TestClientBatches:
     def test_matches_per_epoch_loop(self, n, batch_size, epochs, seed):
         client = make_client(np.random.default_rng(seed), n_train=n)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = make_client_batches(client, epochs, batch_size, rng)
+        got = list(make_client_batches(client, epochs, batch_size, rng))
         expected = reference_client_batches(client, epochs, batch_size, ref_rng)
         assert [(b.x.tobytes(), b.y.tobytes()) for b in got] == [
             (b.x.tobytes(), b.y.tobytes()) for b in expected
@@ -256,8 +256,8 @@ class TestClientBatches:
     def test_deterministic_in_stream(self):
         client = make_client(np.random.default_rng(4), n_train=17)
         cfg = ClientOptimizerConfig(lr=0.02, batch_size=4)
-        a = make_client_batches(client, 2, cfg.batch_size, substream(9, "b", 0))
-        b = make_client_batches(client, 2, cfg.batch_size, substream(9, "b", 0))
+        a = list(make_client_batches(client, 2, cfg.batch_size, substream(9, "b", 0)))
+        b = list(make_client_batches(client, 2, cfg.batch_size, substream(9, "b", 0)))
         assert all(np.array_equal(x.x, y.x) for x, y in zip(a, b))
 
     def test_config_validation(self):

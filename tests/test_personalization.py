@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fedmetasim import (
     Batch,
@@ -21,9 +23,22 @@ from fedmetasim import (
 )
 from fedmetasim.data import ClientDataset, ExampleSet
 from fedmetasim.errors import NumericError
-from util import make_client, onehot, quad_hessian, quad_linear_term, reference_adam_step
+from util import (
+    make_client,
+    onehot,
+    quad_hessian,
+    quad_linear_term,
+    reference_adam_step,
+    reference_personalize,
+)
 
 SPEC = ModelSpec(4, (6, 3))
+
+
+def personalize_one(spec, params, client, cfg, rng):
+    """``personalize`` over a population of one: (its row, its flag)."""
+    adapted, diverged = personalize(spec, params, [client], cfg, [rng])
+    return adapted[0], bool(diverged[0])
 
 
 def toy_dataset(seed=0, num_clients=6):
@@ -79,7 +94,7 @@ class TestPersonalize:
         client = make_client(np.random.default_rng(0))
         params = init_params(SPEC, substream(0, "init"))
         cfg = PersonalizationConfig(optimizer="sgd", lr=0.1, epochs=0, batch_size=10)
-        adapted, diverged = personalize(SPEC, params, client, cfg, substream(0, "p"))
+        adapted, diverged = personalize_one(SPEC, params, client, cfg, substream(0, "p"))
         assert np.array_equal(adapted, params)
         assert not diverged
 
@@ -87,7 +102,7 @@ class TestPersonalize:
         client = make_client(np.random.default_rng(1))
         params = init_params(SPEC, substream(1, "init"))
         cfg = PersonalizationConfig(optimizer="sgd", lr=0.0, epochs=3, batch_size=10)
-        adapted, diverged = personalize(SPEC, params, client, cfg, substream(1, "p"))
+        adapted, diverged = personalize_one(SPEC, params, client, cfg, substream(1, "p"))
         assert np.array_equal(adapted, params)
         assert not diverged
 
@@ -102,7 +117,7 @@ class TestPersonalize:
         params = rng.normal(size=spec.param_count)
         lr = 0.1
         cfg = PersonalizationConfig(optimizer="sgd", lr=lr, epochs=1, batch_size=50)
-        adapted, _ = personalize(spec, params, client, cfg, substream(2, "p"))
+        adapted, _ = personalize_one(spec, params, client, cfg, substream(2, "p"))
         expected = params - lr * (a @ params - lin)
         np.testing.assert_allclose(adapted, expected, rtol=1e-10, atol=1e-13)
 
@@ -114,7 +129,7 @@ class TestPersonalize:
         client = ClientDataset(train=ExampleSet(x, y), test=ExampleSet(x[:2], y[:2]))
         params = rng.normal(size=spec.param_count)
         cfg = PersonalizationConfig(optimizer="sgd", lr=1e200, epochs=5, batch_size=50)
-        adapted, diverged = personalize(spec, params, client, cfg, substream(3, "p"))
+        adapted, diverged = personalize_one(spec, params, client, cfg, substream(3, "p"))
         assert diverged
         assert np.all(np.isfinite(adapted))
 
@@ -137,7 +152,7 @@ class TestPersonalize:
         cfg = PersonalizationConfig(optimizer=optimizer, lr=lr, epochs=2, batch_size=2)
 
         theta, m, v = params.copy(), np.zeros_like(params), np.zeros_like(params)
-        steps = make_client_batches(client, cfg.epochs, cfg.batch_size, substream(6, "p"))
+        steps = list(make_client_batches(client, cfg.epochs, cfg.batch_size, substream(6, "p")))
         with np.errstate(over="ignore", invalid="ignore"):
             for j, batch in enumerate(steps):
                 try:
@@ -154,7 +169,7 @@ class TestPersonalize:
         assert 2 <= j < len(steps) - 1
 
         before = params.tobytes()
-        adapted, diverged = personalize(spec, params, client, cfg, substream(6, "p"))
+        adapted, diverged = personalize_one(spec, params, client, cfg, substream(6, "p"))
         assert diverged
         assert adapted.tobytes() == theta.tobytes()
         assert params.tobytes() == before
@@ -164,7 +179,7 @@ class TestPersonalize:
         client = make_client(np.random.default_rng(4))
         params = init_params(SPEC, substream(4, "init"))
         cfg = PersonalizationConfig(optimizer="adam", epochs=2, batch_size=10)
-        adapted, diverged = personalize(SPEC, params, client, cfg, substream(4, "p"))
+        adapted, diverged = personalize_one(SPEC, params, client, cfg, substream(4, "p"))
         assert not diverged
         assert not np.array_equal(adapted, params)
         # every coordinate moves at most lr per step
@@ -178,7 +193,7 @@ class TestPersonalize:
         client = make_client(np.random.default_rng(8), n_train=23)
         params = init_params(SPEC, substream(8, "init"))
         cfg = PersonalizationConfig(optimizer="adam", epochs=3, batch_size=10)
-        adapted, diverged = personalize(SPEC, params, client, cfg, substream(8, "p"))
+        adapted, diverged = personalize_one(SPEC, params, client, cfg, substream(8, "p"))
 
         rng = substream(8, "p")
         theta = params.copy()
@@ -201,9 +216,122 @@ class TestPersonalize:
         client = make_client(np.random.default_rng(5))
         params = init_params(SPEC, substream(5, "init"))
         cfg = PersonalizationConfig(optimizer="sgd", lr=0.05, epochs=3, batch_size=7)
-        a, _ = personalize(SPEC, params, client, cfg, substream(5, "p"))
-        b, _ = personalize(SPEC, params, client, cfg, substream(5, "p"))
+        a, _ = personalize_one(SPEC, params, client, cfg, substream(5, "p"))
+        b, _ = personalize_one(SPEC, params, client, cfg, substream(5, "p"))
         assert np.array_equal(a, b)
+
+
+def solo_failure(spec, params, client, cfg, rng):
+    """Replay one client's adaptation alone: how it first left the finite
+    range ("gradient" or "iterate") and at which step, or None."""
+    theta, m, v = params.copy(), np.zeros_like(params), np.zeros_like(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, batch in enumerate(make_client_batches(client, cfg.epochs, cfg.batch_size, rng)):
+            try:
+                g = gradient(spec, theta, batch)
+            except NumericError:
+                return "gradient", t
+            if cfg.optimizer == "sgd":
+                candidate = theta - cfg.lr * g
+            else:
+                candidate, m, v = reference_adam_step(theta, g, m, v, t + 1, 0.001)
+            if not np.isfinite(candidate).all():
+                return "iterate", t
+            theta = candidate
+    return None
+
+
+class TestLockstepPopulation:
+    """``personalize`` steps a population in lockstep; each row and flag
+    equals that client adapted alone by the one-client oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        optimizer=st.sampled_from(["sgd", "adam"]),
+        activation=st.sampled_from(["tanh", "relu"]),
+    )
+    def test_population_bytes_equal_one_client_oracle(self, data, optimizer, activation):
+        sizes = data.draw(st.lists(st.integers(1, 25), min_size=1, max_size=6), label="sizes")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        clients = []
+        for n in sizes:
+            x = rng.normal(size=(n, 4))
+            if data.draw(st.booleans(), label="poisoned"):
+                x[rng.integers(n)] *= 1e150
+            y = rng.integers(0, 3, n)
+            clients.append(ClientDataset(ExampleSet(x, y), ExampleSet(x, y)))
+        spec = ModelSpec(4, (5, 3), activation=activation)
+        params = rng.normal(size=spec.param_count)
+        special = st.sampled_from([0.0, -0.0, 1e100, -1e100, 3e7])
+        for i in data.draw(st.lists(st.integers(0, spec.param_count - 1), max_size=6), label="at"):
+            params[i] = data.draw(special)
+        cfg = PersonalizationConfig(
+            optimizer,
+            lr=data.draw(st.sampled_from([0.05, 1e250]), label="lr"),
+            epochs=data.draw(st.integers(0, 3), label="epochs"),
+            batch_size=data.draw(st.integers(1, 9), label="batch_size"),
+        )
+        before = params.tobytes()
+        adapted, diverged = personalize(
+            spec, params, clients, cfg, [substream(seed, "p", i) for i in range(len(clients))]
+        )
+        assert params.tobytes() == before
+        assert adapted.shape == (len(clients), spec.param_count)
+        for i, client in enumerate(clients):
+            theta, flag = reference_personalize(spec, params, client, cfg, substream(seed, "p", i))
+            assert adapted[i].tobytes() == theta.tobytes()
+            assert diverged[i] == flag
+        event(f"{int(diverged.sum())} of {len(clients)} diverged")
+
+    # Client 2 of 4 leaves the finite range; the others never do. Feature 0
+    # is zero for every other client, so the weight W[0, 0] that scales it
+    # only moves client 2: a 1e200 entry overflows its gradient, and with
+    # W[0, 0] near the float maximum its SGD or Adam iterate overflows.
+    DIVERGING = {
+        ("sgd", "gradient"): dict(w00=1.0, x0=1e200, rows=1, lr=0.05, batch_size=2),
+        ("adam", "gradient"): dict(w00=1.0, x0=1e200, rows=1, lr=0.05, batch_size=2),
+        ("sgd", "iterate"): dict(w00=0.3 * np.finfo(float).max, x0=1.0, rows=1, lr=10.0,
+                                 batch_size=2),
+        ("adam", "iterate"): dict(w00=np.finfo(float).max, x0=1.0, rows=6, lr=0.05,
+                                  batch_size=6),
+    }
+
+    @pytest.mark.parametrize("optimizer, cause", sorted(DIVERGING))
+    def test_one_diverging_client_leaves_the_others_as_alone(self, optimizer, cause):
+        case = self.DIVERGING[optimizer, cause]
+        spec = ModelSpec(3, (2,), activation="identity", loss="quadratic")
+        rng = np.random.default_rng(12)
+        clients = []
+        for i in range(4):
+            x = rng.normal(scale=0.3, size=(6, 3))
+            x[:, 0] = 0.0
+            if i == 2:
+                x[: case["rows"], 0] = case["x0"]
+            y = rng.integers(0, 2, 6)
+            clients.append(ClientDataset(ExampleSet(x, y), ExampleSet(x, y)))
+        params = rng.normal(size=spec.param_count)
+        params[0] = case["w00"]
+        cfg = PersonalizationConfig(optimizer, case["lr"], epochs=3, batch_size=case["batch_size"])
+        # A stream under which client 2 fails after its first step, so the
+        # others step on past a frozen row.
+        key = next(
+            k for k in range(100)
+            if (solo_failure(spec, params, clients[2], cfg, substream(k, "p", 2)) or ("", 0))[1]
+        )
+        assert solo_failure(spec, params, clients[2], cfg, substream(key, "p", 2))[0] == cause
+        adapted, diverged = personalize(
+            spec, params, clients, cfg, [substream(key, "p", i) for i in range(4)]
+        )
+        assert diverged.tolist() == [False, False, True, False]
+        for i, client in enumerate(clients):
+            alone, flag = personalize(spec, params, [client], cfg, [substream(key, "p", i)])
+            assert adapted[i].tobytes() == alone[0].tobytes()
+            assert diverged[i] == flag[0]
+            theta, _ = reference_personalize(spec, params, client, cfg, substream(key, "p", i))
+            assert adapted[i].tobytes() == theta.tobytes()
+        assert np.isfinite(adapted).all()
 
 
 class TestEvalPopulation:

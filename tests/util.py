@@ -5,15 +5,31 @@ code paths: gradients come from central finite differences on the scalar
 loss or from a plainly written forward and backprop reference, client
 batches from a plain per-epoch shuffling loop, Adam from its textbook
 expression, and quadratic-model expectations come from explicit matrix
-algebra on a Hessian assembled straight from the batch.
+algebra on a Hessian assembled straight from the batch. The lockstep
+trajectories and personalization are checked against one-client step loops
+that call ``gradient`` once per step, run the clients one after another in
+id order, and round every update as the library's stacked one must.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from fedmetasim import Batch, EvalSnapshot, ModelSpec, TrainingRun, forward_loss
+from fedmetasim import (
+    Batch,
+    DivergenceError,
+    EvalSnapshot,
+    ModelSpec,
+    NumericError,
+    TrainingRun,
+    forward_loss,
+    gradient,
+    sample_clients,
+)
 from fedmetasim.data import ClientDataset, ExampleSet
+from fedmetasim.personalization import ADAM_LR
 
 
 def fd_gradient(spec, params, batch, h=1e-5):
@@ -108,6 +124,91 @@ def reference_client_batches(client, epochs, batch_size, rng):
         for start in range(0, train.n, batch_size):
             batches.append(Batch(x[start : start + batch_size], y[start : start + batch_size]))
     return batches
+
+
+def reference_sgd_trajectory(spec, params, batches, beta):
+    """One client's SGD trajectory as a plain step loop, the per-client
+    contract of ``model.sgd_trajectory``: (final parameters, list of raw
+    step gradients). A non-finite gradient or iterate raises
+    DivergenceError carrying the step index."""
+    theta, grads = np.array(params, dtype=np.float64), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, batch in enumerate(batches):
+            try:
+                g = gradient(spec, theta, batch)
+            except NumericError as exc:
+                raise DivergenceError(f"non-finite gradient at step {j}", step_index=j) from exc
+            theta = theta - beta * g
+            if not np.isfinite(theta).all():
+                raise DivergenceError(f"parameters diverged at step {j}", step_index=j)
+            grads.append(g)
+    return theta, grads
+
+
+def reference_local_update(spec, params, client, cfg, rng, trace=False):
+    """One client's update under a round config, alone: (update, its (K, P)
+    raw step gradients when ``trace`` else None). Epoch-counted fedavg runs
+    E full epochs; otherwise the first K batches (K+1 for fomaml). fomaml's
+    update is -beta times the last gradient, every other one the delta."""
+    lr, batch_size = cfg.client_cfg.lr, cfg.client_cfg.batch_size
+    if cfg.epochs is not None:
+        batches = reference_client_batches(client, cfg.epochs, batch_size, rng)
+    else:
+        k = cfg.steps + (cfg.algorithm == "fomaml")
+        epochs = math.ceil(k / math.ceil(client.train.n / batch_size))
+        batches = reference_client_batches(client, epochs, batch_size, rng)[:k]
+    final, grads = reference_sgd_trajectory(spec, params, batches, lr)
+    delta = -lr * grads[-1] if cfg.algorithm == "fomaml" else final - params
+    return delta, np.stack(grads) if trace else None
+
+
+def reference_round_updates(spec, params, dataset, cfg, round_index, streams, trace=False):
+    """The client half of ``federation.run_round`` with the clients run one
+    after another in id order: (ids, (M, P) updates, per-client gradients
+    or None). The first client to diverge raises the round's
+    DivergenceError, and no later client runs."""
+    ids = sample_clients(
+        dataset.train_client_ids, cfg.clients_per_round, streams.stream("round.sample", round_index)
+    )
+    deltas, grads = np.empty((len(ids), np.size(params))), []
+    for i, cid in enumerate(ids):
+        rng, client = streams.stream("round.batch", round_index, cid), dataset.clients[cid]
+        try:
+            deltas[i], g = reference_local_update(spec, params, client, cfg, rng, trace)
+        except DivergenceError as exc:
+            raise DivergenceError(
+                f"client {cid} diverged at step {exc.step_index} in round {round_index}",
+                step_index=exc.step_index,
+                client_id=cid,
+                round_index=round_index,
+            ) from exc
+        grads.append(g)
+    return ids, deltas, grads if trace else None
+
+
+def reference_personalize(spec, params, client, cfg, rng):
+    """One client's personalization as a plain step loop: (adapted
+    parameters, diverged flag). A non-finite gradient or candidate stops
+    the loop at the last finite iterate and flags it."""
+    theta = np.array(params, dtype=np.float64)
+    if cfg.epochs == 0:
+        return theta, False
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    batches = reference_client_batches(client, cfg.epochs, cfg.batch_size, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, batch in enumerate(batches, start=1):
+            try:
+                g = gradient(spec, theta, batch)
+            except NumericError:
+                return theta, True
+            if cfg.optimizer == "sgd":
+                candidate = theta - cfg.lr * g
+            else:
+                candidate, m, v = reference_adam_step(theta, g, m, v, t, ADAM_LR)
+            if not np.isfinite(candidate).all():
+                return theta, True
+            theta = candidate
+    return theta, False
 
 
 def reference_adam_step(params, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
