@@ -31,6 +31,7 @@ from .model import (
     merge_batches,
     sgd_trajectory,
 )
+from .optimizers import sgd_update
 
 METRICS = ("initial", "personalized")
 
@@ -127,7 +128,11 @@ def fomaml_maml_gap(
         eval_batch = merge_batches(adapt)
 
     g_maml = maml_gradient_oracle(spec, params, adapt, beta, eval_batch, fd_step)
-    theta = sgd_trajectory(spec, params, [adapt], beta)[0][0] if steps else np.asarray(params, dtype=np.float64)
+    theta = params
+    if steps:
+        (theta,), _, (failure,) = sgd_trajectory(spec, params, [adapt], sgd_update(beta))
+        if failure is not None:
+            raise failure
     g_first_order = gradient(spec, theta, eval_batch)
 
     gap = float(np.linalg.norm(g_maml - g_first_order))

@@ -1,7 +1,7 @@
 """The round engine.
 
 One communication round samples clients, runs their local SGD trajectories
-in lockstep (``model.sgd_trajectory``, one call per schedule length),
+in lockstep (one ``model.sgd_trajectory`` call, whatever their lengths),
 aggregates the weighted parameter deltas in ascending client-id order, and
 applies the server optimizer.
 
@@ -45,9 +45,9 @@ from .model import ModelSpec, init_params, sgd_trajectory
 from .optimizers import (
     ClientOptimizerConfig,
     ServerOptimizerState,
-    lockstep_groups,
     make_client_batches,
     server_apply,
+    sgd_update,
 )
 from .personalization import PersonalizationConfig, eval_population
 from .rng import StreamFactory
@@ -163,8 +163,8 @@ def run_round(
 ) -> tuple[np.ndarray, ServerOptimizerState, RoundTrace]:
     """One communication round: sample, update, aggregate, apply.
 
-    The sampled clients' trajectories run in lockstep, one group per
-    schedule length. Epoch-counted fedavg runs E full epochs; otherwise a
+    The sampled clients' trajectories run in lockstep, each to its own end
+    or divergence. Epoch-counted fedavg runs E full epochs; otherwise a
     trajectory covers the first K batches (K+1 for fomaml) of as many epochs
     as that needs. fomaml's update is -beta times the last gradient, taken at
     the adapted parameters on the extra batch; every other algorithm's is
@@ -185,39 +185,24 @@ def run_round(
     else:
         lengths = [cfg.steps + fomaml] * len(ids)
 
-    def schedule(i: int):
-        rng = streams.stream("round.batch", round_index, ids[i])
-        epochs = math.ceil(lengths[i] / per_epoch[i])
-        return islice(make_client_batches(clients[i], epochs, batch_size, rng), lengths[i])
-
-    deltas = np.empty((len(ids), params.size))
-    grads = [None] * len(ids)
-    # The first client to diverge and its error. A client after it is not
-    # run, as if the clients had run one after another in id order.
-    first, failure = len(ids), None
-    for rows in lockstep_groups(lengths):
-        rows = [i for i in rows if i < first]
-        if not rows:
-            continue
-        stacked = np.empty((len(rows), lengths[rows[0]], params.size)) if trace else None
-        try:
-            final, last = sgd_trajectory(
-                spec, params, [schedule(i) for i in rows], lr, stacked
-            )
-        except DivergenceError as exc:
-            first, failure = rows[exc.client_id], exc
-            continue
-        deltas[rows] = -lr * last if fomaml else final - params
-        if trace:
-            for i, g in zip(rows, stacked):
-                grads[i] = g
-    if failure is not None:
-        raise DivergenceError(
-            f"client {ids[first]} diverged at step {failure.step_index} in round {round_index}",
-            step_index=failure.step_index,
-            client_id=ids[first],
-            round_index=round_index,
-        ) from failure
+    rngs = [streams.stream("round.batch", round_index, cid) for cid in ids]
+    schedules = [
+        islice(make_client_batches(c, math.ceil(k / b), batch_size, rng), k)
+        for c, k, b, rng in zip(clients, lengths, per_epoch, rngs)
+    ]
+    stacked = np.empty((len(ids), max(lengths), params.size)) if trace else None
+    final, last, failures = sgd_trajectory(spec, params, schedules, sgd_update(lr), stacked)
+    # Each row stops only at its own end or divergence, so the lowest-id
+    # failure is the one a client-by-client run would meet first.
+    for cid, failure in zip(ids, failures):
+        if failure is not None:
+            raise DivergenceError(
+                f"client {cid} diverged at step {failure.step_index} in round {round_index}",
+                step_index=failure.step_index,
+                client_id=cid,
+                round_index=round_index,
+            ) from failure
+    deltas = -lr * last if fomaml else final - params
 
     # Normalize weights before scaling so equal weights reduce to exactly
     # 1/M coefficients regardless of their common magnitude.
@@ -235,7 +220,7 @@ def run_round(
         ) from exc
     trace_record = RoundTrace(
         round_index, ids, np.array(weights), deltas, aggregate,
-        grads if trace else None,
+        [g[:k] for g, k in zip(stacked, lengths)] if trace else None,
         wallclock_ms=1000.0 * (time.perf_counter() - started),
     )
     return new_params, new_state, trace_record

@@ -13,8 +13,9 @@ can check each other.
 
 from __future__ import annotations
 
+import itertools
 import struct
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +232,9 @@ def forward_logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.nda
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ContractViolation("feature matrix does not match input_dim")
-    return _forward(spec, params, x)[-1]
+    # A diverged client's last finite iterate may overflow its logits.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _forward(spec, params, x)[-1]
 
 
 def _loss_targets(spec: ModelSpec, batch: Batch) -> np.ndarray:
@@ -309,63 +312,70 @@ def sgd_trajectory(
     spec: ModelSpec,
     params: np.ndarray,
     schedules: list[Iterable[Batch]],
-    beta: float,
+    update: Callable[[np.ndarray, np.ndarray, int, np.ndarray], None],
     grads: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run one SGD trajectory with step size ``beta`` per schedule, all from
-    ``params`` and in lockstep.
+) -> tuple[np.ndarray, np.ndarray, list[DivergenceError | None]]:
+    """Step one trajectory per schedule, all from ``params`` and in lockstep.
 
-    ``schedules`` holds M batch sequences of one common length K. At each
-    step ``gradient`` is called once per trajectory, on its own iterate and
-    batch, and then all M steps are applied at once; every operation is
-    elementwise, so each row rounds exactly as its trajectory would alone.
-    Returns the (M, P) final parameters and the (M, P) raw gradients of the
-    last step, i.e. evaluated at the parameters before it; the step-size
-    scaling is not folded into recorded gradients. With ``grads``, an
-    (M, K, P) array, step j's raw gradients are written into ``grads[:, j]``.
+    ``schedules`` holds M batch sequences of any lengths. At step position
+    j, ``gradient`` is called once per stepping row, on its own iterate and
+    batch, and then ``update(theta, g, j + 1, out)`` writes every row's
+    candidate into ``out`` at once; ``theta`` and ``g`` are (M, P) and
+    ``out`` overlaps neither. Every update operation is elementwise, so each
+    row rounds exactly as its trajectory would alone.
 
-    A non-finite gradient or iterate stops its trajectory and every later
-    one, while the earlier ones run to their end: as if the trajectories had
-    run one after another. DivergenceError is then raised for the first
-    trajectory that diverged, carrying its step index and, as ``client_id``,
-    its position in ``schedules``.
+    A row stops at the end of its schedule, or at a non-finite gradient or
+    candidate: it keeps its last finite iterate and takes no further
+    gradient, while the other rows step on. Returns the (M, P) final
+    iterates, the (M, P) raw gradients of each row's last step, and one
+    DivergenceError per row that stopped on a non-finite value, carrying its
+    step index, else None; nothing is raised for divergence. With
+    ``grads``, an (M, K, P) array with K at least every schedule's length,
+    row i's step j gradient is written into ``grads[i, j]``, and a diverged
+    row's last gradient is left unset.
     """
     params = _check_params(spec, params)
-    if beta < 0:
-        raise ContractViolation("beta must be non-negative")
-    theta = np.tile(params, (len(schedules), 1))
-    step, last = np.empty_like(theta), np.empty_like(theta)
-    # Rows [0, live) are still stepping.
-    live, failure, g = len(schedules), None, None
-    # Overflow here is an anticipated outcome, reported via DivergenceError.
+    if not schedules:
+        raise ContractViolation("schedules must be non-empty")
+    batches = [iter(s) for s in schedules]
+    theta = np.tile(params, (len(batches), 1))
+    spare, last = np.empty_like(theta), np.empty_like(theta)
+    failures: list[DivergenceError | None] = [None] * len(batches)
+    running = list(range(len(batches)))
+    # Overflow here is an anticipated outcome, reported per row.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, batches in enumerate(zip(*schedules, strict=True)):
-            g = last if grads is None else grads[:, j]
-            for i in range(live):
+        for j in itertools.count():
+            # At j == K no row can step; only the ended rows are found.
+            g = last if grads is None or j == grads.shape[1] else grads[:, j]
+            stepped = []
+            for i in running:
+                batch = next(batches[i], None)
+                if batch is None:
+                    if not j:
+                        raise ContractViolation("batches must be non-empty")
+                    if grads is not None:
+                        last[i] = grads[i, j - 1]
+                    continue
                 try:
-                    g[i] = gradient(spec, theta[i], batches[i])
+                    g[i] = gradient(spec, theta[i], batch)
+                    stepped.append(i)
                 except NumericError as exc:
-                    failure = DivergenceError(
-                        f"non-finite gradient at step {j}", step_index=j, client_id=i
-                    )
-                    failure.__cause__ = exc
-                    live = i
-                    break
-            np.multiply(g[:live], beta, out=step[:live])
-            theta[:live] -= step[:live]
-            finite = np.isfinite(theta[:live]).all(axis=1)
-            if not finite.all():
-                live = int(finite.argmin())
-                failure = DivergenceError(
-                    f"parameters diverged at step {j}", step_index=j, client_id=live
-                )
-            if not live:
+                    failures[i] = DivergenceError(f"non-finite gradient at step {j}", step_index=j)
+                    failures[i].__cause__ = exc
+            if not stepped:
                 break
-    if g is None:
-        raise ContractViolation("batches must be non-empty")
-    if failure is not None:
-        raise failure
-    return theta, g
+            update(theta, g, j + 1, spare)
+            finite = np.isfinite(spare).all(axis=1)
+            if not finite.all():
+                for i in [i for i in stepped if not finite[i]]:
+                    failures[i] = DivergenceError(f"parameters diverged at step {j}", step_index=j)
+                stepped = [i for i in stepped if finite[i]]
+            running = stepped
+            if len(running) < len(batches):
+                theta[running] = spare[running]  # a stopped row keeps its last finite iterate
+            else:
+                theta, spare = spare, theta
+    return theta, last, failures
 
 
 def merge_batches(batches: list[Batch]) -> Batch:

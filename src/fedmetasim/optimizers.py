@@ -12,17 +12,17 @@ buffers ``m`` and ``v`` in place and writes the new parameters into ``out``,
 using ``scratch`` for intermediates, and allocates nothing.
 ``server_apply`` hands it copies of the state's moments (or fresh zeros)
 and fresh ``out`` and ``scratch`` arrays, so server transitions stay pure;
-``personalization.personalize`` allocates (M, P) buffers once per
-population and steps every client's row with one call per step.
+personalization steps every client's row of (M, P) moments with one call
+per step. ``sgd_update`` is the SGD rule that local training and
+personalization hand to ``model.sgd_trajectory``.
 ``make_client_batches`` is the one per-epoch shuffler, shared by local
 training and personalization; it builds batches lazily, one epoch at a
-time, and ``lockstep_groups`` groups the clients whose schedules have equal
-length, so that they can step together.
+time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +41,7 @@ class ClientOptimizerConfig:
     batch_size: int
 
     def __post_init__(self):
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise ContractViolation("client lr must be non-negative")
         if self.batch_size < 1:
             raise ContractViolation("batch_size must be positive")
@@ -155,6 +155,19 @@ def adam_step(
     np.subtract(params, scratch, out=out)
 
 
+def sgd_update(lr: float) -> Callable[[np.ndarray, np.ndarray, int, np.ndarray], None]:
+    """The update rule ``out = theta - lr * g`` for ``model.sgd_trajectory``;
+    the step count is unused. ``out`` must not overlap ``theta``."""
+    if not lr >= 0:
+        raise ContractViolation("the SGD step size must be non-negative")
+
+    def update(theta: np.ndarray, g: np.ndarray, t: int, out: np.ndarray) -> None:
+        np.multiply(g, lr, out=out)
+        np.subtract(theta, out, out=out)
+
+    return update
+
+
 def make_client_batches(
     client, epochs: int, batch_size: int, rng: np.random.Generator
 ) -> Iterator[Batch]:
@@ -182,12 +195,3 @@ def _epoch_batches(train, epochs, batch_size, rng) -> Iterator[Batch]:
             end = start + batch_size
             yield Batch(x[start:end], y[start:end])
 
-
-def lockstep_groups(lengths: list[int]) -> list[list[int]]:
-    """Positions grouped by schedule length, for trajectories that step
-    together: each group in ascending order, the groups ordered by their
-    first position."""
-    groups: dict[int, list[int]] = {}
-    for i, k in enumerate(lengths):
-        groups.setdefault(k, []).append(i)
-    return list(groups.values())

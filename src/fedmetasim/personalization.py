@@ -1,25 +1,25 @@
 """Per-client personalization evaluation.
 
 A global model is adapted on each client's train split and scored on its
-test split. The whole population adapts in lockstep, one group per
-schedule length, with one stacked SGD or Adam update per step position.
-Aggregates are uniform over clients (every device counts the same,
-regardless of its data volume). A client whose adaptation leaves the
-finite range is scored from its last finite iterate and flagged, not
-dropped; dropping would bias the uniform averages.
+test split. The whole population adapts in lockstep through
+``model.sgd_trajectory``, the step loop of local training, with one
+stacked SGD or Adam update per step position. Aggregates are uniform over
+clients (every device counts the same, regardless of its data volume). A
+client whose adaptation leaves the finite range is scored from its last
+finite iterate and flagged, not dropped; dropping would bias the uniform
+averages.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import ClientDataset, ExampleSet, FederatedDataset
-from .errors import ContractViolation, NumericError
-from .model import ModelSpec, forward_logits, gradient
-from .optimizers import adam_step, lockstep_groups, make_client_batches
+from .errors import ContractViolation
+from .model import ModelSpec, forward_logits, sgd_trajectory
+from .optimizers import adam_step, make_client_batches, sgd_update
 from .rng import StreamFactory
 
 PERSONALIZATION_OPTIMIZERS = ("sgd", "adam")
@@ -38,6 +38,8 @@ class PersonalizationConfig:
     def __post_init__(self):
         if self.optimizer not in PERSONALIZATION_OPTIMIZERS:
             raise ContractViolation(f"unknown personalization optimizer {self.optimizer!r}")
+        if not self.lr >= 0:
+            raise ContractViolation("personalization lr must be non-negative")
         if self.epochs < 0:
             raise ContractViolation("epochs must be non-negative")
         if self.batch_size < 1:
@@ -87,60 +89,28 @@ def personalize(
     """Adapt ``params`` on each client's train split for cfg.epochs epochs.
 
     Client i draws its batches from ``rngs[i]``. The clients step in
-    lockstep, one group per schedule length: ``gradient`` is called once per
-    client step, and each step's SGD or Adam update runs once for the whole
-    group; every operation is elementwise, so each row rounds exactly as
-    that client adapted alone would. Returns the (M, P) adapted parameters,
-    row i for client i, and the (M,) diverged flags; ``params`` is not
-    mutated. With epochs=0 every row is ``params``. Optimizer state always
-    starts from zero.
+    lockstep through ``model.sgd_trajectory``, under SGD or under Adam with
+    (M, P) moments; each row rounds exactly as that client adapted alone
+    would. Returns the (M, P) adapted parameters, row i for client i, and
+    the (M,) diverged flags; ``params`` is not mutated. With epochs=0 every
+    row is ``params``. Optimizer state always starts from zero.
     """
     params = np.asarray(params, dtype=np.float64)
-    adapted = np.tile(params, (len(clients), 1))
-    diverged = np.zeros(len(clients), dtype=bool)
     if cfg.epochs == 0:
-        return adapted, diverged
+        return np.tile(params, (len(clients), 1)), np.zeros(len(clients), dtype=bool)
     schedules = [
         make_client_batches(c, cfg.epochs, cfg.batch_size, rng) for c, rng in zip(clients, rngs)
     ]
-    lengths = [cfg.epochs * math.ceil(c.train.n / cfg.batch_size) for c in clients]
-    # One set of buffers for the population; a group uses its leading rows.
-    # Each step writes the candidates into the spare buffer; the two then
-    # swap, after a frozen row's last finite iterate is copied across.
-    theta, spare, g = (np.empty_like(adapted) for _ in range(3))
-    if cfg.optimizer == "adam":
-        m, v, scratch = (np.empty_like(adapted) for _ in range(3))
+    if cfg.optimizer == "sgd":
+        update = sgd_update(cfg.lr)
+    else:
+        m, v, scratch = (np.zeros((len(clients), params.size)) for _ in range(3))
 
-    # Divergence is tolerated: a client keeps its last finite iterate, is
-    # flagged, and takes no further gradient.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows in lockstep_groups(lengths):
-            n = len(rows)
-            it, cand, grad, frozen = theta[:n], spare[:n], g[:n], diverged[rows]
-            it[...] = params
-            if cfg.optimizer == "adam":
-                m[:n], v[:n] = 0.0, 0.0
-            for t, batches in enumerate(zip(*(schedules[i] for i in rows)), start=1):
-                for i, batch in enumerate(batches):
-                    if frozen[i]:
-                        continue
-                    try:
-                        grad[i] = gradient(spec, it[i], batch)
-                    except NumericError:
-                        frozen[i] = True
-                if cfg.optimizer == "sgd":
-                    grad *= cfg.lr
-                    np.subtract(it, grad, out=cand)
-                else:
-                    adam_step(it, grad, m[:n], v[:n], t, ADAM_LR, out=cand, scratch=scratch[:n])
-                frozen |= ~np.isfinite(cand).all(axis=1)
-                if frozen.any():
-                    cand[frozen] = it[frozen]
-                    if frozen.all():
-                        break
-                it, cand = cand, it
-            adapted[rows], diverged[rows] = it, frozen
-    return adapted, diverged
+        def update(theta, g, t, out):
+            adam_step(theta, g, m, v, t, ADAM_LR, out=out, scratch=scratch)
+
+    adapted, _, failures = sgd_trajectory(spec, params, schedules, update)
+    return adapted, np.array([f is not None for f in failures])
 
 
 def _report_from_outcomes(outcomes: list[ClientOutcome]) -> PersonalizationReport:

@@ -196,6 +196,15 @@ class TestTrain:
         assert f"{key} must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_personalization_lr_rejected(self, tmp_path, capsys):
+        config = config_variant(
+            tmp_path, "negative_lr.ini", (("sgd\nlr = 0.05", "sgd\nlr = -0.02"),)
+        )
+        out = tmp_path / "runs"
+        assert main(["train", "-c", str(config), "--out", str(out)]) == 1
+        assert "error: personalization lr must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_force_overwrites(self, tmp_path):
         out = tmp_path / "runs"
         assert main(["train", "-c", SMOKE, "--out", str(out), "--replicas", "1"]) == 0

@@ -432,6 +432,42 @@ class TestRunRound:
         scale = sum(weights[cid] / sum(weights.values()) * np.abs(deltas[cid]) for cid in ids)
         assert np.all(np.abs(weighted_sum(order) - trace.aggregate) <= 1e-12 * scale)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        mode=st.sampled_from(["fedavg-epochs", "fedavg-steps"]),
+        server=st.sampled_from(["sgd", "momentum", "adam"]),
+    )
+    def test_equal_sizes_make_weighting_irrelevant(self, data, mode, server):
+        # With one train size n for every client, n / (M * n) rounds to
+        # exactly 1 / M, so data-proportional and uniform weights give the
+        # same coefficients and the same bytes.
+        n = data.draw(st.integers(1, 25), label="n")
+        count = data.draw(st.integers(1, 6), label="clients")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        m = data.draw(st.integers(1, count), label="m")
+        k = data.draw(st.integers(1, 3), label="k")
+        client_cfg = ClientOptimizerConfig(
+            data.draw(st.sampled_from([0.05, 0.5]), label="lr"),
+            data.draw(st.integers(1, 9), label="batch_size"),
+        )
+        ds = poisoned_dataset([n] * count, [False] * count, seed)
+        spec = ModelSpec(4, (5, 3))
+        params = init_params(spec, substream(seed, "init"))
+        state = ServerOptimizerState(server, lr=0.5)
+        rounds = [
+            run_round(
+                spec, params, ds, MODES[mode](client_cfg, m, k, w), state, 2, StreamFactory(seed)
+            )
+            for w in ("data_proportional", "uniform")
+        ]
+        (p_data, _, data_tr), (p_uniform, _, uniform_tr) = rounds
+        assert data_tr.weights.tolist() == [float(n)] * m
+        assert uniform_tr.weights.tolist() == [1.0] * m
+        assert data_tr.deltas.tobytes() == uniform_tr.deltas.tobytes()
+        assert data_tr.aggregate.tobytes() == uniform_tr.aggregate.tobytes()
+        assert p_data.tobytes() == p_uniform.tobytes()
+
     def test_aggregate_is_weighted_mean_of_deltas(self):
         ds = toy_dataset(num_clients=5, examples=24)
         spec = ModelSpec(4, (6, 3))

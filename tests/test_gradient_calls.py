@@ -11,9 +11,11 @@ import sys
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from fedmetasim import (
     ClientOptimizerConfig,
+    DivergenceError,
     ModelSpec,
     PersonalizationConfig,
     RoundConfig,
@@ -26,7 +28,7 @@ from fedmetasim import (
 )
 from fedmetasim import model
 from fedmetasim.data import ClientDataset, ExampleSet, FederatedDataset
-from util import reference_personalize, reference_round_updates
+from util import reference_local_update, reference_personalize, reference_round_updates
 
 
 @contextmanager
@@ -95,9 +97,8 @@ def test_fomaml_round():
 
 
 def test_eval_population_with_a_diverging_client():
-    # Under relu the 1e200 example does not saturate, so client 1 diverges;
-    # it shares its schedule length with clients 0 and 3, so it freezes
-    # inside a lockstep group that keeps stepping.
+    # Under relu the 1e200 example does not saturate, so client 1 diverges
+    # and freezes while the other rows keep stepping.
     spec = ModelSpec(4, (6, 3), activation="relu")
     ds = unequal_dataset((8, 9, 6, 9), poisoned=(1,))
     params = init_params(spec, substream(1, "init"))
@@ -110,3 +111,26 @@ def test_eval_population_with_a_diverging_client():
             rng = StreamFactory(4).stream("personalize", 0, cid)
             reference_personalize(spec, params, ds.clients[cid], cfg, rng)
     assert lockstep[0] == oracle[0] < 3 * sum(-(-n // 3) for n in (8, 9, 6, 9))
+
+
+def test_round_rows_stop_only_on_their_own_end_or_divergence():
+    # Under relu client 1 diverges. Clients 2 and 3, after it, still run
+    # to their own ends, so the round makes exactly the calls of the four
+    # clients run alone, each stopped only by its own divergence.
+    spec = ModelSpec(4, (6, 3), activation="relu")
+    sizes = (8, 9, 6, 9)
+    ds = unequal_dataset(sizes, poisoned=(1,))
+    params = init_params(spec, substream(1, "init"))
+    cfg = RoundConfig("fedavg", 4, ClientOptimizerConfig(0.05, 3), epochs=3)
+    server = ServerOptimizerState("sgd", lr=1.0)
+    with counted_gradient() as lockstep, pytest.raises(DivergenceError) as err:
+        run_round(spec, params, ds, cfg, server, 1, StreamFactory(4))
+    assert err.value.client_id == 1
+    with counted_gradient() as solo:
+        for cid in ds.train_client_ids:
+            rng = StreamFactory(4).stream("round.batch", 1, cid)
+            try:
+                reference_local_update(spec, params, ds.clients[cid], cfg, rng)
+            except DivergenceError:
+                assert cid == 1
+    assert lockstep[0] == solo[0] < 3 * sum(-(-n // 3) for n in sizes)

@@ -24,6 +24,7 @@ from fedmetasim import (
     substream,
     unflatten_params,
 )
+from fedmetasim.optimizers import sgd_update
 from util import (
     fd_gradient,
     max_relative_error,
@@ -32,6 +33,7 @@ from util import (
     quadratic_problem,
     reference_forward,
     reference_gradient,
+    reference_sgd_trajectory,
 )
 
 
@@ -271,7 +273,8 @@ class TestKernelMatchesReference:
             expected.append(reference_gradient(spec, theta, batch))
             theta = theta - beta * expected[-1]
         grads = np.empty((1, len(batches), spec.param_count))
-        final, last = sgd_trajectory(spec, params, [batches], beta, grads)
+        final, last, failures = sgd_trajectory(spec, params, [batches], sgd_update(beta), grads)
+        assert failures == [None]
         assert final[0].tobytes() == theta.tobytes()
         assert [g.tobytes() for g in grads[0]] == [g.tobytes() for g in expected]
         assert last[0].tobytes() == expected[-1].tobytes()
@@ -283,7 +286,7 @@ class TestSgdTrajectory:
         rng = np.random.default_rng(5)
         other = Batch(rng.normal(size=(4, 4)), rng.integers(0, 3, size=4))
         grads = np.empty((1, 3, spec.param_count))
-        final, _ = sgd_trajectory(spec, params, [[batch, other, batch]], 0.0, grads)
+        final, _, _ = sgd_trajectory(spec, params, [[batch, other, batch]], sgd_update(0.0), grads)
         grads = grads[0]
         assert np.array_equal(final[0], params)
         assert np.array_equal(grads[0], gradient(spec, params, batch))
@@ -291,7 +294,7 @@ class TestSgdTrajectory:
 
     def test_single_step(self):
         spec, params, batch = mlp_case(6)
-        final, grads = sgd_trajectory(spec, params, [[batch]], 0.1)
+        final, grads, _ = sgd_trajectory(spec, params, [[batch]], sgd_update(0.1))
         assert final.shape == grads.shape == (1, spec.param_count)
         np.testing.assert_allclose(final[0], params - 0.1 * grads[0], rtol=0, atol=5e-16)
 
@@ -300,29 +303,57 @@ class TestSgdTrajectory:
         beta = 0.2 / np.linalg.eigvalsh(a).max()
         k = 6
         grads = np.full((1, k, spec.param_count), np.nan)
-        final, _ = sgd_trajectory(spec, params, [[batch] * k], beta, grads)
+        final, _, _ = sgd_trajectory(spec, params, [[batch] * k], sgd_update(beta), grads)
         expected = np.linalg.matrix_power(np.eye(a.shape[0]) - beta * a, k) @ params
         np.testing.assert_allclose(final[0], expected, rtol=1e-10, atol=1e-13)
         assert np.isfinite(grads).all()
 
     def test_divergence_reports_step(self):
         spec, params, batch, _ = quadratic_problem(seed=2)
-        with pytest.raises(DivergenceError) as err:
-            sgd_trajectory(spec, params, [[batch] * 50], 1e200)
-        assert err.value.step_index is not None
+        _, _, (failure,) = sgd_trajectory(spec, params, [[batch] * 50], sgd_update(1e200))
+        assert isinstance(failure, DivergenceError)
+        assert failure.step_index is not None
 
     def test_rejects_empty_batches(self):
         spec, params, _ = mlp_case(0)
         with pytest.raises(ContractViolation):
-            sgd_trajectory(spec, params, [[]], 0.1)
+            sgd_trajectory(spec, params, [[]], sgd_update(0.1))
         with pytest.raises(ContractViolation):
-            sgd_trajectory(spec, params, [], 0.1)
+            sgd_trajectory(spec, params, [], sgd_update(0.1))
+
+    @pytest.mark.parametrize("beta", [-0.1, float("nan")])
+    def test_rejects_negative_or_nan_step_size(self, beta):
+        with pytest.raises(ContractViolation):
+            sgd_update(beta)
 
     def test_deterministic(self):
         spec, params, batch = mlp_case(12)
-        a = sgd_trajectory(spec, params, [[batch] * 3], 0.05)
-        b = sgd_trajectory(spec, params, [[batch] * 3], 0.05)
+        a = sgd_trajectory(spec, params, [[batch] * 3], sgd_update(0.05))
+        b = sgd_trajectory(spec, params, [[batch] * 3], sgd_update(0.05))
         assert np.array_equal(a[0], b[0])
+
+    def test_rows_of_any_length_stop_on_their_own(self):
+        # Row 1 leaves the finite range after its huge batch and stops
+        # there; rows 0 and 2 have other lengths and step on to their own
+        # ends, as alone.
+        spec, params, batch = mlp_case(14, activation="relu")
+        huge = Batch(batch.x * 1e200, batch.y)
+        schedules = [[batch] * 2, [batch, batch, huge, batch, batch], [batch] * 5]
+        grads = np.empty((3, 5, spec.param_count))
+        final, last, failures = sgd_trajectory(spec, params, schedules, sgd_update(0.1), grads)
+        assert failures[0] is None and failures[2] is None
+        with pytest.raises(DivergenceError) as alone:
+            reference_sgd_trajectory(spec, params, schedules[1], 0.1)
+        step = alone.value.step_index
+        assert (str(failures[1]), failures[1].step_index) == (str(alone.value), step)
+        theta, _ = reference_sgd_trajectory(spec, params, schedules[1][:step], 0.1)
+        assert final[1].tobytes() == theta.tobytes()
+        for i in (0, 2):
+            theta, expected = reference_sgd_trajectory(spec, params, schedules[i], 0.1)
+            k = len(expected)
+            assert final[i].tobytes() == theta.tobytes()
+            assert grads[i, :k].tobytes() == np.stack(expected).tobytes()
+            assert last[i].tobytes() == expected[-1].tobytes()
 
 
 class TestMamlOracle:
@@ -468,7 +499,7 @@ class TestGapScaling:
 
         def gap(b):
             g_meta = maml_gradient_oracle(spec, params, [batch] * k, b)
-            theta, _ = sgd_trajectory(spec, params, [[batch] * k], b)
+            theta, _, _ = sgd_trajectory(spec, params, [[batch] * k], sgd_update(b))
             return np.linalg.norm(g_meta - gradient(spec, theta[0], batch))
 
         ratio = gap(beta / 2) / gap(beta)

@@ -198,6 +198,11 @@ class TestCreateValidation:
         with pytest.raises(ContractViolation, match=f"^server {field} must "):
             ServerOptimizerState("adam", **{"lr": 0.1, field: value})
 
+    @pytest.mark.parametrize("lr", [-0.5, float("nan")])
+    def test_client_lr_negative_or_nan_rejected(self, lr):
+        with pytest.raises(ContractViolation, match="client lr"):
+            ClientOptimizerConfig(lr=lr, batch_size=4)
+
     def test_defaults_are_valid_for_every_kind(self):
         for kind in ("sgd", "momentum", "adam"):
             state = ServerOptimizerState(kind, lr=0.1)

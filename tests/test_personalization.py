@@ -90,6 +90,11 @@ class TestEvaluateAccuracy:
 
 
 class TestPersonalize:
+    @pytest.mark.parametrize("lr", [-0.5, float("nan")])
+    def test_lr_negative_or_nan_rejected(self, lr):
+        with pytest.raises(ContractViolation, match="personalization lr"):
+            PersonalizationConfig(lr=lr)
+
     def test_zero_epochs_identity(self):
         client = make_client(np.random.default_rng(0))
         params = init_params(SPEC, substream(0, "init"))
