@@ -44,9 +44,10 @@ class DecompositionReport:
     residual_norm: float
 
 
-def decompose_round(trace: RoundTrace, beta: float) -> DecompositionReport:
+def decompose_round(trace: RoundTrace) -> DecompositionReport:
     """Split a traced uniform round update into its per-step components.
 
+    The terms are scaled by the round's own client step size, ``trace.beta``.
     Requires the trace to carry raw step gradients, every client to have
     taken the same number of steps, and uniform weights; with
     data-proportional weights the rearrangement does not telescope and the
@@ -74,7 +75,7 @@ def decompose_round(trace: RoundTrace, beta: float) -> DecompositionReport:
     # Row 0 is the FedSGD update, row j the jth FOMAML term. The mean adds
     # the clients in order, as a per-step (M, P) mean does when P >= 2
     # (every ModelSpec); at P = 1 numpy would sum that axis pairwise.
-    g_fedsgd, *terms = -beta * np.stack(grads).mean(axis=0)
+    g_fedsgd, *terms = -trace.beta * np.stack(grads).mean(axis=0)
 
     reconstruction = g_fedsgd.copy()
     for term in terms:
@@ -107,7 +108,6 @@ def fomaml_maml_gap(
     eval_batch: Batch | None,
     steps: int,
     beta: float,
-    fd_step: float = 1e-5,
 ) -> tuple[float, float]:
     """Distance and cosine between the exact meta-gradient and its
     first-order surrogate for a single client.
@@ -127,7 +127,7 @@ def fomaml_maml_gap(
             raise ContractViolation("eval_batch required when steps is 0")
         eval_batch = merge_batches(adapt)
 
-    g_maml = maml_gradient_oracle(spec, params, adapt, beta, eval_batch, fd_step)
+    g_maml = maml_gradient_oracle(spec, params, adapt, beta, eval_batch)
     theta = params
     if steps:
         (theta,), _, (failure,) = sgd_trajectory(spec, params, [adapt], sgd_update(beta))

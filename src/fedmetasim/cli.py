@@ -1,7 +1,10 @@
 """Experiment runner.
 
-Subcommands: train, personalize, decompose, report. All outputs embed the
-config hash and seed; existing files are never overwritten without --force.
+Subcommands: train, personalize, decompose, report. The config hash and seed
+head metrics.csv, timings.csv, manifest.txt and personalize's report.csv and
+summary.json; decompose's and report's files carry the hash only, and
+sweep.csv, checkpoints and traces neither. Existing files are never
+overwritten without --force.
 Exit codes: 0 success, 1 domain error, 2 usage error.
 
 Round metrics go to metrics.csv (deterministic columns only, so reruns with
@@ -9,9 +12,10 @@ the same config and seed are byte-identical); per-round wallclock goes to a
 sibling timings.csv.
 
 Every output appears whole or not at all. ``train`` writes a replica's files,
-each round's trace as the round ends, into a staging directory beside the
-replica directory and moves them into place only when the replica completes;
-the other commands write each file through a temp file and ``os.replace``.
+each round's trace and periodic checkpoint as the round ends, into a staging
+directory beside the replica directory and moves them into place only when
+the replica completes; the other commands write each file through a temp
+file and ``os.replace``.
 """
 
 from __future__ import annotations
@@ -203,7 +207,7 @@ def _npy_array(name: str, blob: bytes) -> np.ndarray:
     return np.frombuffer(blob, dtype, count, end).reshape(shape)
 
 
-def _save_trace(path: Path, trace: RoundTrace, beta: float) -> None:
+def _save_trace(path: Path, trace: RoundTrace) -> None:
     """Write ``trace`` as the bytes ``np.savez`` writes for the same members:
     a stored zip64 member ``<name>.npy`` per array, built in memory and
     written with one call."""
@@ -213,7 +217,7 @@ def _save_trace(path: Path, trace: RoundTrace, beta: float) -> None:
         "aggregate": trace.aggregate,
         "weights": trace.weights,
         "deltas": trace.deltas,
-        "beta": np.array(beta),
+        "beta": np.array(trace.beta),
     }
     for i, grads in enumerate(trace.step_gradients):
         arrays[f"grads_{i}"] = grads
@@ -226,7 +230,7 @@ def _save_trace(path: Path, trace: RoundTrace, beta: float) -> None:
     path.write_bytes(buf.getbuffer())
 
 
-def _load_trace(path: Path) -> tuple[RoundTrace, float]:
+def _load_trace(path: Path) -> RoundTrace:
     """Read a trace written by ``_save_trace``, each member exactly once.
 
     The file is read whole; each member's CRC is checked, and it must hold
@@ -255,15 +259,15 @@ def _load_trace(path: Path) -> tuple[RoundTrace, float]:
             client_ids = member("client_ids", "M")
             aggregate = member("aggregate", "P")
             dims.update(M=len(client_ids), P=len(aggregate))
-            trace = RoundTrace(
+            return RoundTrace(
                 round_index=int(member("round_index")),
                 client_ids=[int(c) for c in client_ids],
                 weights=member("weights", "M"),
                 deltas=member("deltas", "M P"),
                 aggregate=aggregate,
+                beta=float(member("beta")),
                 step_gradients=[member(f"grads_{i}", "K P") for i in range(dims["M"])],
             )
-            return trace, float(member("beta"))
     except (zipfile.BadZipFile, KeyError, IndexError, ValueError, EOFError) as exc:
         raise ParseError(f"damaged trace {path}: {exc}") from exc
 
@@ -301,24 +305,20 @@ def cmd_train(args) -> int:
         shutil.rmtree(staging, ignore_errors=True)
         (staging / "traces" if trace else staging).mkdir(parents=True)
 
-        def save_round(tr: RoundTrace) -> None:
-            stage = stage1 if tr.round_index < stage1.rounds else stage2
-            beta = stage.round_cfg.client_cfg.lr
-            _save_trace(_trace_path(staging, tr.round_index), tr, beta)
+        def save_round(tr: RoundTrace, params: np.ndarray) -> None:
+            if trace:
+                _save_trace(_trace_path(staging, tr.round_index), tr)
+            if checkpoint_every and (tr.round_index + 1) % checkpoint_every == 0:
+                save_checkpoint(_ckpt_path(staging, tr.round_index + 1), spec, params)
 
         try:
             run = run_personalized_fedavg(
-                spec, dataset, stage1, stage2, eval_cfg, seed,
-                trace=trace,
-                checkpoint_every=checkpoint_every,
-                on_round=save_round if trace else None,
+                spec, dataset, stage1, stage2, eval_cfg, seed, trace=trace, on_round=save_round,
             )
             (staging / "metrics.csv").write_text(_metrics_lines(cfg.hash, seed, run))
             (staging / "timings.csv").write_text(_timings_lines(cfg.hash, seed, run))
             (staging / "manifest.txt").write_text(_manifest_text(cfg, seed, replica, dataset))
             save_checkpoint(staging / "checkpoint.fms", spec, run.final_params)
-            for round_index, params in run.checkpoints.items():
-                save_checkpoint(_ckpt_path(staging, round_index), spec, params)
             _commit_replica(
                 staging, rdir, _replica_outputs(rdir, rounds, checkpoint_every, trace)
             )
@@ -420,8 +420,7 @@ def cmd_decompose(args) -> int:
             file=sys.stderr,
         )
         return 1
-    trace, beta = _load_trace(trace_path)
-    report = decompose_round(trace, beta)
+    report = decompose_round(_load_trace(trace_path))
     text = decomposition_text(report)
     print(text, end="")
     if out is not None:

@@ -3,8 +3,9 @@
 Sections: [dataset], [model], [stage1], [stage2], [personalization], [run].
 Stage sections use dotted keys for the two optimizers, e.g. server.kind,
 server.lr, client.lr, client.batch_size, and exactly one of client.epochs /
-client.steps. Every resolved config has a stable hash that is embedded in
-all outputs so cross-config aggregation can be refused.
+client.steps. Every resolved config has a stable hash; a run's metrics and
+the reports built from them carry it, so cross-config aggregation can be
+refused.
 """
 
 from __future__ import annotations
@@ -264,10 +265,15 @@ def validate(cfg: ExperimentConfig, dataset: FederatedDataset) -> None:
                 f"[{section}] clients_per_round exceeds {len(dataset.train_client_ids)} "
                 "train clients"
             )
+    if not cfg.get_int("stage1", "rounds") + cfg.get_int("stage2", "rounds"):
+        raise ConfigError("no rounds to train; set [stage1] or [stage2] rounds > 0")
     if not dataset.eval_client_ids:
         raise ConfigError(
             "no evaluation clients; set dataset.eval_fraction > 0"
         )
+    for cid in dataset.eval_client_ids:
+        if dataset.clients[cid].test.n == 0:
+            raise ConfigError(f"held-out client {cid} has no test examples")
     if cfg.get_int("run", "replicas") < 1:
         raise ConfigError("[run] replicas must be positive")
     for section, key in (("run", "checkpoint_every"), ("personalization", "eval_every")):

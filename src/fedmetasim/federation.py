@@ -14,15 +14,15 @@ covers and which vector the client returns:
 - fomaml: K adaptation steps plus one on the next batch; the update is
   -beta times that last gradient, evaluated at the adapted parameters.
 
-A round's record, ``RoundTrace``, holds the same arrays as its trace file:
+A round's record, ``RoundTrace``, holds every member of its trace file:
 the weights (M,), the client deltas (M, P) row by row in client-id order,
-the aggregate (P,), and, with ``trace=True``, one (K_i, P) array of raw
-per-step gradients per client, from which the averaged round update can
-later be decomposed exactly into its single-step and adapted-gradient
-components. A non-finite gradient or iterate raises DivergenceError naming
-the round and the lowest-id client that diverged, at its own step, as if
-the clients had run one after another; a non-finite server step raises it
-naming the round.
+the aggregate (P,), the client step size beta, and, with ``trace=True``,
+one (K_i, P) array of raw per-step gradients per client, from which the
+averaged round update can later be decomposed exactly into its single-step
+and adapted-gradient components. A non-finite gradient or iterate raises
+DivergenceError naming the round and the lowest-id client that diverged, at
+its own step, as if the clients had run one after another; a non-finite
+server step raises it naming the round.
 
 Randomness is drawn from counter-based substreams keyed by (purpose, round,
 client), so per-client work is order-independent and a run is a pure
@@ -114,14 +114,16 @@ class EvalSnapshot:
 class RoundTrace:
     """One round, as its trace file holds it: the M sampled clients in
     ascending order, their aggregation weights (M,) and deltas (M, P) in
-    the same order, the applied aggregate (P,), and one (K_i, P) array of
-    raw step gradients per client, or None when the round was not traced."""
+    the same order, the applied aggregate (P,), the client step size
+    ``beta``, and one (K_i, P) array of raw step gradients per client, or
+    None when the round was not traced."""
 
     round_index: int
     client_ids: list[int]
     weights: np.ndarray
     deltas: np.ndarray
     aggregate: np.ndarray
+    beta: float
     step_gradients: list[np.ndarray] | None = None
     snapshot: EvalSnapshot | None = None
     wallclock_ms: float = 0.0
@@ -130,13 +132,11 @@ class RoundTrace:
 @dataclass
 class TrainingRun:
     """What one seeded training execution keeps: its evaluation snapshots,
-    each round's wall time (index i for round i), periodic checkpoints and
-    the final parameters."""
+    each round's wall time (index i for round i) and the final parameters."""
 
     seed: int
     snapshots: list[EvalSnapshot] = field(default_factory=list)
     wallclock_ms: list[float] = field(default_factory=list)
-    checkpoints: dict[int, np.ndarray] = field(default_factory=dict)
     final_params: np.ndarray | None = None
 
 
@@ -219,7 +219,7 @@ def run_round(
             round_index=round_index,
         ) from exc
     trace_record = RoundTrace(
-        round_index, ids, np.array(weights), deltas, aggregate,
+        round_index, ids, np.array(weights), deltas, aggregate, lr,
         [g[:k] for g, k in zip(stacked, lengths)] if trace else None,
         wallclock_ms=1000.0 * (time.perf_counter() - started),
     )
@@ -262,8 +262,7 @@ def run_personalized_fedavg(
     eval_cfg: EvalConfig | None,
     seed: int,
     trace: bool = False,
-    checkpoint_every: int = 0,
-    on_round: Callable[[RoundTrace], None] | None = None,
+    on_round: Callable[[RoundTrace, np.ndarray], None] | None = None,
 ) -> TrainingRun:
     """Two-stage training: averaged-epoch rounds, then step-counted
     fine-tuning continuing from stage-1 parameters with fresh server state.
@@ -271,9 +270,11 @@ def run_personalized_fedavg(
     Either stage may be empty (rounds=0): stage2=0 is plain first-stage
     training, stage1=0 fine-tunes directly from the random initialization.
     Each finished round, with its snapshot attached when one is due, is
-    passed to ``on_round`` once, in order; the run then keeps only its
-    snapshot and wall time. On divergence the partially completed run is
-    attached to the raised error as ``partial_run``.
+    passed to ``on_round`` once, in order, with the global parameters its
+    server step left (never mutated later, so they need no copy); the run
+    then keeps only the round's snapshot and wall time. On divergence the
+    partially completed run is attached to the raised error as
+    ``partial_run``.
     """
     streams = StreamFactory(seed)
     params = init_params(spec, streams.stream("init"))
@@ -296,8 +297,6 @@ def run_personalized_fedavg(
     stages = [stage1] + ([stage2] if stage2 is not None else [])
     try:
         for stage in stages:
-            if stage.rounds == 0:
-                continue
             server_state = stage.server
             for r in range(stage.rounds):
                 params, server_state, tr = run_round(
@@ -311,16 +310,13 @@ def run_personalized_fedavg(
                 ):
                     tr.snapshot = snapshot(round_index)
                 if on_round is not None:
-                    on_round(tr)
+                    on_round(tr, params)
                 if tr.snapshot is not None:
                     run.snapshots.append(tr.snapshot)
                 run.wallclock_ms.append(tr.wallclock_ms)
                 # Deleting drops this round's arrays before the next one runs.
                 del tr
-                if checkpoint_every and round_index % checkpoint_every == 0:
-                    run.checkpoints[round_index] = params.copy()
     except DivergenceError as exc:
-        run.final_params = None
         exc.partial_run = run
         raise
 

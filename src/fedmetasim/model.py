@@ -34,6 +34,7 @@ CKPT_MAGIC = "fms-ckpt/1"
 
 # The meta-gradient oracle costs two trajectory replays per parameter.
 MAML_ORACLE_MAX_DIM = 2000
+FD_STEP = 1e-5
 
 
 def _identity(*arrays: np.ndarray) -> None:
@@ -393,13 +394,12 @@ def maml_gradient_oracle(
     batches: list[Batch],
     beta: float,
     eval_batch: Batch | None = None,
-    fd_step: float = 1e-5,
 ) -> np.ndarray:
     """Central finite differences of theta -> loss(adapt(theta), eval_batch).
 
-    ``adapt`` replays the SGD trajectory over ``batches``. One coordinate is
-    perturbed at a time, so the cost is two trajectory replays per parameter;
-    the dimension is capped accordingly. With no batches (or beta = 0) the
+    ``adapt`` replays the SGD trajectory over ``batches``. One coordinate
+    moves by +-FD_STEP at a time, at two trajectory replays per parameter,
+    so the dimension is capped. With no batches (or beta = 0) the
     adaptation is the identity and the result reduces to the plain gradient
     up to finite-difference error.
     """
@@ -408,8 +408,6 @@ def maml_gradient_oracle(
         raise CapacityError(
             f"oracle capped at {MAML_ORACLE_MAX_DIM} parameters, spec has {spec.param_count}"
         )
-    if fd_step <= 0:
-        raise ContractViolation("fd_step must be positive")
     if eval_batch is None:
         if not batches:
             raise ContractViolation("eval_batch required when batches is empty")
@@ -423,11 +421,11 @@ def maml_gradient_oracle(
     out = np.empty(spec.param_count)
     for i in range(spec.param_count):
         bumped = params.copy()
-        bumped[i] = params[i] + fd_step
+        bumped[i] = params[i] + FD_STEP
         up = adapted_loss(bumped)
-        bumped[i] = params[i] - fd_step
+        bumped[i] = params[i] - FD_STEP
         down = adapted_loss(bumped)
-        out[i] = (up - down) / (2.0 * fd_step)
+        out[i] = (up - down) / (2.0 * FD_STEP)
     return out
 
 

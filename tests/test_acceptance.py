@@ -129,7 +129,7 @@ def test_criterion_1_round_update_decomposition():
     _, _, trace = run_round(
         spec, params, dataset, cfg, server, 0, StreamFactory(42), trace=True
     )
-    report = decompose_round(trace, 0.05)
+    report = decompose_round(trace)
     elapsed = time.perf_counter() - t0
     assert len(report.g_fomaml_by_j) == 3
     assert report.residual_norm <= 1e-10

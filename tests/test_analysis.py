@@ -46,13 +46,13 @@ def traced_round(seed=42, clients=3, k=4, spec=None, lr=0.05):
     _, _, trace = run_round(
         spec, params, ds, cfg, server, 0, StreamFactory(seed), trace=True
     )
-    return trace, lr
+    return trace
 
 
 class TestDecomposeRound:
     def test_residual_small_for_traced_round(self):
-        trace, lr = traced_round(seed=42, clients=3, k=4)
-        report = decompose_round(trace, lr)
+        trace = traced_round(seed=42, clients=3, k=4)
+        report = decompose_round(trace)
         assert report.residual_norm <= 1e-10
         assert len(report.g_fomaml_by_j) == 3
 
@@ -65,45 +65,45 @@ class TestDecomposeRound:
     )
     def test_residual_small_for_any_traced_round(self, k, m, activation, seed):
         spec = ModelSpec(8, (16, 4), activation=activation)
-        trace, lr = traced_round(seed=seed, clients=m, k=k, spec=spec)
-        report = decompose_round(trace, lr)
+        trace = traced_round(seed=seed, clients=m, k=k, spec=spec)
+        report = decompose_round(trace)
         assert report.residual_norm <= 1e-8
         assert len(report.g_fomaml_by_j) == k - 1
 
     def test_single_step_round_has_no_adapted_terms(self):
-        trace, lr = traced_round(seed=1, clients=3, k=1)
-        report = decompose_round(trace, lr)
+        trace = traced_round(seed=1, clients=3, k=1)
+        report = decompose_round(trace)
         assert report.g_fomaml_by_j == []
         assert report.residual_norm <= 1e-12
         np.testing.assert_allclose(report.g_fedavg, report.g_fedsgd, atol=1e-12)
 
     def test_zero_lr_all_terms_zero(self):
-        trace, lr = traced_round(seed=2, clients=3, k=3, lr=0.0)
-        report = decompose_round(trace, 0.0)
+        trace = traced_round(seed=2, clients=3, k=3, lr=0.0)
+        report = decompose_round(trace)
         assert np.array_equal(report.g_fedavg, np.zeros_like(report.g_fedavg))
         assert report.residual_norm == 0.0
 
     def test_untraced_round_rejected(self):
-        trace, lr = traced_round(seed=3, clients=3, k=2)
+        trace = traced_round(seed=3, clients=3, k=2)
         trace.step_gradients = None
         with pytest.raises(ContractViolation, match="trac"):
-            decompose_round(trace, lr)
+            decompose_round(trace)
 
     def test_unequal_step_counts_rejected(self):
-        trace, lr = traced_round(seed=4, clients=3, k=3)
+        trace = traced_round(seed=4, clients=3, k=3)
         trace.step_gradients[1] = trace.step_gradients[1][:-1]
         with pytest.raises(ContractViolation, match="common K"):
-            decompose_round(trace, lr)
+            decompose_round(trace)
 
     def test_non_uniform_weights_rejected(self):
-        trace, lr = traced_round(seed=5, clients=3, k=3)
+        trace = traced_round(seed=5, clients=3, k=3)
         trace.weights[0] = 2.0
         with pytest.raises(ContractViolation, match="uniform"):
-            decompose_round(trace, lr)
+            decompose_round(trace)
 
     def test_report_text_lists_terms(self):
-        trace, lr = traced_round(seed=6, clients=3, k=3)
-        text = decomposition_text(decompose_round(trace, lr))
+        trace = traced_round(seed=6, clients=3, k=3)
+        text = decomposition_text(decompose_round(trace))
         assert text.startswith("fms-decomposition/1\n")
         assert "norm_fedsgd=" in text
         assert "norm_fomaml_2=" in text

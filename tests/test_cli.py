@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import re
 import shutil
 import struct
 import tracemalloc
@@ -90,10 +91,10 @@ def interrupt_at_round(monkeypatch, stop):
     """Makes ``train`` raise KeyboardInterrupt when round ``stop`` ends."""
     save = cli._save_trace
 
-    def interrupting(path, trace, beta):
+    def interrupting(path, trace):
         if trace.round_index == stop:
             raise KeyboardInterrupt
-        save(path, trace, beta)
+        save(path, trace)
 
     monkeypatch.setattr(cli, "_save_trace", interrupting)
 
@@ -205,6 +206,40 @@ class TestTrain:
         assert "error: personalization lr must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    def rejected_before_output(self, config, tmp_path, capsys, monkeypatch, message):
+        """``train`` on ``config`` exits 1 before any round runs, with one
+        ``error:`` line matching ``message``, and creates no output directory."""
+        monkeypatch.setattr(federation, "run_round", must_not_run("run_round"))
+        out = tmp_path / "runs"
+        assert main(["train", "-c", str(config), "--out", str(out), "--replicas", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert re.search(message, err[0])
+        assert not out.exists()
+
+    def test_no_rounds_rejected_before_output(self, tmp_path, capsys, monkeypatch):
+        config = config_variant(tmp_path, "empty.ini", (
+            ("rounds = 8", "rounds = 0"), ("rounds = 4", "rounds = 0"),
+        ))
+        self.rejected_before_output(config, tmp_path, capsys, monkeypatch, "no rounds to train")
+
+    def test_held_out_client_without_test_examples_rejected(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # One row per client: each keeps it for training and has no test split.
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data.csv"
+        data.write_text("".join(
+            f"{cid},{cid % 3}," + ",".join(f"{v:.3f}" for v in rng.normal(size=6)) + "\n"
+            for cid in range(6)
+        ))
+        config = config_variant(tmp_path, "csv.ini", (
+            ("kind = synthetic", f"kind = csv\npath = {data}"),
+        ))
+        self.rejected_before_output(
+            config, tmp_path, capsys, monkeypatch, r"held-out client \d+ has no test examples"
+        )
+
     def test_force_overwrites(self, tmp_path):
         out = tmp_path / "runs"
         assert main(["train", "-c", SMOKE, "--out", str(out), "--replicas", "1"]) == 0
@@ -258,6 +293,23 @@ class TestTrain:
         names = sorted(p.name for p in (out / "replica_00").iterdir())
         assert names == ["checkpoint.fms", "ckpt_00006.fms", "ckpt_00012.fms",
                          "manifest.txt", "metrics.csv", "timings.csv"]
+
+    def test_periodic_checkpoint_equals_shorter_run(self, tmp_path):
+        out = tmp_path / "runs"
+        config = config_variant(
+            tmp_path, "ckpt.ini", (("[run]\n", "[run]\ncheckpoint_every = 4\n"),)
+        )
+        assert main(["train", "-c", str(config), "--out", str(out), "--replicas", "1"]) == 0
+        short = tmp_path / "short"
+        config = config_variant(tmp_path, "short.ini", (
+            ("rounds = 4", "rounds = 0"), ("rounds = 8", "rounds = 4"),
+        ))
+        assert main(["train", "-c", str(config), "--out", str(short), "--replicas", "1"]) == 0
+        rdir = out / "replica_00"
+        assert (rdir / "ckpt_00004.fms").read_bytes() == (
+            short / "replica_00" / "checkpoint.fms"
+        ).read_bytes()
+        assert (rdir / "ckpt_00012.fms").read_bytes() == (rdir / "checkpoint.fms").read_bytes()
 
     def test_traced_memory_does_not_grow_with_rounds(self, tmp_path):
         # One round of configs/decompose.ini holds 3 clients' 4 step
@@ -497,6 +549,21 @@ class TestDecompose:
         assert rc == 0
         assert "norm_fomaml_3" in out_text  # K=4 round has terms 1..3
 
+    def test_trace_carries_its_stage_step_size(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        config = config_variant(tmp_path, "beta.ini", (
+            ("client.steps = 2\nclient.lr = 0.05", "client.steps = 2\nclient.lr = 0.03"),
+        ))
+        assert main(["train", "-c", str(config), "--out", str(out), "--replicas", "1",
+                     "--trace"]) == 0
+        rdir = out / "replica_00"
+        betas = [_load_trace(cli._trace_path(rdir, r)).beta for r in range(12)]
+        assert betas == [0.05] * 8 + [0.03] * 4
+        for r in range(12):
+            assert main(["decompose", "-c", str(config), "--run-dir", str(rdir),
+                         "--round", str(r)]) == 0
+        capsys.readouterr()
+
     def test_untraced_run_explains_tracing(self, smoke_run, capsys):
         rc = main([
             "decompose", "-c", SMOKE, "--run-dir",
@@ -642,16 +709,14 @@ def unequal_traced_round(algorithm="fedavg"):
 
 
 class TestTraceFile:
-    BETA = 0.05
-
     def test_round_trip_is_exact(self, tmp_path):
         trace = unequal_traced_round()
         assert len({len(g) for g in trace.step_gradients}) == 4
         assert len(set(trace.weights.tolist())) == 4
         path = tmp_path / "round.npz"
-        _save_trace(path, trace, self.BETA)
-        loaded, beta = _load_trace(path)
-        assert beta == self.BETA
+        _save_trace(path, trace)
+        loaded = _load_trace(path)
+        assert loaded.beta == trace.beta == 0.05
         assert loaded.round_index == trace.round_index
         assert loaded.client_ids == trace.client_ids
         assert np.array_equal(loaded.aggregate, trace.aggregate)
@@ -665,8 +730,8 @@ class TestTraceFile:
     def test_resave_reproduces_file(self, tmp_path, algorithm):
         trace = unequal_traced_round(algorithm)
         path, again = tmp_path / "round.npz", tmp_path / "again.npz"
-        _save_trace(path, trace, self.BETA)
-        _save_trace(again, *_load_trace(path))
+        _save_trace(path, trace)
+        _save_trace(again, _load_trace(path))
         assert again.read_bytes() == path.read_bytes()
 
     def test_load_reads_each_member_once(self, tmp_path, monkeypatch):
@@ -687,7 +752,7 @@ class TestTraceFile:
         """The path of a saved ``unequal_traced_round`` trace, and the trace."""
         trace = unequal_traced_round()
         path = tmp_path / "round.npz"
-        _save_trace(path, trace, self.BETA)
+        _save_trace(path, trace)
         return path, trace
 
     def test_flipped_data_byte_is_parse_error(self, tmp_path):
@@ -724,7 +789,7 @@ class TestTraceFile:
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
         path, _ = self.saved(tmp_path)
-        loaded, _ = _load_trace(path)
+        loaded = _load_trace(path)
         arrays = [loaded.aggregate, loaded.weights, loaded.deltas, *loaded.step_gradients]
         assert not any(a.flags.writeable for a in arrays)
 
@@ -741,22 +806,22 @@ class TestTraceFile:
             weights=data.draw(hnp.arrays(np.float64, m, elements=value)),
             deltas=data.draw(hnp.arrays(np.float64, (m, p), elements=value)),
             aggregate=data.draw(hnp.arrays(np.float64, p, elements=value)),
+            beta=data.draw(value),
             step_gradients=[
                 data.draw(hnp.arrays(np.float64, (k, p), elements=value)) for k in steps
             ],
         )
-        beta = data.draw(value)
         members = {
             "round_index": np.array(trace.round_index),
             "client_ids": np.array(trace.client_ids),
             "aggregate": trace.aggregate,
             "weights": trace.weights,
             "deltas": trace.deltas,
-            "beta": np.array(beta),
+            "beta": np.array(trace.beta),
             **{f"grads_{i}": g for i, g in enumerate(trace.step_gradients)},
         }
         path = tmp_path_factory.mktemp("trace") / "round.npz"
-        _save_trace(path, trace, beta)
+        _save_trace(path, trace)
         reference = io.BytesIO()
         np.savez(reference, **members)
         assert path.read_bytes() == reference.getvalue()
@@ -766,8 +831,8 @@ class TestTraceFile:
                 assert archive[name].dtype == array.dtype
                 assert archive[name].shape == array.shape
                 assert archive[name].tobytes() == array.tobytes()
-        loaded, loaded_beta = _load_trace(path)
-        assert np.array(loaded_beta).tobytes() == np.array(beta).tobytes()
+        loaded = _load_trace(path)
+        assert np.array(loaded.beta).tobytes() == np.array(trace.beta).tobytes()
         assert loaded.client_ids == trace.client_ids
         for name in ("weights", "deltas", "aggregate"):
             assert getattr(loaded, name).tobytes() == getattr(trace, name).tobytes()

@@ -215,8 +215,10 @@ class TestFomamlUpdate:
     def terms(self, grads, beta):
         """[FedSGD term, FOMAML term 1, ...] of a uniform round with ``grads``."""
         m, p = len(grads), grads[0].shape[1]
-        trace = RoundTrace(0, list(range(m)), np.ones(m), np.zeros((m, p)), np.zeros(p), grads)
-        report = decompose_round(trace, beta)
+        trace = RoundTrace(
+            0, list(range(m)), np.ones(m), np.zeros((m, p)), np.zeros(p), beta, grads
+        )
+        report = decompose_round(trace)
         return [report.g_fedsgd, *report.g_fomaml_by_j]
 
     def test_k0_is_mean_first_gradient(self):
@@ -718,7 +720,9 @@ class TestRunPersonalizedFedAvg:
             EvalConfig(personalization=eval_cfg().personalization, every=2),
         )
         seen = []
-        run = run_personalized_fedavg(*args, seed=5, trace=True, on_round=seen.append)
+        run = run_personalized_fedavg(
+            *args, seed=5, trace=True, on_round=lambda tr, params: seen.append(tr)
+        )
         assert [tr.round_index for tr in seen] == [0, 1, 2, 3, 4]
         for tr in seen:
             assert len(tr.deltas) == 2 and tr.aggregate is not None
@@ -733,17 +737,24 @@ class TestRunPersonalizedFedAvg:
         assert plain.snapshots == run.snapshots
         assert len(plain.wallclock_ms) == 5
 
-    def test_checkpoint_schedule(self):
-        run = run_personalized_fedavg(
-            ModelSpec(4, (6, 3)),
-            self.dataset(),
-            stage("fedavg", 4, "momentum", 0.5, epochs=1),
-            None,
-            eval_cfg(),
-            seed=4,
-            checkpoint_every=2,
-        )
-        assert sorted(run.checkpoints) == [2, 4]
+    def test_on_round_gets_each_round_global_model(self):
+        def run(rounds, on_round=None):
+            return run_personalized_fedavg(
+                ModelSpec(4, (6, 3)),
+                self.dataset(),
+                stage("fedavg", rounds, "momentum", 0.5, epochs=1),
+                None,
+                eval_cfg(),
+                seed=4,
+                on_round=on_round,
+            )
+
+        seen = []
+        full = run(4, lambda tr, params: seen.append(params))
+        assert seen[-1] is full.final_params
+        # Each round's parameters are left as they were, so the sink needs no copy.
+        for r, params in enumerate(seen):
+            assert params.tobytes() == run(r + 1).final_params.tobytes()
 
 
 MODES = {
