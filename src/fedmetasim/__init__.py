@@ -16,8 +16,6 @@ from .analysis import (
 )
 from .data import (
     ClientDataset,
-    CsvSchema,
-    ExampleSet,
     FederatedDataset,
     dataset_manifest,
     generate_synthetic,

@@ -28,6 +28,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import sys
 import zipfile
 from pathlib import Path
@@ -64,11 +65,35 @@ DECOMPOSE_RESIDUAL_GATE = 1e-8
 
 
 def _ensure_writable(paths: list[Path], force: bool) -> None:
-    if force:
-        return
+    """Refuse, before any work, outputs that cannot be written even with
+    --force (under a non-directory, or a directory themselves) and, without
+    --force, outputs that exist."""
     for path in paths:
-        if path.exists():
+        try:
+            mode = path.stat().st_mode
+        except FileNotFoundError:
+            continue
+        except NotADirectoryError:
+            raise ConfigError(f"cannot write {path}: a parent is not a directory") from None
+        if stat.S_ISDIR(mode):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not force:
             raise ConfigError(f"refusing to overwrite {path} (use --force)")
+
+
+def _bounded(convert, low, high=math.inf):
+    """An argparse type: ``convert(text)`` within [low, high], so not nan."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"expected {convert.__name__} in [{low}, {high}], got {text!r}"
+            )
+        return value
+    return parse
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -545,19 +570,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_pers.add_argument("--out", required=True)
     p_pers.add_argument("--seed", type=int, default=None)
     p_pers.add_argument("--which", choices=("eval", "train"), default="eval")
-    p_pers.add_argument("--sweep-epochs", type=int, default=0)
+    p_pers.add_argument("--sweep-epochs", type=_bounded(int, 0), default=0,
+                        help="0: no sweep")
     p_pers.add_argument("--force", action="store_true")
 
     p_dec = sub.add_parser("decompose", help="decompose a traced round update")
     p_dec.add_argument("-c", "--config", required=True)
     p_dec.add_argument("--run-dir", required=True)
-    p_dec.add_argument("--round", type=int, required=True)
+    p_dec.add_argument("--round", type=_bounded(int, 0), required=True)
     p_dec.add_argument("--out", default=None)
     p_dec.add_argument("--force", action="store_true")
 
     p_rep = sub.add_parser("report", help="aggregate replica runs into tables")
     p_rep.add_argument("run_dirs", nargs="+")
-    p_rep.add_argument("--threshold", type=float, default=0.8)
+    p_rep.add_argument("--threshold", type=_bounded(float, 0, 1), default=0.8)
     p_rep.add_argument("--out", default=None)
     p_rep.add_argument("--force", action="store_true")
     return parser

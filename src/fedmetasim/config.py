@@ -15,12 +15,29 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import CsvSchema, FederatedDataset, generate_synthetic, load_csv_dataset, split_train_eval
+from .data import FederatedDataset, generate_synthetic, load_csv_dataset, split_train_eval
 from .errors import ConfigError, ContractViolation
 from .federation import EvalConfig, RoundConfig, StageConfig
 from .model import ModelSpec
 from .optimizers import ClientOptimizerConfig, ServerOptimizerState
 from .personalization import PersonalizationConfig
+
+_STAGE1 = {
+    "rounds": "200",
+    "algorithm": "fedavg",
+    "clients_per_round": "5",
+    "weighting": "",
+    "client.epochs": "10",
+    "client.steps": "",
+    "client.lr": "0.02",
+    "client.batch_size": "20",
+    "server.kind": "momentum",
+    "server.lr": "1.0",
+    "server.momentum": "0.9",
+    "server.adam_beta1": "0.9",
+    "server.adam_beta2": "0.999",
+    "server.adam_eps": "1e-8",
+}
 
 _DEFAULTS = {
     "dataset": {
@@ -40,37 +57,16 @@ _DEFAULTS = {
         "activation": "tanh",
         "loss": "softmax_cross_entropy",
     },
-    "stage1": {
-        "rounds": "200",
-        "algorithm": "fedavg",
-        "clients_per_round": "5",
-        "weighting": "",
-        "client.epochs": "10",
-        "client.steps": "",
-        "client.lr": "0.02",
-        "client.batch_size": "20",
-        "server.kind": "momentum",
-        "server.lr": "1.0",
-        "server.momentum": "0.9",
-        "server.adam_beta1": "0.9",
-        "server.adam_beta2": "0.999",
-        "server.adam_eps": "1e-8",
-    },
+    "stage1": _STAGE1,
+    # Stage 2 fine-tunes: Reptile steps under an Adam server.
     "stage2": {
+        **_STAGE1,
         "rounds": "0",
         "algorithm": "reptile",
-        "clients_per_round": "5",
-        "weighting": "",
         "client.epochs": "",
         "client.steps": "10",
-        "client.lr": "0.02",
-        "client.batch_size": "20",
         "server.kind": "adam",
         "server.lr": "0.001",
-        "server.momentum": "0.9",
-        "server.adam_beta1": "0.9",
-        "server.adam_beta2": "0.999",
-        "server.adam_eps": "1e-8",
     },
     "personalization": {
         "optimizer": "sgd",
@@ -177,11 +173,9 @@ def build_dataset(cfg: ExperimentConfig) -> FederatedDataset:
             raise ConfigError("[dataset] path required for kind=csv")
         ds = load_csv_dataset(
             path,
-            CsvSchema(
-                input_dim=cfg.get_int("dataset", "input_dim"),
-                num_classes=cfg.get_int("dataset", "num_classes"),
-                seed=seed,
-            ),
+            cfg.get_int("dataset", "input_dim"),
+            cfg.get_int("dataset", "num_classes"),
+            seed,
         )
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolation, ParseError, SchemaError
+from .model import Batch
 from .rng import StreamFactory
 
 TRAIN_FRACTION = 0.8
@@ -31,23 +32,9 @@ STYLE_OFFSET_STD = 0.6
 
 
 @dataclass(frozen=True)
-class ExampleSet:
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.ascontiguousarray(self.x, dtype=np.float64))
-        object.__setattr__(self, "y", np.ascontiguousarray(self.y, dtype=np.int64))
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-
-@dataclass(frozen=True)
 class ClientDataset:
-    train: ExampleSet
-    test: ExampleSet
+    train: Batch
+    test: Batch
 
     @property
     def weight(self) -> int:
@@ -86,8 +73,8 @@ def _split_examples(x: np.ndarray, y: np.ndarray) -> ClientDataset:
     n = x.shape[0]
     n_train = max(1, int(TRAIN_FRACTION * n))
     return ClientDataset(
-        train=ExampleSet(x[:n_train], y[:n_train]),
-        test=ExampleSet(x[n_train:], y[n_train:]),
+        train=Batch(x[:n_train], y[:n_train]),
+        test=Batch(x[n_train:], y[n_train:]),
     )
 
 
@@ -156,30 +143,22 @@ def generate_synthetic(
     )
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Row layout: client_id, label, feature_0 .. feature_{input_dim-1}."""
-
-    input_dim: int
-    num_classes: int
-    seed: int = 0
-
-
-def load_csv_dataset(path, schema: CsvSchema) -> FederatedDataset:
+def load_csv_dataset(path, input_dim: int, num_classes: int, seed: int = 0) -> FederatedDataset:
     """Group CSV rows by client id and split each client 80/20.
 
-    The per-client split shuffles row order with a stream keyed by
-    (schema.seed, client id), so the partition is stable for a given seed
-    regardless of how the file is chunked by client.
+    Row layout: client_id, label, feature_0 .. feature_{input_dim-1}. The
+    per-client split shuffles row order with a stream keyed by (seed, client
+    id), so the partition is stable for a given seed regardless of how the
+    file is chunked by client.
     """
     rows_by_client: dict[int, list[tuple[int, np.ndarray]]] = {}
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
-            if len(row) != 2 + schema.input_dim:
+            if len(row) != 2 + input_dim:
                 raise SchemaError(
-                    f"line {lineno}: expected {2 + schema.input_dim} columns, got {len(row)}"
+                    f"line {lineno}: expected {2 + input_dim} columns, got {len(row)}"
                 )
             try:
                 cid = int(row[0])
@@ -189,15 +168,15 @@ def load_csv_dataset(path, schema: CsvSchema) -> FederatedDataset:
                 raise ParseError(f"line {lineno}: {exc}") from exc
             if cid < 0:
                 raise SchemaError(f"line {lineno}: negative client id {cid}")
-            if not 0 <= label < schema.num_classes:
+            if not 0 <= label < num_classes:
                 raise SchemaError(
-                    f"line {lineno}: label {label} outside [0, {schema.num_classes})"
+                    f"line {lineno}: label {label} outside [0, {num_classes})"
                 )
             rows_by_client.setdefault(cid, []).append((label, feats))
     if not rows_by_client:
         raise SchemaError("no data rows in file")
 
-    streams = StreamFactory(schema.seed)
+    streams = StreamFactory(seed)
     clients = {}
     for cid in sorted(rows_by_client):
         rows = rows_by_client[cid]
@@ -210,8 +189,8 @@ def load_csv_dataset(path, schema: CsvSchema) -> FederatedDataset:
         clients=clients,
         train_client_ids=tuple(sorted(clients)),
         eval_client_ids=(),
-        input_dim=schema.input_dim,
-        num_classes=schema.num_classes,
+        input_dim=input_dim,
+        num_classes=num_classes,
     )
 
 

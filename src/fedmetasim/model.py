@@ -140,7 +140,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Batch:
-    """A batch of labelled examples.
+    """Labelled examples: a client's train or test split, or one minibatch of it.
 
     ``targets`` is only consulted by the quadratic loss and defaults to the
     one-hot encoding of ``y``; supplying explicit real-valued targets allows
@@ -160,7 +160,7 @@ class Batch:
             )
 
     @property
-    def size(self) -> int:
+    def n(self) -> int:
         return self.x.shape[0]
 
 
@@ -257,7 +257,7 @@ def _forward_loss_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -
     if spec.loss == "softmax_cross_entropy":
         zmax = logits.max(axis=1, keepdims=True)
         lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-        loss = np.mean(lse - logits[np.arange(batch.size), batch.y])
+        loss = np.mean(lse - logits[np.arange(batch.n), batch.y])
     else:
         diff = logits - _loss_targets(spec, batch)
         loss = 0.5 * np.mean(np.sum(diff * diff, axis=1))

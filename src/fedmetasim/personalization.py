@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import ClientDataset, ExampleSet, FederatedDataset
+from .data import ClientDataset, FederatedDataset
 from .errors import ContractViolation
-from .model import ModelSpec, forward_logits, sgd_trajectory
+from .model import Batch, ModelSpec, forward_logits, sgd_trajectory
 from .optimizers import adam_step, make_client_batches, sgd_update
 from .rng import StreamFactory
 
@@ -71,7 +71,7 @@ class PersonalizationReport:
     negative_fraction: float
 
 
-def evaluate_accuracy(spec: ModelSpec, params: np.ndarray, examples: ExampleSet) -> float:
+def evaluate_accuracy(spec: ModelSpec, params: np.ndarray, examples: Batch) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class."""
     if examples.n == 0:
         raise ContractViolation("cannot evaluate on an empty example set")

@@ -120,6 +120,24 @@ def refused_without_change(argv, root, capsys):
     assert tree_bytes(root) == before
 
 
+def refused_wrong_kind(argv, blocker, capsys):
+    """Runs ``argv``, whose --out is blocked by ``blocker`` (a file where a
+    directory must go, or a directory where a file must go), and checks that
+    it exits 1 with one error line and adds, removes and changes nothing
+    beside ``blocker``: no staging directory or temp file is left."""
+    root = blocker.parent
+    before = sorted(root.rglob("*")), tree_bytes(root)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert (sorted(root.rglob("*")), tree_bytes(root)) == before
+
+
+FORCE = pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+
+
 class TestTrain:
     def test_replica_layout_and_seeds(self, smoke_run):
         dirs = sorted(p.name for p in smoke_run.iterdir())
@@ -163,6 +181,13 @@ class TestTrain:
             ["train", "-c", SMOKE, "--out", str(out), "--replicas", "2"], out, capsys
         )
         assert not (out / "replica_00").exists()
+
+    @FORCE
+    def test_out_under_a_file_refused_before_training(self, tmp_path, capsys, monkeypatch, force):
+        monkeypatch.setattr(cli, "run_personalized_fedavg", must_not_run("training"))
+        blocker = tmp_path / "runs"
+        blocker.write_text("not a directory\n")
+        refused_wrong_kind(["train", "-c", SMOKE, "--out", str(blocker), *force], blocker, capsys)
 
     def test_existing_trace_refused(self, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -444,6 +469,17 @@ class TestReport:
         assert rc == 1
         assert "different configs" in capsys.readouterr().err
 
+    @FORCE
+    def test_out_under_a_file_refused_before_reading_runs(
+        self, smoke_run, tmp_path, capsys, monkeypatch, force
+    ):
+        monkeypatch.setattr(cli, "_load_metrics", must_not_run("_load_metrics"))
+        blocker = tmp_path / "report"
+        blocker.write_text("not a directory\n")
+        refused_wrong_kind(
+            ["report", *self.run_dirs(smoke_run), "--out", str(blocker), *force], blocker, capsys
+        )
+
     def test_existing_report_refused_before_reading_runs(
         self, smoke_run, tmp_path, capsys, monkeypatch
     ):
@@ -457,6 +493,18 @@ class TestReport:
 
 
 class TestPersonalize:
+    @FORCE
+    def test_out_under_a_file_refused_before_evaluation(
+        self, smoke_run, tmp_path, capsys, monkeypatch, force
+    ):
+        monkeypatch.setattr(cli, "eval_population", must_not_run("eval_population"))
+        blocker = tmp_path / "pers"
+        blocker.write_text("not a directory\n")
+        refused_wrong_kind([
+            "personalize", "-c", SMOKE, "--checkpoint",
+            str(smoke_run / "replica_00" / "checkpoint.fms"), "--out", str(blocker), *force,
+        ], blocker, capsys)
+
     def test_existing_report_refused_before_evaluation(
         self, smoke_run, tmp_path, capsys, monkeypatch
     ):
@@ -592,6 +640,19 @@ class TestDecompose:
             "decompose", "-c", DECOMPOSE, "--run-dir", str(traced_run / "replica_00"),
             "--round", "1", "--out", str(out),
         ], tmp_path, capsys)
+
+    @FORCE
+    def test_out_that_is_a_directory_refused_before_loading(
+        self, traced_run, tmp_path, capsys, monkeypatch, force
+    ):
+        monkeypatch.setattr(cli, "_load_trace", must_not_run("_load_trace"))
+        blocker = tmp_path / "round_1.txt"
+        blocker.mkdir()
+        (blocker / "inside.txt").write_text("kept\n")
+        refused_wrong_kind([
+            "decompose", "-c", DECOMPOSE, "--run-dir", str(traced_run / "replica_00"),
+            "--round", "1", "--out", str(blocker), *force,
+        ], blocker, capsys)
 
     def test_failed_write_keeps_existing_output(self, traced_run, tmp_path, monkeypatch):
         out = tmp_path / "round_1.txt"
@@ -864,6 +925,33 @@ class TestUsage:
         assert main(argv) == 7
         assert calls == [1]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["personalize", "-c", SMOKE, "--checkpoint", "ckpt.fms", "--out", "pers",
+          "--sweep-epochs", "-3"], "--sweep-epochs: expected int in [0, inf], got '-3'"),
+        (["report", "runs", "--threshold", "nan"], "--threshold: expected float in [0, 1]"),
+        (["report", "runs", "--threshold", "7"], "--threshold: expected float in [0, 1]"),
+        (["decompose", "-c", DECOMPOSE, "--run-dir", "runs", "--round", "-1"],
+         "--round: expected int in [0, inf], got '-1'"),
+        (["decompose", "-c", DECOMPOSE, "--run-dir", "runs", "--round", "one"],
+         "--round: expected int in [0, inf], got 'one'"),
+    ], ids=["sweep-epochs", "threshold-nan", "threshold-7", "round", "round-text"])
+    def test_out_of_range_flag_is_usage_error(self, monkeypatch, capsys, argv, message):
+        for name in ("eval_population", "_load_metrics", "_load_trace"):
+            monkeypatch.setattr(cli, name, must_not_run(name))
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_flag_range_bounds_accepted(self):
+        parse = cli.build_parser().parse_args
+        assert parse(["report", "runs", "--threshold", "0"]).threshold == 0.0
+        assert parse(["report", "runs", "--threshold", "1"]).threshold == 1.0
+        assert parse(["decompose", "-c", DECOMPOSE, "--run-dir", "runs", "--round", "0"]).round == 0
+        argv = ["personalize", "-c", SMOKE, "--checkpoint", "c.fms", "--out", "p"]
+        assert parse(argv).sweep_epochs == 0
+        assert parse([*argv, "--sweep-epochs", "0"]).sweep_epochs == 0
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fedmetasim import (
+    Batch,
     ContractViolation,
-    CsvSchema,
     FederatedDataset,
     ParseError,
     SchemaError,
@@ -12,7 +12,7 @@ from fedmetasim import (
     load_csv_dataset,
     split_train_eval,
 )
-from fedmetasim.data import ClientDataset, ExampleSet
+from fedmetasim.data import ClientDataset
 
 
 def small_synthetic(seed=0, **overrides):
@@ -118,7 +118,7 @@ class TestLoadCsv:
 
     def test_two_rows_one_client(self, tmp_path):
         path = self.write(tmp_path, "0,1,0.5,0.5\n0,0,-0.5,0.25\n")
-        ds = load_csv_dataset(path, CsvSchema(input_dim=2, num_classes=2))
+        ds = load_csv_dataset(path, 2, 2)
         assert ds.train_client_ids == (0,)
         client = ds.clients[0]
         assert client.train.n == 1
@@ -126,32 +126,32 @@ class TestLoadCsv:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_csv_dataset(tmp_path / "nope.csv", CsvSchema(2, 2))
+            load_csv_dataset(tmp_path / "nope.csv", 2, 2)
 
     def test_label_outside_schema(self, tmp_path):
         path = self.write(tmp_path, "0,0,0.1,0.2\n0,5,0.1,0.2\n")
         with pytest.raises(SchemaError) as err:
-            load_csv_dataset(path, CsvSchema(input_dim=2, num_classes=2))
+            load_csv_dataset(path, 2, 2)
         assert "line 2" in str(err.value)
 
     def test_malformed_value(self, tmp_path):
         path = self.write(tmp_path, "0,0,0.1,0.2\n0,0,zzz,0.2\n")
         with pytest.raises(ParseError) as err:
-            load_csv_dataset(path, CsvSchema(input_dim=2, num_classes=2))
+            load_csv_dataset(path, 2, 2)
         assert "line 2" in str(err.value)
 
     def test_wrong_column_count(self, tmp_path):
         path = self.write(tmp_path, "0,0,0.1\n")
         with pytest.raises(SchemaError) as err:
-            load_csv_dataset(path, CsvSchema(input_dim=2, num_classes=2))
+            load_csv_dataset(path, 2, 2)
         assert "line 1" in str(err.value)
 
     def test_split_deterministic_in_seed(self, tmp_path):
         rows = "\n".join(f"0,{i % 3},{i / 10},{-i / 5}" for i in range(10))
         path = self.write(tmp_path, rows + "\n")
-        a = load_csv_dataset(path, CsvSchema(2, 3, seed=5))
-        b = load_csv_dataset(path, CsvSchema(2, 3, seed=5))
-        c = load_csv_dataset(path, CsvSchema(2, 3, seed=6))
+        a = load_csv_dataset(path, 2, 3, seed=5)
+        b = load_csv_dataset(path, 2, 3, seed=5)
+        c = load_csv_dataset(path, 2, 3, seed=6)
         assert datasets_equal(a, b)
         assert not datasets_equal(a, c)
         assert a.clients[0].train.n == 8
@@ -159,7 +159,7 @@ class TestLoadCsv:
     def test_groups_multiple_clients(self, tmp_path):
         rows = ["1,0,0.1,0.2", "0,1,0.3,0.4", "1,1,0.5,0.6", "7,0,0.0,0.0"]
         path = self.write(tmp_path, "\n".join(rows) + "\n")
-        ds = load_csv_dataset(path, CsvSchema(2, 2))
+        ds = load_csv_dataset(path, 2, 2)
         assert ds.train_client_ids == (0, 1, 7)
         assert ds.clients[1].train.n + ds.clients[1].test.n == 2
 
@@ -218,8 +218,8 @@ class TestFederatedDatasetInvariants:
 
     def test_label_range_checked(self):
         bad = ClientDataset(
-            train=ExampleSet(np.zeros((2, 3)), np.array([0, 7])),
-            test=ExampleSet(np.zeros((1, 3)), np.array([0])),
+            train=Batch(np.zeros((2, 3)), np.array([0, 7])),
+            test=Batch(np.zeros((1, 3)), np.array([0])),
         )
         with pytest.raises(ContractViolation):
             FederatedDataset(

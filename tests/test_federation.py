@@ -27,7 +27,7 @@ from fedmetasim import (
     split_train_eval,
     substream,
 )
-from fedmetasim.data import ClientDataset, ExampleSet, FederatedDataset
+from fedmetasim.data import ClientDataset, FederatedDataset
 from fedmetasim.errors import NumericError
 from util import (
     make_client,
@@ -56,7 +56,7 @@ def quadratic_client(seed, d=3, c=2, n=8):
     x = rng.normal(size=(n, d))
     y = rng.integers(0, c, size=n)
     spec = ModelSpec(d, (c,), activation="identity", loss="quadratic")
-    client = ClientDataset(train=ExampleSet(x, y), test=ExampleSet(x[:2], y[:2]))
+    client = ClientDataset(train=Batch(x, y), test=Batch(x[:2], y[:2]))
     a = quad_hessian(spec, x)
     lin = quad_linear_term(spec, x, onehot(y, c))
     return spec, client, a, lin
@@ -286,7 +286,7 @@ class TestLocalUpdate:
         spec = ModelSpec(3, (2,), activation="identity", loss="quadratic")
         x = np.array([[0.5, -0.2, 0.1], [1e200, 1e200, 1e200]])
         client = ClientDataset(
-            train=ExampleSet(x, np.array([0, 1])), test=ExampleSet(x[:1], np.array([0]))
+            train=Batch(x, np.array([0, 1])), test=Batch(x[:1], np.array([0]))
         )
         seed = next(
             s for s in range(50)
@@ -776,8 +776,8 @@ def poisoned_dataset(sizes, poisoned, seed, d=4, c=3):
         if bad:
             x[rng.integers(n)] *= 1e150
         clients[cid] = ClientDataset(
-            train=ExampleSet(x, rng.integers(0, c, size=n)),
-            test=ExampleSet(x[:1], np.zeros(1, dtype=np.int64)),
+            train=Batch(x, rng.integers(0, c, size=n)),
+            test=Batch(x[:1], np.zeros(1, dtype=np.int64)),
         )
     return FederatedDataset(
         clients=clients, train_client_ids=tuple(clients), eval_client_ids=(),
@@ -873,7 +873,7 @@ class TestLockstepRound:
         x0, x1 = rng.normal(size=(4, 3)) * 1e40, rng.normal(size=(4, 3))
         x1[2] = 1e200
         clients = {
-            cid: ClientDataset(train=ExampleSet(x, np.zeros(4)), test=ExampleSet(x[:1], [0]))
+            cid: ClientDataset(train=Batch(x, np.zeros(4)), test=Batch(x[:1], [0]))
             for cid, x in enumerate((x0, x1))
         }
         ds = FederatedDataset(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fedmetasim import (
+    Batch,
     ClientOptimizerConfig,
     DivergenceError,
     ModelSpec,
@@ -27,7 +28,7 @@ from fedmetasim import (
     substream,
 )
 from fedmetasim import model
-from fedmetasim.data import ClientDataset, ExampleSet, FederatedDataset
+from fedmetasim.data import ClientDataset, FederatedDataset
 from util import reference_local_update, reference_personalize, reference_round_updates
 
 
@@ -66,7 +67,7 @@ def unequal_dataset(sizes, seed=0, d=4, c=3, poisoned=()):
         if cid in poisoned:
             x[n // 2] = 1e200
         y = rng.integers(0, c, size=n)
-        clients[cid] = ClientDataset(ExampleSet(x, y), ExampleSet(x, y))
+        clients[cid] = ClientDataset(Batch(x, y), Batch(x, y))
     return FederatedDataset(clients, tuple(clients), (), d, c)
 
 

@@ -216,19 +216,19 @@ class TestClientBatches:
         cfg = ClientOptimizerConfig(lr=0.02, batch_size=20)
         batches = list(make_client_batches(client, 1, cfg.batch_size, substream(0, "b")))
         assert len(batches) == 1
-        assert batches[0].size == 20
+        assert batches[0].n == 20
 
     def test_one_batch_per_epoch(self):
         client = make_client(np.random.default_rng(1), n_train=20)
         cfg = ClientOptimizerConfig(lr=0.02, batch_size=20)
         batches = list(make_client_batches(client, 10, cfg.batch_size, substream(1, "b")))
-        assert [b.size for b in batches] == [20] * 10
+        assert [b.n for b in batches] == [20] * 10
 
     def test_chunk_arithmetic_with_short_tail(self):
         client = make_client(np.random.default_rng(2), n_train=45)
         cfg = ClientOptimizerConfig(lr=0.02, batch_size=20)
         batches = list(make_client_batches(client, 2, cfg.batch_size, substream(2, "b")))
-        assert [b.size for b in batches] == [20, 20, 5, 20, 20, 5]
+        assert [b.n for b in batches] == [20, 20, 5, 20, 20, 5]
 
     def test_each_epoch_covers_every_example(self):
         client = make_client(np.random.default_rng(3), n_train=13)

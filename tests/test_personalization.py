@@ -21,7 +21,7 @@ from fedmetasim import (
     split_train_eval,
     substream,
 )
-from fedmetasim.data import ClientDataset, ExampleSet
+from fedmetasim.data import ClientDataset
 from fedmetasim.errors import NumericError
 from util import (
     make_client,
@@ -60,19 +60,19 @@ class TestEvaluateAccuracy:
         spec = ModelSpec(2, (3,))
         params = np.zeros(spec.param_count)
         params[2 * 3] = 100.0  # b0
-        examples = ExampleSet(np.random.default_rng(0).normal(size=(10, 2)), np.zeros(10))
+        examples = Batch(np.random.default_rng(0).normal(size=(10, 2)), np.zeros(10))
         assert evaluate_accuracy(spec, params, examples) == 1.0
 
     def test_zero_params_ties_break_to_class_zero(self):
         spec = ModelSpec(2, (3,))
         y = np.array([0, 0, 1, 2, 0])
-        examples = ExampleSet(np.ones((5, 2)), y)
+        examples = Batch(np.ones((5, 2)), y)
         assert evaluate_accuracy(spec, np.zeros(spec.param_count), examples) == 0.6
 
     def test_matches_per_example_check(self):
         rng = np.random.default_rng(7)
         params = init_params(SPEC, substream(7, "init"))
-        examples = ExampleSet(rng.normal(size=(25, 4)), rng.integers(0, 3, size=25))
+        examples = Batch(rng.normal(size=(25, 4)), rng.integers(0, 3, size=25))
         got = evaluate_accuracy(SPEC, params, examples)
         correct = 0
         for i in range(25):
@@ -86,7 +86,7 @@ class TestEvaluateAccuracy:
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
-            evaluate_accuracy(SPEC, np.zeros(SPEC.param_count), ExampleSet(np.zeros((0, 4)), np.zeros(0)))
+            evaluate_accuracy(SPEC, np.zeros(SPEC.param_count), Batch(np.zeros((0, 4)), np.zeros(0)))
 
 
 class TestPersonalize:
@@ -116,7 +116,7 @@ class TestPersonalize:
         spec = ModelSpec(3, (2,), activation="identity", loss="quadratic")
         x = rng.normal(size=(8, 3))
         y = rng.integers(0, 2, size=8)
-        client = ClientDataset(train=ExampleSet(x, y), test=ExampleSet(x[:2], y[:2]))
+        client = ClientDataset(train=Batch(x, y), test=Batch(x[:2], y[:2]))
         a = quad_hessian(spec, x)
         lin = quad_linear_term(spec, x, onehot(y, 2))
         params = rng.normal(size=spec.param_count)
@@ -131,7 +131,7 @@ class TestPersonalize:
         spec = ModelSpec(3, (2,), activation="identity", loss="quadratic")
         x = rng.normal(size=(8, 3))
         y = rng.integers(0, 2, size=8)
-        client = ClientDataset(train=ExampleSet(x, y), test=ExampleSet(x[:2], y[:2]))
+        client = ClientDataset(train=Batch(x, y), test=Batch(x[:2], y[:2]))
         params = rng.normal(size=spec.param_count)
         cfg = PersonalizationConfig(optimizer="sgd", lr=1e200, epochs=5, batch_size=50)
         adapted, diverged = personalize_one(spec, params, client, cfg, substream(3, "p"))
@@ -151,7 +151,7 @@ class TestPersonalize:
         if cause == "gradient":
             x[4] = 1e200
         y = rng.integers(0, 2, size=9)
-        client = ClientDataset(train=ExampleSet(x, y), test=ExampleSet(x[:2], y[:2]))
+        client = ClientDataset(train=Batch(x, y), test=Batch(x[:2], y[:2]))
         params = rng.normal(size=spec.param_count)
         lr = 1e120 if cause == "iterate" else 0.05
         cfg = PersonalizationConfig(optimizer=optimizer, lr=lr, epochs=2, batch_size=2)
@@ -266,7 +266,7 @@ class TestLockstepPopulation:
             if data.draw(st.booleans(), label="poisoned"):
                 x[rng.integers(n)] *= 1e150
             y = rng.integers(0, 3, n)
-            clients.append(ClientDataset(ExampleSet(x, y), ExampleSet(x, y)))
+            clients.append(ClientDataset(Batch(x, y), Batch(x, y)))
         spec = ModelSpec(4, (5, 3), activation=activation)
         params = rng.normal(size=spec.param_count)
         special = st.sampled_from([0.0, -0.0, 1e100, -1e100, 3e7])
@@ -315,7 +315,7 @@ class TestLockstepPopulation:
             if i == 2:
                 x[: case["rows"], 0] = case["x0"]
             y = rng.integers(0, 2, 6)
-            clients.append(ClientDataset(ExampleSet(x, y), ExampleSet(x, y)))
+            clients.append(ClientDataset(Batch(x, y), Batch(x, y)))
         params = rng.normal(size=spec.param_count)
         params[0] = case["w00"]
         cfg = PersonalizationConfig(optimizer, case["lr"], epochs=3, batch_size=case["batch_size"])

@@ -28,7 +28,7 @@ from fedmetasim import (
     gradient,
     sample_clients,
 )
-from fedmetasim.data import ClientDataset, ExampleSet
+from fedmetasim.data import ClientDataset
 from fedmetasim.personalization import ADAM_LR
 
 
@@ -299,4 +299,4 @@ def make_client(rng, n_train=20, n_test=8, d=4, c=3):
     y_te = rng.integers(0, c, size=n_test)
     x_tr = means[y_tr] + 0.5 * rng.normal(size=(n_train, d))
     x_te = means[y_te] + 0.5 * rng.normal(size=(n_test, d))
-    return ClientDataset(train=ExampleSet(x_tr, y_tr), test=ExampleSet(x_te, y_te))
+    return ClientDataset(train=Batch(x_tr, y_tr), test=Batch(x_te, y_te))
