@@ -11,11 +11,10 @@ Round metrics go to metrics.csv (deterministic columns only, so reruns with
 the same config and seed are byte-identical); per-round wallclock goes to a
 sibling timings.csv.
 
-Every output appears whole or not at all. ``train`` writes a replica's files,
-each round's trace and periodic checkpoint as the round ends, into a staging
-directory beside the replica directory and moves them into place only when
-the replica completes; the other commands write each file through a temp
-file and ``os.replace``.
+Every command writes its output set through ``_staged``: under staged names
+first, then one ``os.replace`` per file in a fixed order, metrics.csv last for
+``train``. A failure before the moves leaves every earlier output as it was; a
+crash during them, one rename per file, can leave a mix of new and old files.
 """
 
 from __future__ import annotations
@@ -96,15 +95,36 @@ def _bounded(convert, low, high=math.inf):
     return parse
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``path`` whole or not at all: a temp file beside it, then ``os.replace``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp")
+@contextlib.contextmanager
+def _staged(outputs: list[Path]):
+    """Yield a map from each of ``outputs`` to its staged name, ``.<name>.staging``
+    beside it, cleared of any stale file or directory. When the body returns,
+    move the staged files into place in the order of ``outputs``; if anything
+    raises first, remove them and the directories made for them."""
+    staged = {path: path.with_name(f".{path.name}.staging") for path in outputs}
+    made = []
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        for directory in dict.fromkeys(path.parent for path in outputs):
+            missing = []
+            while not directory.is_dir():
+                missing.append(directory)
+                directory = directory.parent
+            if missing:
+                missing[0].mkdir(parents=True)
+            made += reversed(missing)
+        for name in staged.values():
+            shutil.rmtree(name, ignore_errors=True)  # a stale directory
+            name.unlink(missing_ok=True)  # a stale file or link
+        yield staged
+        for path, name in staged.items():
+            os.replace(name, path)
+    except BaseException:
+        for name in staged.values():
+            name.unlink(missing_ok=True)
+        for directory in reversed(made):
+            with contextlib.suppress(OSError):  # kept if anything else is in it
+                directory.rmdir()
+        raise
 
 
 def _trace_path(rdir: Path, round_index: int) -> Path:
@@ -116,28 +136,14 @@ def _ckpt_path(rdir: Path, round_index: int) -> Path:
 
 
 def _replica_outputs(rdir: Path, rounds: int, checkpoint_every: int, trace: bool) -> list[Path]:
-    """Every file ``train`` writes for one replica of ``rounds`` rounds."""
-    paths = [rdir / "metrics.csv", rdir / "timings.csv",
-             rdir / "manifest.txt", rdir / "checkpoint.fms"]
+    """Every file ``train`` writes for a replica, in commit order: metrics.csv last."""
+    paths = [rdir / "timings.csv", rdir / "manifest.txt", rdir / "checkpoint.fms"]
     if checkpoint_every:
         paths += [_ckpt_path(rdir, r)
                   for r in range(checkpoint_every, rounds + 1, checkpoint_every)]
     if trace:
         paths += [_trace_path(rdir, r) for r in range(rounds)]
-    return paths
-
-
-def _commit_replica(staging: Path, rdir: Path, outputs: list[Path]) -> None:
-    """Move a finished replica's ``outputs`` from ``staging`` into ``rdir``,
-    metrics.csv (which ``report`` reads) last, then delete the traces and
-    periodic checkpoints of an earlier run that this one did not write."""
-    for path in sorted(outputs, key=lambda p: p.name == "metrics.csv"):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(staging / path.relative_to(rdir), path)
-    keep = set(outputs)
-    for path in [*rdir.glob("ckpt_*.fms"), *rdir.glob("traces/round_*.npz")]:
-        if path not in keep:
-            path.unlink()
+    return paths + [rdir / "metrics.csv"]
 
 
 def _metrics_lines(cfg_hash: str, seed: int, run: TrainingRun) -> str:
@@ -323,41 +329,31 @@ def cmd_train(args) -> int:
         args.force,
     )
 
-    made_root = not out_root.exists()
     for replica, rdir in enumerate(rdirs):
         seed = base_seed + replica
-        staging = rdir.with_name(f".{rdir.name}.staging")
-        shutil.rmtree(staging, ignore_errors=True)
-        (staging / "traces" if trace else staging).mkdir(parents=True)
-
-        def save_round(tr: RoundTrace, params: np.ndarray) -> None:
-            if trace:
-                _save_trace(_trace_path(staging, tr.round_index), tr)
-            if checkpoint_every and (tr.round_index + 1) % checkpoint_every == 0:
-                save_checkpoint(_ckpt_path(staging, tr.round_index + 1), spec, params)
-
+        outputs = _replica_outputs(rdir, rounds, checkpoint_every, trace)
         try:
-            run = run_personalized_fedavg(
-                spec, dataset, stage1, stage2, eval_cfg, seed, trace=trace, on_round=save_round,
-            )
-            (staging / "metrics.csv").write_text(_metrics_lines(cfg.hash, seed, run))
-            (staging / "timings.csv").write_text(_timings_lines(cfg.hash, seed, run))
-            (staging / "manifest.txt").write_text(_manifest_text(cfg, seed, replica, dataset))
-            save_checkpoint(staging / "checkpoint.fms", spec, run.final_params)
-            _commit_replica(
-                staging, rdir, _replica_outputs(rdir, rounds, checkpoint_every, trace)
-            )
+            with _staged(outputs) as staged:
+                def save_round(tr: RoundTrace, params: np.ndarray) -> None:
+                    if trace:
+                        _save_trace(staged[_trace_path(rdir, tr.round_index)], tr)
+                    if checkpoint_every and (tr.round_index + 1) % checkpoint_every == 0:
+                        save_checkpoint(staged[_ckpt_path(rdir, tr.round_index + 1)], spec, params)
+
+                run = run_personalized_fedavg(
+                    spec, dataset, stage1, stage2, eval_cfg, seed, trace=trace, on_round=save_round
+                )
+                staged[rdir / "metrics.csv"].write_text(_metrics_lines(cfg.hash, seed, run))
+                staged[rdir / "timings.csv"].write_text(_timings_lines(cfg.hash, seed, run))
+                manifest = _manifest_text(cfg, seed, replica, dataset)
+                staged[rdir / "manifest.txt"].write_text(manifest)
+                save_checkpoint(staged[rdir / "checkpoint.fms"], spec, run.final_params)
         except DivergenceError as exc:
-            print(
-                f"replica {replica} (seed {seed}): {exc}",
-                file=sys.stderr,
-            )
+            print(f"replica {replica} (seed {seed}): {exc}", file=sys.stderr)
             return 1
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
-            if made_root:  # removed only while empty, when the first replica failed
-                with contextlib.suppress(OSError):
-                    out_root.rmdir()
+        # --force replaces the trace and periodic checkpoint sets, and no other file.
+        for path in {*rdir.glob("ckpt_*.fms"), *rdir.glob("traces/round_*.npz")} - {*outputs}:
+            path.unlink()
 
         last = run.snapshots[-1]
         print(
@@ -369,10 +365,10 @@ def cmd_train(args) -> int:
 
 def cmd_personalize(args) -> int:
     out = Path(args.out)
-    paths = [out / "report.csv", out / "summary.json"]
+    outputs = [out / "report.csv", out / "summary.json"]
     if args.sweep_epochs:
-        paths.append(out / "sweep.csv")
-    _ensure_writable(paths, args.force)
+        outputs.append(out / "sweep.csv")
+    _ensure_writable(outputs, args.force)
 
     cfg = load_config(args.config)
     spec = build_model_spec(cfg)
@@ -409,7 +405,6 @@ def cmd_personalize(args) -> int:
             f"{o.client_id},{o.n_train},{o.n_test},{o.initial_acc:.8f},"
             f"{o.personalized_acc:.8f},{int(o.diverged)}"
         )
-    _write_atomic(out / "report.csv", "\n".join(lines) + "\n")
     summary = {
         "config_hash": cfg.hash,
         "seed": seed,
@@ -421,9 +416,11 @@ def cmd_personalize(args) -> int:
         "std_personalized_acc": report.std_personalized,
         "negative_fraction": report.negative_fraction,
     }
-    _write_atomic(out / "summary.json", json.dumps(summary, indent=2) + "\n")
-    if sweep_rows is not None:
-        _write_atomic(out / "sweep.csv", sweep_csv(sweep_rows))
+    with _staged(outputs) as staged:
+        staged[out / "report.csv"].write_text("\n".join(lines) + "\n")
+        staged[out / "summary.json"].write_text(json.dumps(summary, indent=2) + "\n")
+        if sweep_rows is not None:
+            staged[out / "sweep.csv"].write_text(sweep_csv(sweep_rows))
     print(
         f"{which}: initial={report.mean_initial:.4f} "
         f"personalized={report.mean_personalized:.4f} "
@@ -449,7 +446,8 @@ def cmd_decompose(args) -> int:
     text = decomposition_text(report)
     print(text, end="")
     if out is not None:
-        _write_atomic(out, f"# config_hash={cfg.hash}\n" + text)
+        with _staged([out]) as staged:
+            staged[out].write_text(f"# config_hash={cfg.hash}\n" + text)
     if report.residual_norm > DECOMPOSE_RESIDUAL_GATE:
         print(
             f"residual {report.residual_norm:.3e} exceeds {DECOMPOSE_RESIDUAL_GATE:.0e}",
@@ -538,9 +536,10 @@ def cmd_report(args) -> int:
     text, rows = _report(hashes[0], runs, args.threshold)
     print(text, end="")
     if out is not None:
-        _write_atomic(out / "report.txt", text)
         csv_lines = [f"# config_hash={hashes[0]}", REPORT_COLUMNS, *rows]
-        _write_atomic(out / "report.csv", "\n".join(csv_lines) + "\n")
+        with _staged([out / "report.txt", out / "report.csv"]) as staged:
+            staged[out / "report.txt"].write_text(text)
+            staged[out / "report.csv"].write_text("\n".join(csv_lines) + "\n")
     return 0
 
 

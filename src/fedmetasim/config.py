@@ -117,8 +117,12 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # Values are literal ('%' is not special), so every parse error names a line.
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:  # its text names the file and line; one line here
+        raise ConfigError(" ".join(str(exc).split())) from None
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 

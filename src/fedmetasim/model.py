@@ -249,18 +249,14 @@ def forward_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     params = _check_params(spec, params)
     _check_batch(spec, batch)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_loss_unchecked(spec, params, batch)
-
-
-def _forward_loss_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
-    logits = _forward(spec, params, batch.x)[-1]
-    if spec.loss == "softmax_cross_entropy":
-        zmax = logits.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-        loss = np.mean(lse - logits[np.arange(batch.n), batch.y])
-    else:
-        diff = logits - _loss_targets(spec, batch)
-        loss = 0.5 * np.mean(np.sum(diff * diff, axis=1))
+        logits = _forward(spec, params, batch.x)[-1]
+        if spec.loss == "softmax_cross_entropy":
+            zmax = logits.max(axis=1, keepdims=True)
+            lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+            loss = np.mean(lse - logits[np.arange(batch.n), batch.y])
+        else:
+            diff = logits - _loss_targets(spec, batch)
+            loss = 0.5 * np.mean(np.sum(diff * diff, axis=1))
     if not np.isfinite(loss):
         raise NumericError("non-finite loss")
     return float(loss)

@@ -1,3 +1,4 @@
+import ast
 import gc
 import io
 import json
@@ -124,7 +125,7 @@ def refused_wrong_kind(argv, blocker, capsys):
     """Runs ``argv``, whose --out is blocked by ``blocker`` (a file where a
     directory must go, or a directory where a file must go), and checks that
     it exits 1 with one error line and adds, removes and changes nothing
-    beside ``blocker``: no staging directory or temp file is left."""
+    beside ``blocker``: no staged file is left."""
     root = blocker.parent
     before = sorted(root.rglob("*")), tree_bytes(root)
     rc = main(argv)
@@ -133,6 +134,21 @@ def refused_wrong_kind(argv, blocker, capsys):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert (sorted(root.rglob("*")), tree_bytes(root)) == before
+
+
+def fail_writing(monkeypatch, name):
+    """Makes the write of a file whose name holds ``name``, through
+    ``Path.write_text`` or ``cli.save_checkpoint``, raise OSError after its
+    bytes are on disk."""
+    def failing(write):
+        def wrapper(path, *args):
+            write(path, *args)
+            if name in Path(path).name:
+                raise OSError("disk full")
+        return wrapper
+
+    monkeypatch.setattr(Path, "write_text", failing(Path.write_text))
+    monkeypatch.setattr(cli, "save_checkpoint", failing(cli.save_checkpoint))
 
 
 FORCE = pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
@@ -288,6 +304,23 @@ class TestTrain:
             main(["train", "-c", DECOMPOSE, "--out", str(out), "--trace", "--force"])
         assert tree_bytes(out) == before
         assert sorted(p.name for p in out.iterdir()) == ["replica_00"]
+
+    def test_stale_files_at_staged_names_cleared(self, traced_run, tmp_path):
+        out = tmp_path / "runs"
+        rdir = out / "replica_00"
+        (rdir / ".metrics.csv.staging").mkdir(parents=True)
+        (rdir / ".metrics.csv.staging" / "left.txt").write_text("stale\n")
+        (rdir / "traces").mkdir()
+        (rdir / "traces" / ".round_00001.npz.staging").write_bytes(b"stale")
+        (rdir / ".checkpoint.fms.staging").symlink_to(tmp_path / "elsewhere.fms")
+        assert main(["train", "-c", DECOMPOSE, "--out", str(out), "--trace"]) == 0
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".staging")]
+        assert not (tmp_path / "elsewhere.fms").exists()
+        got, want = tree_bytes(rdir), tree_bytes(traced_run / "replica_00")
+        assert {p.relative_to(rdir): b for p, b in got.items() if p.name != "timings.csv"} == {
+            p.relative_to(traced_run / "replica_00"): b
+            for p, b in want.items() if p.name != "timings.csv"
+        }
 
     def test_force_replaces_trace_set(self, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -899,6 +932,47 @@ class TestTraceFile:
             assert getattr(loaded, name).tobytes() == getattr(trace, name).tobytes()
         for got, want in zip(loaded.step_gradients, trace.step_gradients, strict=True):
             assert got.tobytes() == want.tobytes()
+
+
+class TestOutputSets:
+    @pytest.mark.parametrize("command", ["train", "personalize", "decompose", "report"])
+    def test_failed_last_write_keeps_every_earlier_output(
+        self, smoke_run, traced_run, tmp_path, monkeypatch, command
+    ):
+        """A ``--force`` rerun whose last write fails leaves the earlier
+        output set byte for byte, with no staged name beside it."""
+        out = tmp_path / "out"
+        argv, change, last = {
+            "train": (["train", "-c", DECOMPOSE, "--out", str(out), "--trace"],
+                      ["--seed", "5"], "checkpoint.fms"),
+            "personalize": (["personalize", "-c", SMOKE, "--out", str(out), "--checkpoint",
+                             str(smoke_run / "replica_00" / "checkpoint.fms"),
+                             "--sweep-epochs", "2"], ["--seed", "5"], "sweep.csv"),
+            "decompose": (["decompose", "-c", DECOMPOSE, "--out", str(out / "round.txt"),
+                           "--run-dir", str(traced_run / "replica_00"), "--round", "1"],
+                          ["--round", "2"], "round.txt"),
+            "report": (["report", *(str(smoke_run / f"replica_{i:02d}") for i in range(3)),
+                        "--out", str(out)], ["--threshold", "0.5"], "report.csv"),
+        }[command]
+        assert main(argv) == 0
+        before = sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)
+        fail_writing(monkeypatch, last)
+        with pytest.raises(OSError, match="disk full"):
+            main([*argv, *change, "--force"])
+        assert (sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)) == before
+
+    def test_one_os_replace_call_site(self):
+        """Every output reaches its place through ``cli._staged``: a second
+        ``os.replace`` (or ``os.rename``) would be a second write path."""
+        src = Path(cli.__file__).parent
+        sites = [
+            (path.name, node.lineno)
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in ("replace", "rename")
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+        ]
+        assert [name for name, _ in sites] == ["cli.py"], sites
 
 
 class TestUsage:

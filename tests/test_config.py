@@ -1,14 +1,16 @@
-"""Pinned config hashes of the bundled configs.
+"""Pinned config hashes of the bundled configs, and refused INI syntax.
 
 The hash covers every resolved value, defaults included, and heads each
 run's metrics.csv and each benchmark digest. A moved default moves every
 one of them, so each move must show here first.
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
+from fedmetasim import ConfigError
 from fedmetasim.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,3 +24,25 @@ ROOT = Path(__file__).resolve().parents[1]
 ])
 def test_bundled_config_hash_is_pinned(path, digest):
     assert load_config(ROOT / path).hash == digest
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[run]\nseed = 1\n[run]\n", 3),
+    ("[run]\nseed = 1\nseed = 2\n", 3),
+    ("seed = 1\n", 1),
+    ("[run]\nseed = 1\nno value here\n", 3),
+], ids=["repeated-section", "repeated-key", "no-section-header", "no-value"])
+def test_syntax_error_names_file_and_line(tmp_path, text, line):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    message = str(info.value)
+    assert str(path) in message and "\n" not in message
+    assert re.search(rf"\bline:? {line}\b", message), message
+
+
+def test_percent_sign_is_literal(tmp_path):
+    path = tmp_path / "percent.ini"
+    path.write_text("[run]\noutput_dir = runs/100%\n")
+    assert load_config(path).get("run", "output_dir") == "runs/100%"
