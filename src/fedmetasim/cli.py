@@ -5,11 +5,12 @@ head metrics.csv, timings.csv, manifest.txt and personalize's report.csv and
 summary.json; decompose's and report's files carry the hash only, and
 sweep.csv, checkpoints and traces neither. Existing files are never
 overwritten without --force.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain or I/O error, 2 usage error.
 
 Round metrics go to metrics.csv (deterministic columns only, so reruns with
 the same config and seed are byte-identical); per-round wallclock goes to a
-sibling timings.csv.
+sibling timings.csv. ``train`` consumes the driver's round stream: each
+round's trace and periodic checkpoint is written as the round is yielded.
 
 Every command writes its output set through ``_staged``: under staged names
 first, then one ``os.replace`` per file in a fixed order, metrics.csv last for
@@ -54,7 +55,7 @@ from .config import (
     validate,
 )
 from .data import dataset_manifest
-from .errors import ConfigError, ContractViolation, DivergenceError, FedMetaSimError, ParseError
+from .errors import ConfigError, DivergenceError, FedMetaSimError, ParseError
 from .federation import EvalSnapshot, RoundTrace, TrainingRun, run_personalized_fedavg
 from .model import load_checkpoint, save_checkpoint
 from .personalization import PersonalizationConfig, epochs_sweep, eval_population, sweep_csv
@@ -146,13 +147,13 @@ def _replica_outputs(rdir: Path, rounds: int, checkpoint_every: int, trace: bool
     return paths + [rdir / "metrics.csv"]
 
 
-def _metrics_lines(cfg_hash: str, seed: int, run: TrainingRun) -> str:
+def _metrics_lines(cfg_hash: str, seed: int, snapshots: list[EvalSnapshot]) -> str:
     lines = [
         f"# config_hash={cfg_hash}",
         f"# seed={seed}",
         "round,mean_initial_acc,std_initial_acc,mean_personalized_acc,std_personalized_acc",
     ]
-    for snap in run.snapshots:
+    for snap in snapshots:
         lines.append(
             f"{snap.round_index},{snap.initial_mean:.8f},{snap.initial_std:.8f},"
             f"{snap.personalized_mean:.8f},{snap.personalized_std:.8f}"
@@ -160,10 +161,10 @@ def _metrics_lines(cfg_hash: str, seed: int, run: TrainingRun) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _timings_lines(cfg_hash: str, seed: int, run: TrainingRun) -> str:
+def _timings_lines(cfg_hash: str, seed: int, wallclock_ms: list[float]) -> str:
     lines = [f"# config_hash={cfg_hash}", f"# seed={seed}", "round,wallclock_ms"]
-    for round_index, wallclock_ms in enumerate(run.wallclock_ms):
-        lines.append(f"{round_index},{wallclock_ms:.3f}")
+    for round_index, ms in enumerate(wallclock_ms):
+        lines.append(f"{round_index},{ms:.3f}")
     return "\n".join(lines) + "\n"
 
 
@@ -305,23 +306,17 @@ def _load_trace(path: Path) -> RoundTrace:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.values["run"]["seed"] = str(args.seed)
-    if args.replicas is not None:
-        cfg.values["run"]["replicas"] = str(args.replicas)
-
     dataset = build_dataset(cfg)
     validate(cfg, dataset)
     spec = build_model_spec(cfg)
-    stage1 = build_stage(cfg, "stage1")
-    stage2 = build_stage(cfg, "stage2")
+    stages = [build_stage(cfg, "stage1"), build_stage(cfg, "stage2")]
     eval_cfg = build_eval_config(cfg)
     trace = args.trace or cfg.get_bool("run", "trace")
-    base_seed = cfg.get_int("run", "seed")
-    replicas = cfg.get_int("run", "replicas")
+    base_seed = args.seed if args.seed is not None else cfg.get_int("run", "seed")
+    replicas = args.replicas if args.replicas is not None else cfg.get_int("run", "replicas")
     checkpoint_every = cfg.get_int("run", "checkpoint_every")
     out_root = output_dir(cfg, args.out)
-    rounds = stage1.rounds + stage2.rounds
+    rounds = sum(stage.rounds for stage in stages)
     rdirs = [out_root / f"replica_{replica:02d}" for replica in range(replicas)]
     # Every output of every replica is checked before the first one trains.
     _ensure_writable(
@@ -332,22 +327,29 @@ def cmd_train(args) -> int:
     for replica, rdir in enumerate(rdirs):
         seed = base_seed + replica
         outputs = _replica_outputs(rdir, rounds, checkpoint_every, trace)
+        snapshots, wallclock_ms = [], []
         try:
             with _staged(outputs) as staged:
-                def save_round(tr: RoundTrace, params: np.ndarray) -> None:
-                    if trace:
-                        _save_trace(staged[_trace_path(rdir, tr.round_index)], tr)
-                    if checkpoint_every and (tr.round_index + 1) % checkpoint_every == 0:
-                        save_checkpoint(staged[_ckpt_path(rdir, tr.round_index + 1)], spec, params)
-
-                run = run_personalized_fedavg(
-                    spec, dataset, stage1, stage2, eval_cfg, seed, trace=trace, on_round=save_round
-                )
-                staged[rdir / "metrics.csv"].write_text(_metrics_lines(cfg.hash, seed, run))
-                staged[rdir / "timings.csv"].write_text(_timings_lines(cfg.hash, seed, run))
-                manifest = _manifest_text(cfg, seed, replica, dataset)
-                staged[rdir / "manifest.txt"].write_text(manifest)
-                save_checkpoint(staged[rdir / "checkpoint.fms"], spec, run.final_params)
+                # A round's trace and checkpoint are written iff _replica_outputs lists them.
+                for tr, params in run_personalized_fedavg(
+                    spec, dataset, stages, eval_cfg, seed, trace
+                ):
+                    if path := staged.get(_trace_path(rdir, tr.round_index)):
+                        _save_trace(path, tr)
+                    if path := staged.get(_ckpt_path(rdir, tr.round_index + 1)):
+                        save_checkpoint(path, spec, params)
+                    if tr.snapshot is not None:
+                        snapshots.append(tr.snapshot)
+                    wallclock_ms.append(tr.wallclock_ms)
+                    # Deleting drops this round's arrays before the next one runs.
+                    del tr
+                for name, text in (
+                    ("metrics.csv", _metrics_lines(cfg.hash, seed, snapshots)),
+                    ("timings.csv", _timings_lines(cfg.hash, seed, wallclock_ms)),
+                    ("manifest.txt", _manifest_text(cfg, seed, replica, dataset)),
+                ):
+                    staged[rdir / name].write_text(text)
+                save_checkpoint(staged[rdir / "checkpoint.fms"], spec, params)
         except DivergenceError as exc:
             print(f"replica {replica} (seed {seed}): {exc}", file=sys.stderr)
             return 1
@@ -355,9 +357,9 @@ def cmd_train(args) -> int:
         for path in {*rdir.glob("ckpt_*.fms"), *rdir.glob("traces/round_*.npz")} - {*outputs}:
             path.unlink()
 
-        last = run.snapshots[-1]
+        last = snapshots[-1]
         print(
-            f"replica {replica} seed {seed}: rounds={len(run.wallclock_ms)} "
+            f"replica {replica} seed {seed}: rounds={len(wallclock_ms)} "
             f"initial={last.initial_mean:.4f} personalized={last.personalized_mean:.4f}"
         )
     return 0
@@ -556,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run the two-stage training driver")
     p_train.add_argument("-c", "--config", required=True)
     p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--replicas", type=int, default=None)
+    p_train.add_argument("--replicas", type=_bounded(int, 1), default=None)
     p_train.add_argument("--out", default=None)
     p_train.add_argument("--trace", action="store_true",
                          help="record per-step gradients; each round's trace is written "
@@ -593,7 +595,7 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command]  # looked up per call, so it can be replaced
     try:
         return command(args)
-    except (FedMetaSimError, FileNotFoundError, ContractViolation) as exc:
+    except (FedMetaSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -120,11 +120,17 @@ def load_config(path) -> ExperimentConfig:
     # Values are literal ('%' is not special), so every parse error names a line.
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(str(path))
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+    except FileNotFoundError:
+        raise FileNotFoundError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"config {path} is a directory, not a file") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config {path} is not UTF-8: {exc.reason} at offset {exc.start}"
+        ) from None
     except configparser.Error as exc:  # its text names the file and line; one line here
         raise ConfigError(" ".join(str(exc).split())) from None
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
 
     values = {}
     for section, defaults in _DEFAULTS.items():

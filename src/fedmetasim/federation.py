@@ -24,6 +24,12 @@ DivergenceError naming the round and the lowest-id client that diverged, at
 its own step, as if the clients had run one after another; a non-finite
 server step raises it naming the round.
 
+The driver, ``run_personalized_fedavg``, is a generator over a list of
+stages: it yields each round's ``RoundTrace``, with its evaluation snapshot
+attached when one is due, and the global parameters after it, one round at
+a time. Its consumer keeps what it needs; ``TrainingRun``, a seed plus its
+snapshots, is the metrics record that reports are built from.
+
 Randomness is drawn from counter-based substreams keyed by (purpose, round,
 client), so per-client work is order-independent and a run is a pure
 function of (config, seed, dataset).
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -131,13 +137,11 @@ class RoundTrace:
 
 @dataclass
 class TrainingRun:
-    """What one seeded training execution keeps: its evaluation snapshots,
-    each round's wall time (index i for round i) and the final parameters."""
+    """A replica's metrics record, as its metrics.csv holds it: the seed
+    and the evaluation snapshots in round order."""
 
     seed: int
     snapshots: list[EvalSnapshot] = field(default_factory=list)
-    wallclock_ms: list[float] = field(default_factory=list)
-    final_params: np.ndarray | None = None
 
 
 def sample_clients(
@@ -257,68 +261,48 @@ class EvalConfig:
 def run_personalized_fedavg(
     spec: ModelSpec,
     dataset: FederatedDataset,
-    stage1: StageConfig,
-    stage2: StageConfig | None,
+    stages: list[StageConfig],
     eval_cfg: EvalConfig | None,
     seed: int,
     trace: bool = False,
-    on_round: Callable[[RoundTrace, np.ndarray], None] | None = None,
-) -> TrainingRun:
-    """Two-stage training: averaged-epoch rounds, then step-counted
-    fine-tuning continuing from stage-1 parameters with fresh server state.
+) -> Iterator[tuple[RoundTrace, np.ndarray]]:
+    """Staged training as a stream of rounds: each stage continues from the
+    parameters the one before left, with its own fresh server state.
 
-    Either stage may be empty (rounds=0): stage2=0 is plain first-stage
-    training, stage1=0 fine-tunes directly from the random initialization.
-    Each finished round, with its snapshot attached when one is due, is
-    passed to ``on_round`` once, in order, with the global parameters its
-    server step left (never mutated later, so they need no copy); the run
-    then keeps only the round's snapshot and wall time. On divergence the
-    partially completed run is attached to the raised error as
-    ``partial_run``.
+    The paper's workflow is two stages, averaged-epoch rounds and then
+    step-counted fine-tuning; either may be empty (rounds=0), so an empty
+    second stage is plain first-stage training and an empty first stage
+    fine-tunes the random initialization. Yields each finished round once,
+    in order, as its ``RoundTrace``, with its snapshot attached when one is
+    due, and the global parameters its server step left (never mutated
+    later, so they need no copy). A divergence raises out of the stream
+    after the rounds before it were yielded.
     """
     streams = StreamFactory(seed)
     params = init_params(spec, streams.stream("init"))
-    run = TrainingRun(seed=seed)
-
-    def snapshot(round_index: int) -> EvalSnapshot:
-        report = eval_population(
-            spec, params, dataset, "eval_clients",
-            eval_cfg.personalization, streams, snapshot_index=round_index,
-        )
-        return EvalSnapshot(
-            round_index=round_index,
-            initial_mean=report.mean_initial,
-            initial_std=report.std_initial,
-            personalized_mean=report.mean_personalized,
-            personalized_std=report.std_personalized,
-        )
-
     round_index = 0
-    stages = [stage1] + ([stage2] if stage2 is not None else [])
-    try:
-        for stage in stages:
-            server_state = stage.server
-            for r in range(stage.rounds):
-                params, server_state, tr = run_round(
-                    spec, params, dataset, stage.round_cfg,
-                    server_state, round_index, streams, trace,
+    for stage in stages:
+        server_state = stage.server
+        for r in range(stage.rounds):
+            params, server_state, tr = run_round(
+                spec, params, dataset, stage.round_cfg,
+                server_state, round_index, streams, trace,
+            )
+            round_index += 1
+            if eval_cfg is not None and (
+                r == stage.rounds - 1 or (eval_cfg.every and round_index % eval_cfg.every == 0)
+            ):
+                report = eval_population(
+                    spec, params, dataset, "eval_clients",
+                    eval_cfg.personalization, streams, snapshot_index=round_index,
                 )
-                round_index += 1
-                stage_end = r == stage.rounds - 1
-                if eval_cfg is not None and (
-                    stage_end or (eval_cfg.every and round_index % eval_cfg.every == 0)
-                ):
-                    tr.snapshot = snapshot(round_index)
-                if on_round is not None:
-                    on_round(tr, params)
-                if tr.snapshot is not None:
-                    run.snapshots.append(tr.snapshot)
-                run.wallclock_ms.append(tr.wallclock_ms)
-                # Deleting drops this round's arrays before the next one runs.
-                del tr
-    except DivergenceError as exc:
-        exc.partial_run = run
-        raise
-
-    run.final_params = params
-    return run
+                tr.snapshot = EvalSnapshot(
+                    round_index=round_index,
+                    initial_mean=report.mean_initial,
+                    initial_std=report.std_initial,
+                    personalized_mean=report.mean_personalized,
+                    personalized_std=report.std_personalized,
+                )
+            yield tr, params
+            # Deleting drops this round's arrays before the next one runs.
+            del tr

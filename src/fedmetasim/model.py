@@ -267,39 +267,34 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     params = _check_params(spec, params)
     _check_batch(spec, batch)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _gradient_unchecked(spec, params, batch)
+        acts = _forward(spec, params, batch.x)
 
+        # The logits buffer becomes the output error dz. Subtracting whole
+        # one-hot rows keeps every bit of the label-entry subtraction, since
+        # x - 0.0 == x for every double.
+        dz = acts[-1]
+        if spec.loss == "softmax_cross_entropy":
+            dz -= np.maximum.reduce(dz, axis=1, keepdims=True)
+            np.exp(dz, out=dz)
+            dz /= np.add.reduce(dz, axis=1, keepdims=True)
+            dz -= spec._eye.take(batch.y, axis=0)
+        else:
+            dz -= _loss_targets(spec, batch)
+        dz /= dz.shape[0]
 
-def _gradient_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
-    acts = _forward(spec, params, batch.x)
-
-    # The logits buffer becomes the output error dz. Subtracting whole
-    # one-hot rows keeps every bit of the label-entry subtraction, since
-    # x - 0.0 == x for every double.
-    dz = acts[-1]
-    if spec.loss == "softmax_cross_entropy":
-        dz -= np.maximum.reduce(dz, axis=1, keepdims=True)
-        np.exp(dz, out=dz)
-        dz /= np.add.reduce(dz, axis=1, keepdims=True)
-        dz -= spec._eye.take(batch.y, axis=0)
-    else:
-        dz -= _loss_targets(spec, batch)
-    dz /= dz.shape[0]
-
-    # Backward from the last layer. Each layer's gradient is written straight
-    # into its slice of the flat result, in the parameter layout. A hidden
-    # activation is the kernel's own buffer and is dead once the products
-    # below have read it, so the derivative may be formed in it.
-    flat, dot, derivative = np.empty(spec.param_count), spec._dot, spec._derivative
-    for i in range(len(spec._layout) - 1, -1, -1):
-        w0, b0, end, fan_out, fan_in = spec._layout[i]
-        a = acts[i]
-        dot(dz.T, a, out=flat[w0:b0].reshape(fan_out, fan_in))
-        np.add.reduce(dz, axis=0, out=flat[b0:end])
-        if i:
-            dz = dot(dz, params[w0:b0].reshape(fan_out, fan_in))
-            derivative(dz, a)
-
+        # Backward from the last layer. Each layer's gradient is written straight
+        # into its slice of the flat result, in the parameter layout. A hidden
+        # activation is the kernel's own buffer and is dead once the products
+        # below have read it, so the derivative may be formed in it.
+        flat, dot, derivative = np.empty(spec.param_count), spec._dot, spec._derivative
+        for i in range(len(spec._layout) - 1, -1, -1):
+            w0, b0, end, fan_out, fan_in = spec._layout[i]
+            a = acts[i]
+            dot(dz.T, a, out=flat[w0:b0].reshape(fan_out, fan_in))
+            np.add.reduce(dz, axis=0, out=flat[b0:end])
+            if i:
+                dz = dot(dz, params[w0:b0].reshape(fan_out, fan_in))
+                derivative(dz, a)
     if not np.isfinite(flat).all():
         raise NumericError("non-finite gradient")
     return flat

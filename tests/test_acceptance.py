@@ -19,7 +19,6 @@ from fedmetasim import (
     PersonalizationConfig,
     RoundConfig,
     ServerOptimizerState,
-    StageConfig,
     StreamFactory,
     decompose_round,
     eval_population,
@@ -44,7 +43,7 @@ from fedmetasim.config import (
     build_stage,
     load_config,
 )
-from util import fd_gradient, max_relative_error, quadratic_problem, snapshot_run
+from util import drain, fd_gradient, max_relative_error, quadratic_problem, snapshot_run
 
 pytestmark = pytest.mark.slow
 
@@ -66,7 +65,6 @@ def bundle():
         "stage1": stage1,
         "stage2": stage2,
         "eval_cfg": eval_cfg,
-        "empty": StageConfig(0, None, None),
         "seeds": range(1, 6),
     }
 
@@ -83,10 +81,10 @@ def stage1_runs(bundle):
             round_cfg=replace(bundle["stage1"].round_cfg, epochs=epochs),
         )
         for seed in bundle["seeds"]:
-            run = run_personalized_fedavg(
-                bundle["spec"], bundle["dataset"], stage, bundle["empty"],
+            run = drain(run_personalized_fedavg(
+                bundle["spec"], bundle["dataset"], [stage],
                 bundle["eval_cfg"], seed=seed,
-            )
+            ))
             snap = run.snapshots[-1]
             out[(epochs, seed)] = (snap.initial_mean, snap.personalized_mean)
     out["elapsed"] = time.perf_counter() - t0
@@ -105,10 +103,10 @@ def finetune_runs(bundle):
             round_cfg=replace(bundle["stage2"].round_cfg, steps=steps),
         )
         for seed in bundle["seeds"]:
-            run = run_personalized_fedavg(
-                bundle["spec"], bundle["dataset"], bundle["stage1"], stage2,
+            run = drain(run_personalized_fedavg(
+                bundle["spec"], bundle["dataset"], [bundle["stage1"], stage2],
                 bundle["eval_cfg"], seed=seed,
-            )
+            ))
             s1, s2 = run.snapshots[-2], run.snapshots[-1]
             out[("stage1", seed)] = (s1.initial_mean, s1.personalized_mean)
             out[(steps, seed)] = (s2.initial_mean, s2.personalized_mean)

@@ -136,6 +136,14 @@ def refused_wrong_kind(argv, blocker, capsys):
     assert (sorted(root.rglob("*")), tree_bytes(root)) == before
 
 
+def one_error_line(capsys):
+    """The one line a failed command wrote to stderr, which must be its only
+    line and start with ``error:``."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
 def fail_writing(monkeypatch, name):
     """Makes the write of a file whose name holds ``name``, through
     ``Path.write_text`` or ``cli.save_checkpoint``, raise OSError after its
@@ -415,8 +423,41 @@ class TestTrain:
         assert not (out / "replica_00").exists()
 
     def test_missing_config_fails(self, tmp_path, capsys):
-        rc = main(["train", "-c", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
+        config = tmp_path / "nope.ini"
+        rc = main(["train", "-c", str(config), "--out", str(tmp_path)])
         assert rc == 1
+        assert one_error_line(capsys) == f"error: config file not found: {config}"
+
+    @pytest.mark.parametrize("make, problem", [
+        (lambda path: path.write_bytes(b"[run]\nseed = \xff\n"),
+         "is not UTF-8: invalid start byte at offset 13"),
+        (lambda path: path.mkdir(), "is a directory, not a file"),
+    ], ids=["not-utf8", "directory"])
+    def test_unreadable_config_is_one_error_line(self, tmp_path, capsys, make, problem):
+        config = tmp_path / "bad.ini"
+        make(config)
+        out = tmp_path / "runs"
+        assert main(["train", "-c", str(config), "--out", str(out)]) == 1
+        assert one_error_line(capsys) == f"error: config {config} {problem}"
+        assert not out.exists()
+
+    def test_seed_and_replicas_flags_leave_config_values(self, tmp_path, monkeypatch, capsys):
+        """``--seed`` and ``--replicas`` are read beside the config, not
+        written into it, as ``personalize`` reads ``--seed``."""
+        loaded = []
+
+        def load(path):
+            loaded.append(load_config(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_config", load)
+        out = tmp_path / "runs"
+        assert main(["train", "-c", SMOKE, "--out", str(out), "--seed", "20",
+                     "--replicas", "2"]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out.iterdir()) == ["replica_00", "replica_01"]
+        assert "seed=21" in (out / "replica_01" / "manifest.txt").read_text()
+        assert loaded[0].values == load_config(SMOKE).values
 
     @pytest.mark.parametrize("replacement, message", [
         (("server.kind = adam", "server.kind = adamw"), "unknown server optimizer 'adamw'"),
@@ -687,7 +728,7 @@ class TestDecompose:
             "--round", "1", "--out", str(blocker), *force,
         ], blocker, capsys)
 
-    def test_failed_write_keeps_existing_output(self, traced_run, tmp_path, monkeypatch):
+    def test_failed_write_keeps_existing_output(self, traced_run, tmp_path, monkeypatch, capsys):
         out = tmp_path / "round_1.txt"
         out.write_text("earlier decomposition\n")
         write_text = Path.write_text
@@ -697,10 +738,11 @@ class TestDecompose:
             raise OSError("disk full")
 
         monkeypatch.setattr(Path, "write_text", half_then_fail)
-        with pytest.raises(OSError, match="disk full"):
-            main(["decompose", "-c", DECOMPOSE, "--run-dir", str(traced_run / "replica_00"),
-                  "--round", "1", "--out", str(out), "--force"])
+        rc = main(["decompose", "-c", DECOMPOSE, "--run-dir", str(traced_run / "replica_00"),
+                   "--round", "1", "--out", str(out), "--force"])
         monkeypatch.undo()
+        assert rc == 1
+        assert one_error_line(capsys) == "error: disk full"
         assert out.read_text() == "earlier decomposition\n"
         assert list(tmp_path.iterdir()) == [out]
 
@@ -937,7 +979,7 @@ class TestTraceFile:
 class TestOutputSets:
     @pytest.mark.parametrize("command", ["train", "personalize", "decompose", "report"])
     def test_failed_last_write_keeps_every_earlier_output(
-        self, smoke_run, traced_run, tmp_path, monkeypatch, command
+        self, smoke_run, traced_run, tmp_path, monkeypatch, capsys, command
     ):
         """A ``--force`` rerun whose last write fails leaves the earlier
         output set byte for byte, with no staged name beside it."""
@@ -955,10 +997,11 @@ class TestOutputSets:
                         "--out", str(out)], ["--threshold", "0.5"], "report.csv"),
         }[command]
         assert main(argv) == 0
+        capsys.readouterr()
         before = sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)
         fail_writing(monkeypatch, last)
-        with pytest.raises(OSError, match="disk full"):
-            main([*argv, *change, "--force"])
+        assert main([*argv, *change, "--force"]) == 1
+        assert one_error_line(capsys) == "error: disk full"
         assert (sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)) == before
 
     def test_one_os_replace_call_site(self):
@@ -1001,6 +1044,8 @@ class TestUsage:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv, message", [
+        (["train", "-c", SMOKE, "--out", "runs", "--replicas", "0"],
+         "--replicas: expected int in [1, inf], got '0'"),
         (["personalize", "-c", SMOKE, "--checkpoint", "ckpt.fms", "--out", "pers",
           "--sweep-epochs", "-3"], "--sweep-epochs: expected int in [0, inf], got '-3'"),
         (["report", "runs", "--threshold", "nan"], "--threshold: expected float in [0, 1]"),
@@ -1009,9 +1054,9 @@ class TestUsage:
          "--round: expected int in [0, inf], got '-1'"),
         (["decompose", "-c", DECOMPOSE, "--run-dir", "runs", "--round", "one"],
          "--round: expected int in [0, inf], got 'one'"),
-    ], ids=["sweep-epochs", "threshold-nan", "threshold-7", "round", "round-text"])
+    ], ids=["replicas", "sweep-epochs", "threshold-nan", "threshold-7", "round", "round-text"])
     def test_out_of_range_flag_is_usage_error(self, monkeypatch, capsys, argv, message):
-        for name in ("eval_population", "_load_metrics", "_load_trace"):
+        for name in ("load_config", "eval_population", "_load_metrics", "_load_trace"):
             monkeypatch.setattr(cli, name, must_not_run(name))
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -1020,6 +1065,7 @@ class TestUsage:
 
     def test_flag_range_bounds_accepted(self):
         parse = cli.build_parser().parse_args
+        assert parse(["train", "-c", SMOKE, "--replicas", "1"]).replicas == 1
         assert parse(["report", "runs", "--threshold", "0"]).threshold == 0.0
         assert parse(["report", "runs", "--threshold", "1"]).threshold == 1.0
         assert parse(["decompose", "-c", DECOMPOSE, "--run-dir", "runs", "--round", "0"]).round == 0

@@ -30,6 +30,7 @@ from fedmetasim import (
 from fedmetasim.data import ClientDataset, FederatedDataset
 from fedmetasim.errors import NumericError
 from util import (
+    drain,
     make_client,
     onehot,
     quad_hessian,
@@ -628,52 +629,52 @@ class TestRunPersonalizedFedAvg:
         return split_train_eval(toy_dataset(num_clients=6), 0.34, seed=0)
 
     def test_two_stage_run_counts_rounds(self):
-        run = run_personalized_fedavg(
+        run = drain(run_personalized_fedavg(
             ModelSpec(4, (6, 3)),
             self.dataset(),
-            stage("fedavg", 3, "momentum", 0.5, epochs=2),
-            stage("reptile", 2, "adam", 0.01, steps=2),
+            [stage("fedavg", 3, "momentum", 0.5, epochs=2),
+             stage("reptile", 2, "adam", 0.01, steps=2)],
             eval_cfg(),
             seed=1,
-        )
+        ))
         assert len(run.wallclock_ms) == 5
         assert run.final_params is not None
         # snapshots at both stage ends
         assert [s.round_index for s in run.snapshots] == [3, 5]
 
     def test_stage2_zero_is_plain_first_stage(self):
-        run = run_personalized_fedavg(
+        run = drain(run_personalized_fedavg(
             ModelSpec(4, (6, 3)),
             self.dataset(),
-            stage("fedavg", 3, "momentum", 0.5, epochs=2),
-            StageConfig(rounds=0, round_cfg=None, server=None),
+            [stage("fedavg", 3, "momentum", 0.5, epochs=2),
+             StageConfig(rounds=0, round_cfg=None, server=None)],
             eval_cfg(),
             seed=1,
-        )
+        ))
         assert len(run.wallclock_ms) == 3
         assert [s.round_index for s in run.snapshots] == [3]
 
     def test_stage1_zero_finetunes_from_init(self):
-        run = run_personalized_fedavg(
+        run = drain(run_personalized_fedavg(
             ModelSpec(4, (6, 3)),
             self.dataset(),
-            StageConfig(rounds=0, round_cfg=None, server=None),
-            stage("reptile", 4, "adam", 0.01, steps=2),
+            [StageConfig(rounds=0, round_cfg=None, server=None),
+             stage("reptile", 4, "adam", 0.01, steps=2)],
             eval_cfg(),
             seed=1,
-        )
+        ))
         assert len(run.wallclock_ms) == 4
 
     def test_bit_identical_reruns(self):
         args = (
             ModelSpec(4, (6, 3)),
             self.dataset(),
-            stage("fedavg", 3, "momentum", 0.5, epochs=2),
-            stage("reptile", 2, "adam", 0.01, steps=2),
+            [stage("fedavg", 3, "momentum", 0.5, epochs=2),
+             stage("reptile", 2, "adam", 0.01, steps=2)],
             eval_cfg(),
         )
-        a = run_personalized_fedavg(*args, seed=5)
-        b = run_personalized_fedavg(*args, seed=5)
+        a = drain(run_personalized_fedavg(*args, seed=5))
+        b = drain(run_personalized_fedavg(*args, seed=5))
         assert np.array_equal(a.final_params, b.final_params)
         assert [s.initial_mean for s in a.snapshots] == [s.initial_mean for s in b.snapshots]
 
@@ -681,80 +682,82 @@ class TestRunPersonalizedFedAvg:
         cfg = EvalConfig(
             personalization=PersonalizationConfig("sgd", 0.05, 1, 8), every=2
         )
-        run = run_personalized_fedavg(
+        run = drain(run_personalized_fedavg(
             ModelSpec(4, (6, 3)),
             self.dataset(),
-            stage("fedavg", 5, "momentum", 0.5, epochs=1),
-            None,
+            [stage("fedavg", 5, "momentum", 0.5, epochs=1)],
             cfg,
             seed=2,
-        )
+        ))
         assert [s.round_index for s in run.snapshots] == [2, 4, 5]
 
-    def test_divergence_attaches_partial_run(self):
-        spec, client, *_ = quadratic_client(seed=11)
-        from fedmetasim.data import FederatedDataset
-
-        ds = FederatedDataset(
-            clients={0: client, 1: client},
-            train_client_ids=(0,),
-            eval_client_ids=(1,),
-            input_dim=3,
-            num_classes=2,
-        )
+    def test_divergence_ends_stream_after_earlier_rounds(self):
+        """The rounds before the diverging one are yielded in order; then the
+        stream raises, naming the client, its step and the round."""
+        spec = ModelSpec(4, (3,), activation="identity", loss="quadratic")
+        ds = poisoned_dataset([8, 8, 8], [False, False, True], seed=0)
         bad_stage = StageConfig(
-            rounds=5,
-            round_cfg=RoundConfig("fedavg", 1, ClientOptimizerConfig(1e200, 50), epochs=30),
+            rounds=20,
+            round_cfg=RoundConfig("fedavg", 1, ClientOptimizerConfig(0.05, 8), epochs=3),
             server=ServerOptimizerState(kind="sgd", lr=1.0),
         )
+        seen = []
         with pytest.raises(DivergenceError) as err:
-            run_personalized_fedavg(spec, ds, bad_stage, None, eval_cfg(), seed=3)
-        assert hasattr(err.value, "partial_run")
+            for tr, _ in run_personalized_fedavg(spec, ds, [bad_stage], None, seed=5):
+                seen.append((tr.round_index, tr.client_ids))
+        # Seed 5 first samples the poisoned client 2 in round 5.
+        assert [r for r, _ in seen] == [0, 1, 2, 3, 4]
+        assert all(ids != [2] for _, ids in seen)
+        assert (err.value.client_id, err.value.round_index) == (2, 5)
+        assert str(err.value) == f"client 2 diverged at step {err.value.step_index} in round 5"
 
-    def test_on_round_sees_each_full_round_once_in_order(self):
+    def test_stream_yields_each_full_round_once_in_order(self):
         args = (
             ModelSpec(4, (6, 3)),
             self.dataset(),
-            stage("fedavg", 3, "momentum", 0.5, epochs=2),
-            stage("reptile", 2, "adam", 0.01, steps=2),
+            [stage("fedavg", 3, "momentum", 0.5, epochs=2),
+             stage("reptile", 2, "adam", 0.01, steps=2)],
             EvalConfig(personalization=eval_cfg().personalization, every=2),
         )
         seen = []
-        run = run_personalized_fedavg(
-            *args, seed=5, trace=True, on_round=lambda tr, params: seen.append(tr)
-        )
-        assert [tr.round_index for tr in seen] == [0, 1, 2, 3, 4]
-        for tr in seen:
+        run = drain(tapped(run_personalized_fedavg(*args, seed=5, trace=True), seen))
+        assert [tr.round_index for tr, _ in seen] == [0, 1, 2, 3, 4]
+        for tr, _ in seen:
             assert len(tr.deltas) == 2 and tr.aggregate is not None
             assert len(tr.step_gradients) == 2 and all(len(g) for g in tr.step_gradients)
         # snapshots after rounds 2 and 4 (every=2) and at both stage ends
-        assert [tr.round_index for tr in seen if tr.snapshot] == [1, 2, 3, 4]
-        assert [tr.snapshot for tr in seen if tr.snapshot] == run.snapshots
-        # the run keeps each round's wall time
-        assert run.wallclock_ms == [tr.wallclock_ms for tr in seen]
-        plain = run_personalized_fedavg(*args, seed=5)
+        assert [tr.round_index for tr, _ in seen if tr.snapshot] == [1, 2, 3, 4]
+        assert [tr.snapshot for tr, _ in seen if tr.snapshot] == run.snapshots
+        # the collector keeps each round's wall time
+        assert run.wallclock_ms == [tr.wallclock_ms for tr, _ in seen]
+        plain = drain(run_personalized_fedavg(*args, seed=5))
         assert plain.final_params.tobytes() == run.final_params.tobytes()
         assert plain.snapshots == run.snapshots
         assert len(plain.wallclock_ms) == 5
 
-    def test_on_round_gets_each_round_global_model(self):
-        def run(rounds, on_round=None):
+    def test_stream_yields_each_round_global_model(self):
+        def run(rounds):
             return run_personalized_fedavg(
                 ModelSpec(4, (6, 3)),
                 self.dataset(),
-                stage("fedavg", rounds, "momentum", 0.5, epochs=1),
-                None,
+                [stage("fedavg", rounds, "momentum", 0.5, epochs=1)],
                 eval_cfg(),
                 seed=4,
-                on_round=on_round,
             )
 
         seen = []
-        full = run(4, lambda tr, params: seen.append(params))
-        assert seen[-1] is full.final_params
-        # Each round's parameters are left as they were, so the sink needs no copy.
-        for r, params in enumerate(seen):
-            assert params.tobytes() == run(r + 1).final_params.tobytes()
+        full = drain(tapped(run(4), seen))
+        assert seen[-1][1] is full.final_params
+        # Each round's parameters are left as they were, so a consumer needs no copy.
+        for r, (_, params) in enumerate(seen):
+            assert params.tobytes() == drain(run(r + 1)).final_params.tobytes()
+
+
+def tapped(rounds, seen):
+    """Passes a round stream through, appending each (trace, params) to ``seen``."""
+    for item in rounds:
+        seen.append(item)
+        yield item
 
 
 MODES = {

@@ -24,6 +24,7 @@ from fedmetasim import (
 from fedmetasim.data import ClientDataset
 from fedmetasim.errors import NumericError
 from util import (
+    drain,
     make_client,
     onehot,
     quad_hessian,
@@ -463,7 +464,7 @@ class TestEpochsSweep:
             round_cfg=RoundConfig("fedavg", 3, ClientOptimizerConfig(0.05, 10), epochs=2),
             server=ServerOptimizerState("momentum", 0.5, 0.9),
         )
-        run = run_personalized_fedavg(spec, ds, stage, None, None, seed=8)
+        run = drain(run_personalized_fedavg(spec, ds, [stage], None, seed=8))
         cfgs = [
             PersonalizationConfig(optimizer="sgd", lr=0.05, batch_size=10),
             PersonalizationConfig(optimizer="adam", batch_size=10),

@@ -9,11 +9,13 @@ algebra on a Hessian assembled straight from the batch. The lockstep
 trajectories and personalization are checked against one-client step loops
 that call ``gradient`` once per step, run the clients one after another in
 id order, and round every update as the library's stacked one must.
+``drain`` collects a training run's round stream the way ``train`` does.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -290,6 +292,28 @@ def snapshot_run(values):
         seed=0,
         snapshots=[EvalSnapshot(i + 1, v, 0.0, v, 0.0) for i, v in enumerate(values)],
     )
+
+
+@dataclass
+class Drained:
+    """What ``train`` keeps of a ``run_personalized_fedavg`` stream: the
+    snapshots in round order, each round's wall time, and the parameters
+    the last round left."""
+
+    snapshots: list[EvalSnapshot] = field(default_factory=list)
+    wallclock_ms: list[float] = field(default_factory=list)
+    final_params: np.ndarray | None = None
+
+
+def drain(rounds) -> Drained:
+    """Runs a round stream to its end."""
+    run = Drained()
+    for tr, params in rounds:
+        if tr.snapshot is not None:
+            run.snapshots.append(tr.snapshot)
+        run.wallclock_ms.append(tr.wallclock_ms)
+        run.final_params = params
+    return run
 
 
 def make_client(rng, n_train=20, n_test=8, d=4, c=3):
