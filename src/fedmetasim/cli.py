@@ -44,7 +44,7 @@ from .analysis import (
     threshold_stats,
 )
 from .config import (
-    ExperimentConfig,
+    bounded,
     build_dataset,
     build_eval_config,
     build_model_spec,
@@ -54,9 +54,11 @@ from .config import (
     output_dir,
     validate,
 )
-from .data import dataset_manifest
+from .data import dataset_manifest, read_utf8
 from .errors import ConfigError, DivergenceError, FedMetaSimError, ParseError
-from .federation import EvalSnapshot, RoundTrace, TrainingRun, run_personalized_fedavg
+from .federation import (
+    EvalSnapshot, RoundTrace, StageConfig, TrainingRun, run_personalized_fedavg,
+)
 from .model import load_checkpoint, save_checkpoint
 from .personalization import PersonalizationConfig, epochs_sweep, eval_population, sweep_csv
 from .rng import StreamFactory
@@ -79,21 +81,6 @@ def _ensure_writable(paths: list[Path], force: bool) -> None:
             raise ConfigError(f"cannot write {path}: it is a directory")
         if not force:
             raise ConfigError(f"refusing to overwrite {path} (use --force)")
-
-
-def _bounded(convert, low, high=math.inf):
-    """An argparse type: ``convert(text)`` within [low, high], so not nan."""
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = math.nan
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(
-                f"expected {convert.__name__} in [{low}, {high}], got {text!r}"
-            )
-        return value
-    return parse
 
 
 @contextlib.contextmanager
@@ -168,30 +155,26 @@ def _timings_lines(cfg_hash: str, seed: int, wallclock_ms: list[float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stage_summary(cfg: ExperimentConfig, section: str) -> str:
-    rounds = cfg.get_int(section, "rounds")
-    if rounds == 0:
+def _stage_summary(stage: StageConfig) -> str:
+    if stage.rounds == 0:
         return "none"
-    algorithm = cfg.get(section, "algorithm")
-    epochs = cfg.get(section, "client.epochs")
-    steps = cfg.get(section, "client.steps")
-    local = f"epochs={epochs}" if epochs else f"steps={steps}"
-    server = cfg.get(section, "server.kind")
-    lr = cfg.get(section, "server.lr")
-    return f"{algorithm}({local}) rounds={rounds} server={server}(lr={lr})"
+    rc, server = stage.round_cfg, stage.server
+    local = f"epochs={rc.epochs}" if rc.epochs is not None else f"steps={rc.steps}"
+    return f"{rc.algorithm}({local}) rounds={stage.rounds} server={server.kind}(lr={server.lr})"
 
 
-def _manifest_text(cfg: ExperimentConfig, seed: int, replica: int, dataset) -> str:
-    mode = "fedavg-only" if cfg.get_int("stage2", "rounds") == 0 else "personalized-fedavg"
+def _manifest_text(cfg_hash: str, stages: list[StageConfig], seed: int, replica: int,
+                   dataset) -> str:
+    mode = "fedavg-only" if stages[1].rounds == 0 else "personalized-fedavg"
     lines = [
         "fms-manifest/1",
         f"version={__version__}",
-        f"config_hash={cfg.hash}",
+        f"config_hash={cfg_hash}",
         f"seed={seed}",
         f"replica={replica}",
         f"mode={mode}",
-        f"stage1={_stage_summary(cfg, 'stage1')}",
-        f"stage2={_stage_summary(cfg, 'stage2')}",
+        f"stage1={_stage_summary(stages[0])}",
+        f"stage2={_stage_summary(stages[1])}",
         "dataset:",
     ]
     lines.extend("  " + line for line in dataset_manifest(dataset).splitlines())
@@ -311,10 +294,11 @@ def cmd_train(args) -> int:
     spec = build_model_spec(cfg)
     stages = [build_stage(cfg, "stage1"), build_stage(cfg, "stage2")]
     eval_cfg = build_eval_config(cfg)
-    trace = args.trace or cfg.get_bool("run", "trace")
-    base_seed = args.seed if args.seed is not None else cfg.get_int("run", "seed")
-    replicas = args.replicas if args.replicas is not None else cfg.get_int("run", "replicas")
-    checkpoint_every = cfg.get_int("run", "checkpoint_every")
+    run = cfg.values["run"]
+    trace = args.trace or run["trace"]
+    base_seed = args.seed if args.seed is not None else run["seed"]
+    replicas = args.replicas if args.replicas is not None else run["replicas"]
+    checkpoint_every = run["checkpoint_every"]
     out_root = output_dir(cfg, args.out)
     rounds = sum(stage.rounds for stage in stages)
     rdirs = [out_root / f"replica_{replica:02d}" for replica in range(replicas)]
@@ -346,7 +330,7 @@ def cmd_train(args) -> int:
                 for name, text in (
                     ("metrics.csv", _metrics_lines(cfg.hash, seed, snapshots)),
                     ("timings.csv", _timings_lines(cfg.hash, seed, wallclock_ms)),
-                    ("manifest.txt", _manifest_text(cfg, seed, replica, dataset)),
+                    ("manifest.txt", _manifest_text(cfg.hash, stages, seed, replica, dataset)),
                 ):
                     staged[rdir / name].write_text(text)
                 save_checkpoint(staged[rdir / "checkpoint.fms"], spec, params)
@@ -381,7 +365,7 @@ def cmd_personalize(args) -> int:
         )
     dataset = build_dataset(cfg)
     pcfg = build_personalization(cfg)
-    seed = args.seed if args.seed is not None else cfg.get_int("run", "seed")
+    seed = args.seed if args.seed is not None else cfg.values["run"]["seed"]
     streams = StreamFactory(seed)
     which = f"{args.which}_clients"
 
@@ -465,7 +449,7 @@ REPORT_COLUMNS = "round,initial_mean,initial_std,personalized_mean,personalized_
 def _load_metrics(path: Path) -> tuple[str, TrainingRun]:
     """A replica's config hash, and its seed and snapshots, from its metrics.csv."""
     cfg_hash, seed, snapshots = "", None, []
-    for number, line in enumerate(path.read_text().splitlines(), start=1):
+    for number, line in enumerate(read_utf8(path).splitlines(), start=1):
         try:
             if line.startswith("# config_hash="):
                 cfg_hash = line.split("=", 1)[1]
@@ -558,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run the two-stage training driver")
     p_train.add_argument("-c", "--config", required=True)
     p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--replicas", type=_bounded(int, 1), default=None)
+    p_train.add_argument("--replicas", type=bounded(int, 1), default=None)
     p_train.add_argument("--out", default=None)
     p_train.add_argument("--trace", action="store_true",
                          help="record per-step gradients; each round's trace is written "
@@ -571,20 +555,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_pers.add_argument("--out", required=True)
     p_pers.add_argument("--seed", type=int, default=None)
     p_pers.add_argument("--which", choices=("eval", "train"), default="eval")
-    p_pers.add_argument("--sweep-epochs", type=_bounded(int, 0), default=0,
+    p_pers.add_argument("--sweep-epochs", type=bounded(int, 0), default=0,
                         help="0: no sweep")
     p_pers.add_argument("--force", action="store_true")
 
     p_dec = sub.add_parser("decompose", help="decompose a traced round update")
     p_dec.add_argument("-c", "--config", required=True)
     p_dec.add_argument("--run-dir", required=True)
-    p_dec.add_argument("--round", type=_bounded(int, 0), required=True)
+    p_dec.add_argument("--round", type=bounded(int, 0), required=True)
     p_dec.add_argument("--out", default=None)
     p_dec.add_argument("--force", action="store_true")
 
     p_rep = sub.add_parser("report", help="aggregate replica runs into tables")
     p_rep.add_argument("run_dirs", nargs="+")
-    p_rep.add_argument("--threshold", type=_bounded(float, 0, 1), default=0.8)
+    p_rep.add_argument("--threshold", type=bounded(float, 0, 1), default=0.8)
     p_rep.add_argument("--out", default=None)
     p_rep.add_argument("--force", action="store_true")
     return parser

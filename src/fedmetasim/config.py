@@ -1,17 +1,24 @@
-"""Experiment configuration: INI parsing, validation, and object assembly.
+"""Experiment configuration: one table of keys, INI parsing, validation, and
+object assembly.
 
 Sections: [dataset], [model], [stage1], [stage2], [personalization], [run].
 Stage sections use dotted keys for the two optimizers, e.g. server.kind,
 server.lr, client.lr, client.batch_size, and exactly one of client.epochs /
-client.steps. Every resolved config has a stable hash; a run's metrics and
-the reports built from them carry it, so cross-config aggregation can be
-refused.
+client.steps. ``_KEYS`` gives each key of each section its default text and
+its parser. ``load_config`` hashes the resolved text, then parses every value
+once, in every section and in an empty stage too; a value that does not parse
+is one ConfigError, ``[section] key = 'raw': expected ...``. Readers use the
+parsed ``ExperimentConfig.values``: no config text is parsed anywhere else.
+A run's metrics and the reports built from them carry the hash, so
+cross-config aggregation can be refused.
 """
 
 from __future__ import annotations
 
+import argparse
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,98 +29,106 @@ from .model import ModelSpec
 from .optimizers import ClientOptimizerConfig, ServerOptimizerState
 from .personalization import PersonalizationConfig
 
+
+def _named(name: str, parse):
+    """``parse`` under ``name``, which a refusal quotes as what was expected."""
+    parse.__name__ = name
+    return parse
+
+
+def bounded(convert, low, high=math.inf):
+    """A parser of ``convert(text)`` within [low, high], so not nan, for
+    config keys and command-line flags alike. Its refusal is an
+    ``argparse.ArgumentTypeError``, whose text argparse prints as is."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {parse.__name__}, got {text!r}")
+        return value
+    return _named(f"{convert.__name__} in [{low}, {high}]", parse)
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False, "": False}
+_OPTIONAL_INT = _named("int or empty", lambda text: int(text) if text else None)
+_OPTIONAL_STR = _named("str or empty", lambda text: text or None)
+_INTS = _named(
+    "comma-separated ints", lambda text: tuple(int(v) for v in text.split(",") if v.strip())
+)
+_BOOL = _named("true or false", lambda text: _BOOLS[text.lower()])
+_SCHEDULE = bounded(int, 0)  # rounds between events; 0 turns them off
+
+# Each key's default text and parser. The hash covers the text; a parser's
+# __name__ says what it expects.
 _STAGE1 = {
-    "rounds": "200",
-    "algorithm": "fedavg",
-    "clients_per_round": "5",
-    "weighting": "",
-    "client.epochs": "10",
-    "client.steps": "",
-    "client.lr": "0.02",
-    "client.batch_size": "20",
-    "server.kind": "momentum",
-    "server.lr": "1.0",
-    "server.momentum": "0.9",
-    "server.adam_beta1": "0.9",
-    "server.adam_beta2": "0.999",
-    "server.adam_eps": "1e-8",
+    "rounds": ("200", int),
+    "algorithm": ("fedavg", str),
+    "clients_per_round": ("5", int),
+    "weighting": ("", _OPTIONAL_STR),
+    "client.epochs": ("10", _OPTIONAL_INT),
+    "client.steps": ("", _OPTIONAL_INT),
+    "client.lr": ("0.02", float),
+    "client.batch_size": ("20", int),
+    "server.kind": ("momentum", str),
+    "server.lr": ("1.0", float),
+    "server.momentum": ("0.9", float),
+    "server.adam_beta1": ("0.9", float),
+    "server.adam_beta2": ("0.999", float),
+    "server.adam_eps": ("1e-8", float),
 }
 
-_DEFAULTS = {
+# Stage 2 fine-tunes: Reptile steps under an Adam server.
+_STAGE2_DEFAULTS = {"rounds": "0", "algorithm": "reptile", "client.epochs": "",
+                    "client.steps": "10", "server.kind": "adam", "server.lr": "0.001"}
+
+_KEYS = {
     "dataset": {
-        "kind": "synthetic",
-        "seed": "0",
-        "num_clients": "20",
-        "classes_per_client": "5",
-        "examples_per_client": "120",
-        "input_dim": "16",
-        "num_classes": "5",
-        "heterogeneity": "0.8",
-        "eval_fraction": "0.25",
-        "path": "",
+        "kind": ("synthetic", str),
+        "seed": ("0", int),
+        "num_clients": ("20", int),
+        "classes_per_client": ("5", int),
+        "examples_per_client": ("120", int),
+        "input_dim": ("16", int),
+        "num_classes": ("5", int),
+        "heterogeneity": ("0.8", float),
+        "eval_fraction": ("0.25", float),
+        "path": ("", str),
     },
     "model": {
-        "layer_dims": "24,5",
-        "activation": "tanh",
-        "loss": "softmax_cross_entropy",
+        "layer_dims": ("24,5", _INTS),
+        "activation": ("tanh", str),
+        "loss": ("softmax_cross_entropy", str),
     },
     "stage1": _STAGE1,
-    # Stage 2 fine-tunes: Reptile steps under an Adam server.
     "stage2": {
-        **_STAGE1,
-        "rounds": "0",
-        "algorithm": "reptile",
-        "client.epochs": "",
-        "client.steps": "10",
-        "server.kind": "adam",
-        "server.lr": "0.001",
+        key: (_STAGE2_DEFAULTS.get(key, default), parse)
+        for key, (default, parse) in _STAGE1.items()
     },
     "personalization": {
-        "optimizer": "sgd",
-        "lr": "0.02",
-        "epochs": "5",
-        "batch_size": "100",
-        "eval_every": "0",
+        "optimizer": ("sgd", str),
+        "lr": ("0.02", float),
+        "epochs": ("5", int),
+        "batch_size": ("100", int),
+        "eval_every": ("0", _SCHEDULE),
     },
     "run": {
-        "replicas": "9",
-        "seed": "1",
-        "output_dir": "",
-        "checkpoint_every": "0",
-        "trace": "false",
+        "replicas": ("9", bounded(int, 1)),
+        "seed": ("1", int),
+        "output_dir": ("", str),
+        "checkpoint_every": ("0", _SCHEDULE),
+        "trace": ("false", _BOOL),
     },
 }
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved configuration plus the hash of its canonical text."""
+    """Every key's parsed value, by section, and the hash of the resolved text."""
 
-    values: dict[str, dict[str, str]]
+    values: dict[str, dict[str, object]]
     hash: str
-
-    def get(self, section: str, key: str) -> str:
-        return self.values[section][key]
-
-    def get_int(self, section: str, key: str) -> int:
-        try:
-            return int(self.values[section][key])
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: expected integer") from exc
-
-    def get_float(self, section: str, key: str) -> float:
-        try:
-            return float(self.values[section][key])
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: expected number") from exc
-
-    def get_bool(self, section: str, key: str) -> bool:
-        raw = self.values[section][key].strip().lower()
-        if raw in ("true", "1", "yes"):
-            return True
-        if raw in ("false", "0", "no", ""):
-            return False
-        raise ConfigError(f"[{section}] {key}: expected boolean, got {raw!r}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -132,32 +147,43 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:  # its text names the file and line; one line here
         raise ConfigError(" ".join(str(exc).split())) from None
 
-    values = {}
-    for section, defaults in _DEFAULTS.items():
-        values[section] = dict(defaults)
+    text = {}
+    for section, keys in _KEYS.items():
+        text[section] = {key: default for key, (default, _) in keys.items()}
         explicit = set()
         if parser.has_section(section):
             for key, val in parser.items(section):
-                if key not in defaults:
+                if key not in keys:
                     raise ConfigError(f"unknown key [{section}] {key}")
-                values[section][key] = val.strip()
+                text[section][key] = val.strip()
                 explicit.add(key)
         # epochs/steps are one choice; setting one clears the other's default
         if section in ("stage1", "stage2"):
             if "client.steps" in explicit and "client.epochs" not in explicit:
-                values[section]["client.epochs"] = ""
+                text[section]["client.epochs"] = ""
             if "client.epochs" in explicit and "client.steps" not in explicit:
-                values[section]["client.steps"] = ""
+                text[section]["client.steps"] = ""
     for section in parser.sections():
-        if section not in _DEFAULTS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
 
     canonical = "\n".join(
-        f"{section}.{key}={values[section][key]}"
-        for section in sorted(values)
-        for key in sorted(values[section])
+        f"{section}.{key}={text[section][key]}"
+        for section in sorted(text)
+        for key in sorted(text[section])
     )
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+
+    values = {}
+    for section, keys in _KEYS.items():
+        values[section] = {}
+        for key, (_, parse) in keys.items():
+            raw = text[section][key]
+            try:
+                values[section][key] = parse(raw)
+            except (ValueError, KeyError, argparse.ArgumentTypeError):
+                raise ConfigError(
+                    f"[{section}] {key} = {raw!r}: expected {parse.__name__}") from None
     return ExperimentConfig(values=values, hash=digest)
 
 
@@ -165,100 +191,81 @@ def build_dataset(cfg: ExperimentConfig) -> FederatedDataset:
     """Construct and split the dataset. Uses dataset.seed, not the run seed,
     so replicas share one dataset and differ only in initialization and
     sampling."""
-    kind = cfg.get("dataset", "kind")
-    seed = cfg.get_int("dataset", "seed")
-    if kind == "synthetic":
+    d = cfg.values["dataset"]
+    if d["kind"] == "synthetic":
         ds = generate_synthetic(
-            seed=seed,
-            num_clients=cfg.get_int("dataset", "num_clients"),
-            classes_per_client=cfg.get_int("dataset", "classes_per_client"),
-            examples_per_client=cfg.get_int("dataset", "examples_per_client"),
-            input_dim=cfg.get_int("dataset", "input_dim"),
-            num_classes=cfg.get_int("dataset", "num_classes"),
-            heterogeneity=cfg.get_float("dataset", "heterogeneity"),
+            seed=d["seed"],
+            num_clients=d["num_clients"],
+            classes_per_client=d["classes_per_client"],
+            examples_per_client=d["examples_per_client"],
+            input_dim=d["input_dim"],
+            num_classes=d["num_classes"],
+            heterogeneity=d["heterogeneity"],
         )
-    elif kind == "csv":
-        path = cfg.get("dataset", "path")
-        if not path:
+    elif d["kind"] == "csv":
+        if not d["path"]:
             raise ConfigError("[dataset] path required for kind=csv")
-        ds = load_csv_dataset(
-            path,
-            cfg.get_int("dataset", "input_dim"),
-            cfg.get_int("dataset", "num_classes"),
-            seed,
-        )
+        ds = load_csv_dataset(d["path"], d["input_dim"], d["num_classes"], d["seed"])
     else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
-    return split_train_eval(ds, cfg.get_float("dataset", "eval_fraction"), seed)
+        raise ConfigError(f"unknown dataset kind {d['kind']!r}")
+    return split_train_eval(ds, d["eval_fraction"], d["seed"])
 
 
 def build_model_spec(cfg: ExperimentConfig) -> ModelSpec:
-    layer_dims = tuple(
-        int(v) for v in cfg.get("model", "layer_dims").split(",") if v.strip()
-    )
+    m, d = cfg.values["model"], cfg.values["dataset"]
     spec = ModelSpec(
-        input_dim=cfg.get_int("dataset", "input_dim"),
-        layer_dims=layer_dims,
-        activation=cfg.get("model", "activation"),
-        loss=cfg.get("model", "loss"),
+        input_dim=d["input_dim"],
+        layer_dims=m["layer_dims"],
+        activation=m["activation"],
+        loss=m["loss"],
     )
-    if spec.num_classes != cfg.get_int("dataset", "num_classes"):
+    if spec.num_classes != d["num_classes"]:
         raise ConfigError(
-            f"model emits {spec.num_classes} classes but dataset has "
-            f"{cfg.get_int('dataset', 'num_classes')}"
+            f"model emits {spec.num_classes} classes but dataset has {d['num_classes']}"
         )
     return spec
 
 
 def build_stage(cfg: ExperimentConfig, section: str) -> StageConfig:
-    rounds = cfg.get_int(section, "rounds")
-    if rounds == 0:
+    s = cfg.values[section]
+    if s["rounds"] == 0:
         return StageConfig(rounds=0, round_cfg=None, server=None)
-    client_cfg = ClientOptimizerConfig(
-        lr=cfg.get_float(section, "client.lr"),
-        batch_size=cfg.get_int(section, "client.batch_size"),
-    )
-    epochs = cfg.get(section, "client.epochs")
-    steps = cfg.get(section, "client.steps")
-    weighting = cfg.get(section, "weighting") or None
     round_cfg = RoundConfig(
-        algorithm=cfg.get(section, "algorithm"),
-        clients_per_round=cfg.get_int(section, "clients_per_round"),
-        client_cfg=client_cfg,
-        epochs=int(epochs) if epochs else None,
-        steps=int(steps) if steps else None,
-        weighting=weighting,
+        algorithm=s["algorithm"],
+        clients_per_round=s["clients_per_round"],
+        client_cfg=ClientOptimizerConfig(lr=s["client.lr"], batch_size=s["client.batch_size"]),
+        epochs=s["client.epochs"],
+        steps=s["client.steps"],
+        weighting=s["weighting"],
     )
     server = ServerOptimizerState(
-        kind=cfg.get(section, "server.kind"),
-        lr=cfg.get_float(section, "server.lr"),
-        momentum=cfg.get_float(section, "server.momentum"),
-        beta1=cfg.get_float(section, "server.adam_beta1"),
-        beta2=cfg.get_float(section, "server.adam_beta2"),
-        eps=cfg.get_float(section, "server.adam_eps"),
+        kind=s["server.kind"],
+        lr=s["server.lr"],
+        momentum=s["server.momentum"],
+        beta1=s["server.adam_beta1"],
+        beta2=s["server.adam_beta2"],
+        eps=s["server.adam_eps"],
     )
-    return StageConfig(rounds=rounds, round_cfg=round_cfg, server=server)
+    return StageConfig(rounds=s["rounds"], round_cfg=round_cfg, server=server)
 
 
 def build_personalization(cfg: ExperimentConfig) -> PersonalizationConfig:
+    p = cfg.values["personalization"]
     return PersonalizationConfig(
-        optimizer=cfg.get("personalization", "optimizer"),
-        lr=cfg.get_float("personalization", "lr"),
-        epochs=cfg.get_int("personalization", "epochs"),
-        batch_size=cfg.get_int("personalization", "batch_size"),
+        optimizer=p["optimizer"], lr=p["lr"], epochs=p["epochs"], batch_size=p["batch_size"]
     )
 
 
 def build_eval_config(cfg: ExperimentConfig) -> EvalConfig:
     return EvalConfig(
         personalization=build_personalization(cfg),
-        every=cfg.get_int("personalization", "eval_every"),
+        every=cfg.values["personalization"]["eval_every"],
     )
 
 
 def validate(cfg: ExperimentConfig, dataset: FederatedDataset) -> None:
-    """Cross-checks that need the materialized dataset, each stage's round
-    and server settings, and the ranges of the run's counts and schedules."""
+    """Cross-checks that need the materialized dataset, and each stage's
+    round and server settings."""
     for section in ("stage1", "stage2"):
         try:
             stage = build_stage(cfg, section)
@@ -269,7 +276,7 @@ def validate(cfg: ExperimentConfig, dataset: FederatedDataset) -> None:
                 f"[{section}] clients_per_round exceeds {len(dataset.train_client_ids)} "
                 "train clients"
             )
-    if not cfg.get_int("stage1", "rounds") + cfg.get_int("stage2", "rounds"):
+    if not cfg.values["stage1"]["rounds"] + cfg.values["stage2"]["rounds"]:
         raise ConfigError("no rounds to train; set [stage1] or [stage2] rounds > 0")
     if not dataset.eval_client_ids:
         raise ConfigError(
@@ -278,15 +285,10 @@ def validate(cfg: ExperimentConfig, dataset: FederatedDataset) -> None:
     for cid in dataset.eval_client_ids:
         if dataset.clients[cid].test.n == 0:
             raise ConfigError(f"held-out client {cid} has no test examples")
-    if cfg.get_int("run", "replicas") < 1:
-        raise ConfigError("[run] replicas must be positive")
-    for section, key in (("run", "checkpoint_every"), ("personalization", "eval_every")):
-        if cfg.get_int(section, key) < 0:
-            raise ConfigError(f"[{section}] {key} must be non-negative (0 turns it off)")
 
 
 def output_dir(cfg: ExperimentConfig, override: str | None) -> Path:
-    raw = override or cfg.get("run", "output_dir")
+    raw = override or cfg.values["run"]["output_dir"]
     if not raw:
         raise ConfigError("output directory required ([run] output_dir or --out)")
     return Path(raw)

@@ -10,7 +10,9 @@ knob in [0, 1].
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -143,6 +145,15 @@ def generate_synthetic(
     )
 
 
+def read_utf8(path) -> str:
+    """The text of ``path`` decoded as UTF-8, whatever the locale. A byte
+    that does not decode is one ParseError naming the file and its offset."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte offset {exc.start}") from None
+
+
 def load_csv_dataset(path, input_dim: int, num_classes: int, seed: int = 0) -> FederatedDataset:
     """Group CSV rows by client id and split each client 80/20.
 
@@ -152,7 +163,7 @@ def load_csv_dataset(path, input_dim: int, num_classes: int, seed: int = 0) -> F
     file is chunked by client.
     """
     rows_by_client: dict[int, list[tuple[int, np.ndarray]]] = {}
-    with open(path, newline="") as fh:
+    with io.StringIO(read_utf8(path), newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue

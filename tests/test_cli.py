@@ -1,4 +1,5 @@
 import ast
+import configparser
 import gc
 import io
 import json
@@ -30,7 +31,7 @@ from fedmetasim import (
 )
 from fedmetasim import cli, federation
 from fedmetasim.cli import _load_trace, _save_trace, main
-from fedmetasim.config import build_dataset, load_config, validate
+from fedmetasim.config import _KEYS, load_config
 from fedmetasim.data import FederatedDataset
 from fedmetasim.federation import RoundTrace
 from util import make_client
@@ -65,6 +66,32 @@ def config_variant(tmp_path, name, replacements, base=SMOKE):
     config = tmp_path / name
     config.write_text(text)
     return config
+
+
+def config_with(tmp_path, section, key, value, base=SMOKE):
+    """The ``base`` config with ``[section] key`` set to ``value``."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(base, encoding="utf-8")
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    path = tmp_path / "variant.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return path
+
+
+# Every key whose parser can refuse a value, each given one it refuses.
+UNPARSABLE = [
+    (SMOKE, section, key, "x")
+    for section, keys in _KEYS.items()
+    for key, (_, parse) in keys.items()
+    if parse.__name__ not in ("str", "str or empty")
+] + [
+    (SMOKE, "model", "layer_dims", "24,x"),
+    (SMOKE, "stage1", "client.epochs", "two"),
+    (DECOMPOSE, "stage2", "client.lr", "fast"),  # an empty stage
+]
 
 
 def diverging_config(tmp_path):
@@ -238,12 +265,13 @@ class TestTrain:
         ("eval_every", ("eval_every = 4", "eval_every = -4")),
     ], ids=["checkpoint_every", "eval_every"])
     def test_negative_schedule_rejected(self, tmp_path, capsys, key, replacement):
-        cfg = load_config(config_variant(tmp_path, "negative.ini", (replacement,)))
-        with pytest.raises(ConfigError, match=f"{key} must be non-negative"):
-            validate(cfg, build_dataset(cfg))
+        config = config_variant(tmp_path, "negative.ini", (replacement,))
+        message = f"{key} = '-4': expected int in [0, inf]"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(config)
         out = tmp_path / "runs"
-        assert main(["train", "-c", str(tmp_path / "negative.ini"), "--out", str(out)]) == 1
-        assert f"{key} must be non-negative" in capsys.readouterr().err
+        assert main(["train", "-c", str(config), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_personalization_lr_rejected(self, tmp_path, capsys):
@@ -265,6 +293,31 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert re.search(message, err[0])
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "base, section, key, value", UNPARSABLE, ids=[f"{s}.{k}={v}" for _, s, k, v in UNPARSABLE]
+    )
+    def test_unparsable_value_rejected_before_output(
+        self, tmp_path, capsys, monkeypatch, base, section, key, value
+    ):
+        config = config_with(tmp_path, section, key, value, base)
+        self.rejected_before_output(
+            config, tmp_path, capsys, monkeypatch,
+            "^" + re.escape(f"error: [{section}] {key} = {value!r}: expected "),
+        )
+
+    def test_undecodable_csv_dataset_is_parse_error(self, tmp_path, capsys, monkeypatch):
+        rows = "".join(f"{cid},{cid % 3}," + ",".join(["0.5"] * 6) + "\n" for cid in range(6))
+        data = tmp_path / "data.csv"
+        data.write_bytes(rows.encode() + b"6,0,0.5,\xff\n")
+        config = config_variant(tmp_path, "csv.ini", (
+            ("kind = synthetic", f"kind = csv\npath = {data}"),
+        ))
+        self.rejected_before_output(
+            config, tmp_path, capsys, monkeypatch, "^" + re.escape(
+                f"error: {data} is not UTF-8: invalid start byte at byte offset {len(rows) + 8}"
+            ) + "$",
+        )
 
     def test_no_rounds_rejected_before_output(self, tmp_path, capsys, monkeypatch):
         config = config_variant(tmp_path, "empty.ini", (
@@ -521,6 +574,17 @@ class TestReport:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {metrics}, line 5: malformed ")
 
+    def test_undecodable_metrics_is_parse_error(self, smoke_run, tmp_path, capsys):
+        rdir = tmp_path / "replica_00"
+        shutil.copytree(smoke_run / "replica_00", rdir)
+        metrics = rdir / "metrics.csv"
+        text = metrics.read_bytes()
+        metrics.write_bytes(text + b"\xff\n")
+        assert main(["report", str(rdir)]) == 1
+        assert one_error_line(capsys) == (
+            f"error: {metrics} is not UTF-8: invalid start byte at byte offset {len(text)}"
+        )
+
     @pytest.mark.parametrize("header", ["# config_hash=", "# seed="])
     def test_missing_header_line_is_parse_error(self, smoke_run, tmp_path, capsys, header):
         dirs = []
@@ -630,6 +694,21 @@ class TestPersonalize:
             "--out", str(out),
         ])
         assert rc == 1
+        assert not out.exists()
+
+    def test_out_of_range_run_value_refused_before_evaluation(
+        self, smoke_run, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "eval_population", must_not_run("eval_population"))
+        out = tmp_path / "pers"
+        rc = main([
+            "personalize", "-c", str(config_with(tmp_path, "run", "checkpoint_every", "-1")),
+            "--checkpoint", str(smoke_run / "replica_00" / "checkpoint.fms"), "--out", str(out),
+        ])
+        assert rc == 1
+        assert one_error_line(capsys) == (
+            "error: [run] checkpoint_every = '-1': expected int in [0, inf]"
+        )
         assert not out.exists()
 
     def test_spec_mismatch_rejected(self, traced_run, tmp_path, capsys):

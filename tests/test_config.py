@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from fedmetasim import ConfigError
-from fedmetasim.config import load_config
+from fedmetasim.config import _KEYS, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,4 +45,25 @@ def test_syntax_error_names_file_and_line(tmp_path, text, line):
 def test_percent_sign_is_literal(tmp_path):
     path = tmp_path / "percent.ini"
     path.write_text("[run]\noutput_dir = runs/100%\n")
-    assert load_config(path).get("run", "output_dir") == "runs/100%"
+    assert load_config(path).values["run"]["output_dir"] == "runs/100%"
+
+
+def test_readme_config_block_names_every_key():
+    """README's "Config format" block lists exactly the sections and keys
+    that ``load_config`` reads: a ``[section]`` run heads a group, and the
+    words after it, less values and parenthesized notes, are its keys."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config format", 1)[1].split("```")[1]
+    block = re.sub(r"\([^)]*\)|=[\w|]+", " ", block)
+    listed, group, in_keys = {}, [], False
+    for token in re.findall(r"\[\w+\]|[\w.]+", block):
+        if token.startswith("["):
+            if in_keys:
+                group, in_keys = [], False
+            group.append(token[1:-1])
+            listed[token[1:-1]] = set()
+        else:
+            in_keys = True
+            for section in group:
+                listed[section].add(token)
+    assert listed == {section: set(keys) for section, keys in _KEYS.items()}
