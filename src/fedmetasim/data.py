@@ -64,7 +64,7 @@ class FederatedDataset:
             for part in (client.train, client.test):
                 if part.n and part.x.shape[1] != self.input_dim:
                     raise ContractViolation(f"client {cid} feature dim mismatch")
-                if part.n and (part.y.min() < 0 or part.y.max() >= self.num_classes):
+                if part.n and part.label_bound >= self.num_classes:
                     raise ContractViolation(f"client {cid} has labels outside [0, C)")
         for cid in self.train_client_ids:
             if self.clients[cid].train.n == 0:
@@ -160,7 +160,8 @@ def load_csv_dataset(path, input_dim: int, num_classes: int, seed: int = 0) -> F
     Row layout: client_id, label, feature_0 .. feature_{input_dim-1}. The
     per-client split shuffles row order with a stream keyed by (seed, client
     id), so the partition is stable for a given seed regardless of how the
-    file is chunked by client.
+    file is chunked by client. Every input error names the file and, for a
+    row, its line.
     """
     rows_by_client: dict[int, list[tuple[int, np.ndarray]]] = {}
     with io.StringIO(read_utf8(path), newline="") as fh:
@@ -169,23 +170,23 @@ def load_csv_dataset(path, input_dim: int, num_classes: int, seed: int = 0) -> F
                 continue
             if len(row) != 2 + input_dim:
                 raise SchemaError(
-                    f"line {lineno}: expected {2 + input_dim} columns, got {len(row)}"
+                    f"{path}, line {lineno}: expected {2 + input_dim} columns, got {len(row)}"
                 )
             try:
                 cid = int(row[0])
                 label = int(row[1])
                 feats = np.array([float(v) for v in row[2:]])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+                raise ParseError(f"{path}, line {lineno}: {exc}") from exc
             if cid < 0:
-                raise SchemaError(f"line {lineno}: negative client id {cid}")
+                raise SchemaError(f"{path}, line {lineno}: negative client id {cid}")
             if not 0 <= label < num_classes:
                 raise SchemaError(
-                    f"line {lineno}: label {label} outside [0, {num_classes})"
+                    f"{path}, line {lineno}: label {label} outside [0, {num_classes})"
                 )
             rows_by_client.setdefault(cid, []).append((label, feats))
     if not rows_by_client:
-        raise SchemaError("no data rows in file")
+        raise SchemaError(f"{path}: no data rows in file")
 
     streams = StreamFactory(seed)
     clients = {}

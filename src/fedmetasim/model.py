@@ -3,7 +3,9 @@
 Model parameters live in a single flat float64 vector laid out per layer as
 the row-major weight matrix followed by the bias. All operations here are
 pure functions of their inputs; nothing mutates shared state, so values are
-safe to reuse across threads.
+safe to reuse across threads; the one buffer a caller may hand in is
+``gradient``'s ``out``. A ``Batch`` owns read-only copies of its arrays and
+their label bound, so the per-call batch checks are O(1).
 
 A finite-difference oracle for the meta-gradient (loss after K local SGD
 steps, differentiated with respect to the starting point) is provided for
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import struct
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,23 +147,54 @@ class Batch:
     ``targets`` is only consulted by the quadratic loss and defaults to the
     one-hot encoding of ``y``; supplying explicit real-valued targets allows
     constructing homogeneous quadratics (zero targets) for closed-form tests.
+
+    The record owns its arrays: construction copies them into C-contiguous
+    float64/int64/float64 arrays and marks them read-only, and takes
+    ``label_bound``, the largest label viewed as uint64 (a negative label
+    reads as huge; 0 without labels). ``batch[rows]`` is the subset at a
+    unit-step slice (read-only views) or at an index array or any other
+    slice (a read-only gathered copy). A subset costs no conversion and no
+    reduce: it keeps its parent's bound, which bounds every subset, so a
+    subset of a batch whose labels are rejected is rejected too.
     """
 
     x: np.ndarray
     y: np.ndarray
     targets: np.ndarray | None = None
+    label_bound: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.ascontiguousarray(self.x, dtype=np.float64))
-        object.__setattr__(self, "y", np.ascontiguousarray(self.y, dtype=np.int64))
+        # np.array copies, so no caller holds the arrays range-checked here.
+        y = _frozen(np.array(self.y, dtype=np.int64))
+        object.__setattr__(self, "x", _frozen(np.array(self.x, dtype=np.float64)))
+        object.__setattr__(self, "y", y)
         if self.targets is not None:
-            object.__setattr__(
-                self, "targets", np.ascontiguousarray(self.targets, dtype=np.float64)
-            )
+            object.__setattr__(self, "targets", _frozen(np.array(self.targets, dtype=np.float64)))
+        object.__setattr__(self, "label_bound", int(y.view(np.uint64).max()) if y.size else 0)
+
+    def __getitem__(self, rows: slice | np.ndarray) -> Batch:
+        x, y, targets = self.x, self.y, self.targets
+        if isinstance(rows, slice) and rows.step in (None, 1):
+            # A unit-step row slice of a read-only C-contiguous array is both.
+            x, y = x[rows], y[rows]
+            targets = None if targets is None else targets[rows]
+        else:
+            x, y = _frozen(x[rows]), _frozen(y[rows])
+            targets = None if targets is None else _frozen(targets[rows])
+        sub = object.__new__(Batch)
+        sub.__dict__.update(x=x, y=y, targets=targets, label_bound=self.label_bound)
+        return sub
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only C-contiguous array, copied only if it is not one."""
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
 
 def _check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
@@ -184,8 +217,8 @@ def _check_batch(spec: ModelSpec, batch: Batch) -> None:
         )
     if y.shape != (n,):
         raise ContractViolation("labels must be one per example")
-    # One reduce checks both bounds: a negative label reads as a huge uint64.
-    if np.maximum.reduce(y.view(np.uint64)) >= spec.num_classes:
+    # One comparison checks both bounds: a negative label reads as a huge uint64.
+    if batch.label_bound >= spec.num_classes:
         raise ContractViolation("labels must lie in [0, num_classes)")
     if batch.targets is not None and batch.targets.shape != (n, spec.num_classes):
         raise ContractViolation("targets must have shape (batch, num_classes)")
@@ -262,42 +295,64 @@ def forward_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     return float(loss)
 
 
-def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
-    """Exact gradient of forward_loss with respect to the flat parameters."""
+# Overflow is an anticipated outcome, reported as NumericError. The decorator
+# sets the error state without building a context object per call.
+@np.errstate(over="ignore", invalid="ignore")
+def gradient(
+    spec: ModelSpec, params: np.ndarray, batch: Batch, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact gradient of forward_loss with respect to the flat parameters.
+
+    With ``out``, a writeable C-contiguous float64 array of shape (P,) that
+    does not overlap ``params``, the gradient is written into it and ``out``
+    is returned; a non-finite result is left there when NumericError is
+    raised.
+    """
     params = _check_params(spec, params)
     _check_batch(spec, batch)
-    with np.errstate(over="ignore", invalid="ignore"):
-        acts = _forward(spec, params, batch.x)
+    if out is None:
+        out = np.empty(spec.param_count)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.shape == params.shape
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ContractViolation(
+            f"out must be a writeable C-contiguous float64 array of shape {params.shape}"
+        )
+    acts = _forward(spec, params, batch.x)
 
-        # The logits buffer becomes the output error dz. Subtracting whole
-        # one-hot rows keeps every bit of the label-entry subtraction, since
-        # x - 0.0 == x for every double.
-        dz = acts[-1]
-        if spec.loss == "softmax_cross_entropy":
-            dz -= np.maximum.reduce(dz, axis=1, keepdims=True)
-            np.exp(dz, out=dz)
-            dz /= np.add.reduce(dz, axis=1, keepdims=True)
-            dz -= spec._eye.take(batch.y, axis=0)
-        else:
-            dz -= _loss_targets(spec, batch)
-        dz /= dz.shape[0]
+    # The logits buffer becomes the output error dz. Subtracting whole
+    # one-hot rows keeps every bit of the label-entry subtraction, since
+    # x - 0.0 == x for every double.
+    dz = acts[-1]
+    if spec.loss == "softmax_cross_entropy":
+        dz -= np.maximum.reduce(dz, axis=1, keepdims=True)
+        np.exp(dz, out=dz)
+        dz /= np.add.reduce(dz, axis=1, keepdims=True)
+        dz -= spec._eye.take(batch.y, axis=0)
+    else:
+        dz -= _loss_targets(spec, batch)
+    dz /= dz.shape[0]
 
-        # Backward from the last layer. Each layer's gradient is written straight
-        # into its slice of the flat result, in the parameter layout. A hidden
-        # activation is the kernel's own buffer and is dead once the products
-        # below have read it, so the derivative may be formed in it.
-        flat, dot, derivative = np.empty(spec.param_count), spec._dot, spec._derivative
-        for i in range(len(spec._layout) - 1, -1, -1):
-            w0, b0, end, fan_out, fan_in = spec._layout[i]
-            a = acts[i]
-            dot(dz.T, a, out=flat[w0:b0].reshape(fan_out, fan_in))
-            np.add.reduce(dz, axis=0, out=flat[b0:end])
-            if i:
-                dz = dot(dz, params[w0:b0].reshape(fan_out, fan_in))
-                derivative(dz, a)
-    if not np.isfinite(flat).all():
+    # Backward from the last layer. Each layer's gradient is written straight
+    # into its slice of the flat result, in the parameter layout. A hidden
+    # activation is the kernel's own buffer and is dead once the products
+    # below have read it, so the derivative may be formed in it.
+    dot, derivative = spec._dot, spec._derivative
+    for i in range(len(spec._layout) - 1, -1, -1):
+        w0, b0, end, fan_out, fan_in = spec._layout[i]
+        a = acts[i]
+        dot(dz.T, a, out=out[w0:b0].reshape(fan_out, fan_in))
+        np.add.reduce(dz, axis=0, out=out[b0:end])
+        if i:
+            dz = dot(dz, params[w0:b0].reshape(fan_out, fan_in))
+            derivative(dz, a)
+    if not np.isfinite(out).all():
         raise NumericError("non-finite gradient")
-    return flat
+    return out
 
 
 def sgd_trajectory(
@@ -322,9 +377,12 @@ def sgd_trajectory(
     iterates, the (M, P) raw gradients of each row's last step, and one
     DivergenceError per row that stopped on a non-finite value, carrying its
     step index, else None; nothing is raised for divergence. With
-    ``grads``, an (M, K, P) array with K at least every schedule's length,
-    row i's step j gradient is written into ``grads[i, j]``, and a diverged
-    row's last gradient is left unset.
+    ``grads``, a C-contiguous float64 (M, K, P) array with K at least every
+    schedule's length, row i's step j gradient is written into
+    ``grads[i, j]``. A row's failed step leaves its gradient row undefined.
+
+    ``gradient`` writes each step's result straight into its row of the
+    gradient buffer, so no step allocates a result.
     """
     params = _check_params(spec, params)
     if not schedules:
@@ -349,7 +407,7 @@ def sgd_trajectory(
                         last[i] = grads[i, j - 1]
                     continue
                 try:
-                    g[i] = gradient(spec, theta[i], batch)
+                    gradient(spec, theta[i], batch, out=g[i])
                     stepped.append(i)
                 except NumericError as exc:
                     failures[i] = DivergenceError(f"non-finite gradient at step {j}", step_index=j)

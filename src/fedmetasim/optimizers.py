@@ -17,7 +17,7 @@ per step. ``sgd_update`` is the SGD rule that local training and
 personalization hand to ``model.sgd_trajectory``.
 ``make_client_batches`` is the one per-epoch shuffler, shared by local
 training and personalization; it builds batches lazily, one epoch at a
-time.
+time, as read-only row views of one gather of the train split.
 """
 
 from __future__ import annotations
@@ -177,7 +177,9 @@ def make_client_batches(
     every training example exactly once. The batches are built lazily, one
     epoch at a time: an epoch's permutation is drawn when its first batch is
     taken, so a consumer that stops early builds no batch it does not use.
-    The arguments are checked at the call.
+    An epoch's batches are read-only views into one gathered copy of the
+    split that keep its label bound (``Batch.__getitem__``), so no batch is
+    converted or range-checked again. The arguments are checked at the call.
     """
     if epochs < 1:
         raise ContractViolation("epochs must be positive")
@@ -187,11 +189,9 @@ def make_client_batches(
     return _epoch_batches(train, epochs, batch_size, rng)
 
 
-def _epoch_batches(train, epochs, batch_size, rng) -> Iterator[Batch]:
+def _epoch_batches(train: Batch, epochs, batch_size, rng) -> Iterator[Batch]:
     for _ in range(epochs):
-        order = rng.permutation(train.n)
-        x, y = train.x[order], train.y[order]
+        epoch = train[rng.permutation(train.n)]
         for start in range(0, train.n, batch_size):
-            end = start + batch_size
-            yield Batch(x[start:end], y[start:end])
+            yield epoch[start : start + batch_size]
 

@@ -319,6 +319,31 @@ class TestTrain:
             ) + "$",
         )
 
+    @pytest.mark.parametrize("last_row, message", [
+        ("6,0,0.5\n", "line 7: expected 8 columns, got 3"),
+        ("6,0,x,0.5,0.5,0.5,0.5,0.5\n", "line 7: could not convert string to float: 'x'"),
+        ("-6,0,0.5,0.5,0.5,0.5,0.5,0.5\n", "line 7: negative client id -6"),
+        ("6,3,0.5,0.5,0.5,0.5,0.5,0.5\n", "line 7: label 3 outside [0, 3)"),
+        (None, "no data rows in file"),
+    ], ids=["columns", "parse", "client-id", "label", "no-rows"])
+    def test_csv_input_error_names_the_file(
+        self, tmp_path, capsys, monkeypatch, last_row, message
+    ):
+        data = tmp_path / "data.csv"
+        if last_row is None:
+            data.write_text("\n\n")
+        else:
+            rows = "".join(f"{cid},{cid % 3}," + ",".join(["0.5"] * 6) + "\n" for cid in range(6))
+            data.write_text(rows + last_row)
+        config = config_variant(tmp_path, "csv.ini", (
+            ("kind = synthetic", f"kind = csv\npath = {data}"),
+        ))
+        separator = ": " if last_row is None else ", "
+        self.rejected_before_output(
+            config, tmp_path, capsys, monkeypatch,
+            "^" + re.escape(f"error: {data}{separator}{message}") + "$",
+        )
+
     def test_no_rounds_rejected_before_output(self, tmp_path, capsys, monkeypatch):
         config = config_variant(tmp_path, "empty.ini", (
             ("rounds = 8", "rounds = 0"), ("rounds = 4", "rounds = 0"),

@@ -230,6 +230,15 @@ class TestFederatedDatasetInvariants:
                 num_classes=3,
             )
 
+    @pytest.mark.parametrize("label", [3, -1, np.iinfo(np.int64).min])
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_label_bound_checked_in_either_split(self, label, part):
+        good = Batch(np.zeros((2, 3)), np.array([0, 2]))
+        bad = Batch(np.zeros((2, 3)), np.array([0, label]))
+        client = ClientDataset(bad, good) if part == "train" else ClientDataset(good, bad)
+        with pytest.raises(ContractViolation, match="labels outside"):
+            FederatedDataset({0: client}, (0,), (), input_dim=3, num_classes=3)
+
 
 def test_manifest_contents():
     ds = split_train_eval(small_synthetic(num_clients=10), 0.3, seed=1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,136 @@ class TestKernelMatchesReference:
         assert final[0].tobytes() == theta.tobytes()
         assert [g.tobytes() for g in grads[0]] == [g.tobytes() for g in expected]
         assert last[0].tobytes() == expected[-1].tobytes()
+
+
+@st.composite
+def labelled_subsets(draw):
+    """A spec, parameters, a batch whose labels may hold negatives and
+    values >= C, and a row selection of it: a slice or an index array."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, input_dim, n = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 30))
+    spec = ModelSpec(input_dim, (draw(st.integers(1, 6)), c), activation="tanh")
+    y = rng.integers(0, c, size=n)
+    for row, label in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.sampled_from([-1, -(2**63), c, c + 7])), max_size=3
+    )):
+        y[row] = label
+    if draw(st.booleans()):
+        rows = draw(st.slices(n))
+    else:
+        rows = rng.integers(0, n, size=draw(st.integers(0, 2 * n)))
+    params = rng.normal(size=spec.param_count)
+    return spec, params, Batch(rng.normal(size=(n, input_dim)), y), rows
+
+
+def outcome(fn, *args):
+    """The bytes of fn's result, or the type of the error it raised."""
+    try:
+        return np.float64(fn(*args)).tobytes()
+    except (ContractViolation, NumericError) as exc:
+        return type(exc)
+
+
+class TestBatchRecord:
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_subsets())
+    def test_subset_checks_and_bytes_equal_a_fresh_batch(self, case):
+        spec, params, batch, rows = case
+        sub, fresh = batch[rows], Batch(batch.x[rows], batch.y[rows])
+        assert sub.x.tobytes() == fresh.x.tobytes() and sub.y.tobytes() == fresh.y.tobytes()
+        for fn in (gradient, forward_loss):
+            # A subset is rejected where a fresh batch of its rows is, for
+            # labels out of range in the subset itself among other causes.
+            expected = outcome(fn, spec, params, fresh)
+            if outcome(fn, spec, params, batch) is ContractViolation:
+                # The one stricter case: the subset keeps its parent's label
+                # bound, so a subset of a rejected parent is rejected too,
+                # even where its own labels lie in range.
+                expected = ContractViolation
+            assert outcome(fn, spec, params, sub) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_subsets(), st.booleans())
+    def test_arrays_owned_and_read_only(self, case, with_targets):
+        _, _, batch, rows = case
+        x, y = batch.x.copy(), batch.y.copy()
+        targets = np.ones((batch.n, 2)) if with_targets else None
+        owned = Batch(x, y, targets)
+        x[:] = 7.0
+        y[:] = 99
+        if with_targets:
+            targets[:] = -1.0
+        assert owned.x.tobytes() == batch.x.tobytes()
+        assert owned.y.tobytes() == batch.y.tobytes()
+        assert owned.label_bound == batch.label_bound
+        for record in (owned, owned[rows]):
+            arrays = [record.x, record.y] + ([record.targets] if with_targets else [])
+            for a in arrays:
+                assert not a.flags.writeable and a.flags.c_contiguous
+                with pytest.raises(ValueError):
+                    a[...] = 0
+            if with_targets:
+                assert np.array_equal(record.targets, np.ones((record.n, 2)))
+
+    def test_label_bound(self):
+        assert Batch(np.zeros((3, 1)), [2, 0, 1]).label_bound == 2
+        assert Batch(np.zeros((2, 1)), [0, -1]).label_bound == 2**64 - 1
+        assert Batch(np.zeros((0, 1)), np.zeros(0, dtype=int)).label_bound == 0
+
+
+def overflowing_case():
+    """A case whose logits overflow, so its gradient is not finite."""
+    spec = ModelSpec(2, (3,), activation="identity")
+    return spec, np.full(spec.param_count, 1e200), Batch(np.full((2, 2), 1e200), np.array([0, 2]))
+
+
+class TestGradientOut:
+    @settings(max_examples=300, deadline=None)
+    @given(mlp_cases())
+    @gemv_examples
+    def test_bytes_equal_and_returns_out(self, case):
+        spec, params, batch = case
+        out = np.empty(spec.param_count)
+        try:
+            expected = gradient(spec, params, batch)
+        except NumericError:
+            with pytest.raises(NumericError):
+                gradient(spec, params, batch, out=out)
+            return
+        assert gradient(spec, params, batch, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("make_out", [
+        lambda p: np.empty(p + 1),
+        lambda p: np.empty((1, p)),
+        lambda p: np.empty(p, dtype=np.float32),
+        lambda p: np.empty(2 * p)[::2],
+        lambda p: np.empty(p).view(np.int64),
+        lambda p: [0.0] * p,
+    ], ids=["long", "2-D", "float32", "strided", "int64", "list"])
+    def test_rejects_a_wrong_out(self, make_out):
+        spec, params, batch = mlp_case(3)
+        with pytest.raises(ContractViolation):
+            gradient(spec, params, batch, out=make_out(spec.param_count))
+
+    def test_rejects_a_read_only_out(self):
+        spec, params, batch = mlp_case(3)
+        out = np.zeros(spec.param_count)
+        out.flags.writeable = False
+        with pytest.raises(ContractViolation):
+            gradient(spec, params, batch, out=out)
+        assert not out.any()
+
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_non_finite_raises_with_its_own_errstate(self, with_out):
+        spec, params, batch = overflowing_case()
+        out = np.empty(spec.param_count) if with_out else None
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                gradient(spec, params, batch, out=out)
+        assert np.geterr() == before
 
 
 class TestSgdTrajectory:

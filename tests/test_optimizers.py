@@ -4,15 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmetasim import (
+    Batch,
     ClientOptimizerConfig,
     ContractViolation,
     NumericError,
     ServerOptimizerState,
+    ModelSpec,
+    init_params,
     make_client_batches,
     server_apply,
+    sgd_trajectory,
     substream,
 )
-from fedmetasim.optimizers import adam_step
+from fedmetasim.optimizers import adam_step, sgd_update
 from util import make_client, reference_adam_step, reference_client_batches
 
 
@@ -270,3 +274,35 @@ class TestClientBatches:
             ClientOptimizerConfig(lr=0.02, batch_size=0)
         with pytest.raises(ContractViolation):
             ClientOptimizerConfig(lr=-0.1, batch_size=5)
+
+    def test_minibatches_are_views_and_no_step_builds_a_batch(self, monkeypatch):
+        # Hot-path guard: one epoch is one gather of the split, its
+        # minibatches are read-only views into it, and stepping over them
+        # converts and range-checks nothing again.
+        client = make_client(np.random.default_rng(5), n_train=23)
+        batches = list(make_client_batches(client, 2, 5, substream(5, "b")))
+        for epoch in (batches[:5], batches[5:]):
+            x, y = epoch[0].x.base, epoch[0].y.base
+            assert x.shape == (23, 4) and y.shape == (23,)
+            assert not np.shares_memory(x, client.train.x)
+            for batch in epoch:
+                assert not batch.x.flags.writeable and not batch.y.flags.writeable
+                assert batch.x.base is x and np.shares_memory(batch.x, x)
+                assert batch.y.base is y and np.shares_memory(batch.y, y)
+                assert batch.label_bound == client.train.label_bound
+        assert batches[0].x.base is not batches[5].x.base
+
+        spec = ModelSpec(4, (6, 3))
+        built, post_init = [0], Batch.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Batch, "__post_init__", counting)
+        schedules = [make_client_batches(client, 3, 5, substream(6, "b", i)) for i in range(2)]
+        _, _, failures = sgd_trajectory(
+            spec, init_params(spec, substream(6, "init")), schedules, sgd_update(0.1)
+        )
+        assert failures == [None, None]
+        assert built == [0]
