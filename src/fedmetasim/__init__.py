@@ -41,6 +41,7 @@ from .federation import (
     TrainingRun,
     run_personalized_fedavg,
     run_round,
+    run_stage,
     sample_clients,
 )
 from .model import (

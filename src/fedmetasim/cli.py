@@ -44,6 +44,7 @@ from .analysis import (
     threshold_stats,
 )
 from .config import (
+    SEED,
     bounded,
     build_dataset,
     build_eval_config,
@@ -298,6 +299,11 @@ def cmd_train(args) -> int:
     trace = args.trace or run["trace"]
     base_seed = args.seed if args.seed is not None else run["seed"]
     replicas = args.replicas if args.replicas is not None else run["replicas"]
+    if base_seed + replicas - 1 > 2**63 - 1:
+        raise ConfigError(
+            f"replica {replicas - 1} would take seed {base_seed + replicas - 1}, "
+            f"past the largest seed {2**63 - 1}"
+        )
     checkpoint_every = run["checkpoint_every"]
     out_root = output_dir(cfg, args.out)
     rounds = sum(stage.rounds for stage in stages)
@@ -541,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run the two-stage training driver")
     p_train.add_argument("-c", "--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=SEED, default=None)
     p_train.add_argument("--replicas", type=bounded(int, 1), default=None)
     p_train.add_argument("--out", default=None)
     p_train.add_argument("--trace", action="store_true",
@@ -553,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pers.add_argument("-c", "--config", required=True)
     p_pers.add_argument("--checkpoint", required=True)
     p_pers.add_argument("--out", required=True)
-    p_pers.add_argument("--seed", type=int, default=None)
+    p_pers.add_argument("--seed", type=SEED, default=None)
     p_pers.add_argument("--which", choices=("eval", "train"), default="eval")
     p_pers.add_argument("--sweep-epochs", type=bounded(int, 0), default=0,
                         help="0: no sweep")

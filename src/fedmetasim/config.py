@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import math
 from dataclasses import dataclass
@@ -59,6 +60,7 @@ _INTS = _named(
 )
 _BOOL = _named("true or false", lambda text: _BOOLS[text.lower()])
 _SCHEDULE = bounded(int, 0)  # rounds between events; 0 turns them off
+SEED = bounded(int, -2**63, 2**63 - 1)  # rng.substream packs a seed as int64
 
 # Each key's default text and parser. The hash covers the text; a parser's
 # __name__ says what it expects.
@@ -86,7 +88,7 @@ _STAGE2_DEFAULTS = {"rounds": "0", "algorithm": "reptile", "client.epochs": "",
 _KEYS = {
     "dataset": {
         "kind": ("synthetic", str),
-        "seed": ("0", int),
+        "seed": ("0", SEED),
         "num_clients": ("20", int),
         "classes_per_client": ("5", int),
         "examples_per_client": ("120", int),
@@ -115,7 +117,7 @@ _KEYS = {
     },
     "run": {
         "replicas": ("9", bounded(int, 1)),
-        "seed": ("1", int),
+        "seed": ("1", SEED),
         "output_dir": ("", str),
         "checkpoint_every": ("0", _SCHEDULE),
         "trace": ("false", _BOOL),
@@ -187,41 +189,54 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(values=values, hash=digest)
 
 
+@contextlib.contextmanager
+def _section(name: str):
+    """Refuse a value the objects built inside reject as a ConfigError that
+    names ``[name]``."""
+    try:
+        yield
+    except ContractViolation as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
+
+
 def build_dataset(cfg: ExperimentConfig) -> FederatedDataset:
     """Construct and split the dataset. Uses dataset.seed, not the run seed,
     so replicas share one dataset and differ only in initialization and
     sampling."""
     d = cfg.values["dataset"]
-    if d["kind"] == "synthetic":
-        ds = generate_synthetic(
-            seed=d["seed"],
-            num_clients=d["num_clients"],
-            classes_per_client=d["classes_per_client"],
-            examples_per_client=d["examples_per_client"],
-            input_dim=d["input_dim"],
-            num_classes=d["num_classes"],
-            heterogeneity=d["heterogeneity"],
-        )
-    elif d["kind"] == "csv":
-        if not d["path"]:
-            raise ConfigError("[dataset] path required for kind=csv")
-        ds = load_csv_dataset(d["path"], d["input_dim"], d["num_classes"], d["seed"])
-    else:
-        raise ConfigError(f"unknown dataset kind {d['kind']!r}")
-    return split_train_eval(ds, d["eval_fraction"], d["seed"])
+    with _section("dataset"):
+        if d["kind"] == "synthetic":
+            ds = generate_synthetic(
+                seed=d["seed"],
+                num_clients=d["num_clients"],
+                classes_per_client=d["classes_per_client"],
+                examples_per_client=d["examples_per_client"],
+                input_dim=d["input_dim"],
+                num_classes=d["num_classes"],
+                heterogeneity=d["heterogeneity"],
+            )
+        elif d["kind"] == "csv":
+            if not d["path"]:
+                raise ConfigError("[dataset] path required for kind=csv")
+            ds = load_csv_dataset(d["path"], d["input_dim"], d["num_classes"], d["seed"])
+        else:
+            raise ConfigError(f"[dataset] unknown kind {d['kind']!r}")
+        return split_train_eval(ds, d["eval_fraction"], d["seed"])
 
 
 def build_model_spec(cfg: ExperimentConfig) -> ModelSpec:
     m, d = cfg.values["model"], cfg.values["dataset"]
-    spec = ModelSpec(
-        input_dim=d["input_dim"],
-        layer_dims=m["layer_dims"],
-        activation=m["activation"],
-        loss=m["loss"],
-    )
+    with _section("model"):
+        spec = ModelSpec(
+            input_dim=d["input_dim"],
+            layer_dims=m["layer_dims"],
+            activation=m["activation"],
+            loss=m["loss"],
+        )
     if spec.num_classes != d["num_classes"]:
         raise ConfigError(
-            f"model emits {spec.num_classes} classes but dataset has {d['num_classes']}"
+            f"[model] layer_dims emits {spec.num_classes} classes "
+            f"but [dataset] num_classes is {d['num_classes']}"
         )
     return spec
 
@@ -251,9 +266,10 @@ def build_stage(cfg: ExperimentConfig, section: str) -> StageConfig:
 
 def build_personalization(cfg: ExperimentConfig) -> PersonalizationConfig:
     p = cfg.values["personalization"]
-    return PersonalizationConfig(
-        optimizer=p["optimizer"], lr=p["lr"], epochs=p["epochs"], batch_size=p["batch_size"]
-    )
+    with _section("personalization"):
+        return PersonalizationConfig(
+            optimizer=p["optimizer"], lr=p["lr"], epochs=p["epochs"], batch_size=p["batch_size"]
+        )
 
 
 def build_eval_config(cfg: ExperimentConfig) -> EvalConfig:
@@ -267,10 +283,8 @@ def validate(cfg: ExperimentConfig, dataset: FederatedDataset) -> None:
     """Cross-checks that need the materialized dataset, and each stage's
     round and server settings."""
     for section in ("stage1", "stage2"):
-        try:
+        with _section(section):
             stage = build_stage(cfg, section)
-        except ContractViolation as exc:
-            raise ConfigError(f"[{section}] {exc}") from exc
         if stage.rounds and stage.round_cfg.clients_per_round > len(dataset.train_client_ids):
             raise ConfigError(
                 f"[{section}] clients_per_round exceeds {len(dataset.train_client_ids)} "
@@ -279,12 +293,10 @@ def validate(cfg: ExperimentConfig, dataset: FederatedDataset) -> None:
     if not cfg.values["stage1"]["rounds"] + cfg.values["stage2"]["rounds"]:
         raise ConfigError("no rounds to train; set [stage1] or [stage2] rounds > 0")
     if not dataset.eval_client_ids:
-        raise ConfigError(
-            "no evaluation clients; set dataset.eval_fraction > 0"
-        )
+        raise ConfigError("no evaluation clients; set [dataset] eval_fraction > 0")
     for cid in dataset.eval_client_ids:
         if dataset.clients[cid].test.n == 0:
-            raise ConfigError(f"held-out client {cid} has no test examples")
+            raise ConfigError(f"[dataset] held-out client {cid} has no test examples")
 
 
 def output_dir(cfg: ExperimentConfig, override: str | None) -> Path:

@@ -24,8 +24,8 @@ DivergenceError naming the round and the lowest-id client that diverged, at
 its own step, as if the clients had run one after another; a non-finite
 server step raises it naming the round.
 
-The driver, ``run_personalized_fedavg``, is a generator over a list of
-stages: it yields each round's ``RoundTrace``, with its evaluation snapshot
+The driver, ``run_personalized_fedavg``, chains one ``run_stage`` stream per
+stage: each yields every round's ``RoundTrace``, with its evaluation snapshot
 attached when one is due, and the global parameters after it, one round at
 a time. Its consumer keeps what it needs; ``TrainingRun``, a seed plus its
 snapshots, is the metrics record that reports are built from.
@@ -258,6 +258,49 @@ class EvalConfig:
     every: int = 0
 
 
+def run_stage(
+    spec: ModelSpec,
+    dataset: FederatedDataset,
+    stage: StageConfig,
+    eval_cfg: EvalConfig | None,
+    streams: StreamFactory,
+    params: np.ndarray,
+    first_round: int,
+    trace: bool = False,
+) -> Iterator[tuple[RoundTrace, np.ndarray]]:
+    """One stage's rounds as a stream, from ``params`` at global round
+    ``first_round``, under the stage's fresh server state. Yields each round
+    as the driver does and returns the last parameters. Rounds are keyed by
+    their global index, so a stage forked from a run's parameters at its
+    round index continues that run bit for bit."""
+    server_state = stage.server
+    round_index = first_round
+    for r in range(stage.rounds):
+        params, server_state, tr = run_round(
+            spec, params, dataset, stage.round_cfg,
+            server_state, round_index, streams, trace,
+        )
+        round_index += 1
+        if eval_cfg is not None and (
+            r == stage.rounds - 1 or (eval_cfg.every and round_index % eval_cfg.every == 0)
+        ):
+            report = eval_population(
+                spec, params, dataset, "eval_clients",
+                eval_cfg.personalization, streams, snapshot_index=round_index,
+            )
+            tr.snapshot = EvalSnapshot(
+                round_index=round_index,
+                initial_mean=report.mean_initial,
+                initial_std=report.std_initial,
+                personalized_mean=report.mean_personalized,
+                personalized_std=report.std_personalized,
+            )
+        yield tr, params
+        # Deleting drops this round's arrays before the next one runs.
+        del tr
+    return params
+
+
 def run_personalized_fedavg(
     spec: ModelSpec,
     dataset: FederatedDataset,
@@ -280,29 +323,9 @@ def run_personalized_fedavg(
     """
     streams = StreamFactory(seed)
     params = init_params(spec, streams.stream("init"))
-    round_index = 0
+    first_round = 0
     for stage in stages:
-        server_state = stage.server
-        for r in range(stage.rounds):
-            params, server_state, tr = run_round(
-                spec, params, dataset, stage.round_cfg,
-                server_state, round_index, streams, trace,
-            )
-            round_index += 1
-            if eval_cfg is not None and (
-                r == stage.rounds - 1 or (eval_cfg.every and round_index % eval_cfg.every == 0)
-            ):
-                report = eval_population(
-                    spec, params, dataset, "eval_clients",
-                    eval_cfg.personalization, streams, snapshot_index=round_index,
-                )
-                tr.snapshot = EvalSnapshot(
-                    round_index=round_index,
-                    initial_mean=report.mean_initial,
-                    initial_std=report.std_initial,
-                    personalized_mean=report.mean_personalized,
-                    personalized_std=report.std_personalized,
-                )
-            yield tr, params
-            # Deleting drops this round's arrays before the next one runs.
-            del tr
+        params = yield from run_stage(
+            spec, dataset, stage, eval_cfg, streams, params, first_round, trace
+        )
+        first_round += stage.rounds

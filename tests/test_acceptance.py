@@ -1,8 +1,10 @@
 """Acceptance suite: one test per release criterion, printed pass lines.
 
-The heavyweight training suites (criteria 4-6) run once in module-scoped
-fixtures and are shared; each criterion asserts its own direction, margin,
-and runtime budget. Everything is deterministic for a fixed environment.
+The heavyweight training suites (criteria 4-6) run once in one
+module-scoped fixture and are shared: each seed's stage 1 is trained once,
+and both fine-tuning variants fork from it. Each criterion asserts its own
+direction, margin, and runtime budget. Everything is deterministic for a
+fixed environment.
 """
 
 import time
@@ -32,6 +34,7 @@ from fedmetasim import (
     rounds_to_threshold,
     run_personalized_fedavg,
     run_round,
+    run_stage,
     split_train_eval,
     substream,
 )
@@ -70,46 +73,33 @@ def bundle():
 
 
 @pytest.fixture(scope="module")
-def stage1_runs(bundle):
-    """Final (initial, personalized) accuracy of stage-1-only training for
-    the bundled epoch count and the E=2 comparison variant, 5 seeds each."""
+def runs(bundle):
+    """Final (initial, personalized) accuracy per seed: of stage-1-only
+    training at the bundled E=10 and at E=2, keyed ("epochs", E, seed), and
+    of stage 2 with K=1 and K=10 forked from the E=10 run's last parameters
+    at its last round, keyed ("steps", K, seed)."""
+    spec, dataset, eval_cfg = bundle["spec"], bundle["dataset"], bundle["eval_cfg"]
+    stage1, stage2 = bundle["stage1"], bundle["stage2"]
+    e2 = replace(stage1, round_cfg=replace(stage1.round_cfg, epochs=2))
+
+    def last(run):
+        snap = run.snapshots[-1]
+        return snap.initial_mean, snap.personalized_mean
+
     t0 = time.perf_counter()
     out = {}
-    for epochs in (10, 2):
-        stage = replace(
-            bundle["stage1"],
-            round_cfg=replace(bundle["stage1"].round_cfg, epochs=epochs),
+    for seed in bundle["seeds"]:
+        base = drain(run_personalized_fedavg(spec, dataset, [stage1], eval_cfg, seed=seed))
+        out[("epochs", 10, seed)] = last(base)
+        for steps in (1, 10):
+            fork = replace(stage2, round_cfg=replace(stage2.round_cfg, steps=steps))
+            out[("steps", steps, seed)] = last(drain(run_stage(
+                spec, dataset, fork, eval_cfg, StreamFactory(seed),
+                base.final_params, stage1.rounds,
+            )))
+        out[("epochs", 2, seed)] = last(
+            drain(run_personalized_fedavg(spec, dataset, [e2], eval_cfg, seed=seed))
         )
-        for seed in bundle["seeds"]:
-            run = drain(run_personalized_fedavg(
-                bundle["spec"], bundle["dataset"], [stage],
-                bundle["eval_cfg"], seed=seed,
-            ))
-            snap = run.snapshots[-1]
-            out[(epochs, seed)] = (snap.initial_mean, snap.personalized_mean)
-    out["elapsed"] = time.perf_counter() - t0
-    return out
-
-
-@pytest.fixture(scope="module")
-def finetune_runs(bundle):
-    """Two-stage runs fine-tuned with step counts 1 and 10; records the
-    stage-1-end and stage-2-end snapshots per seed."""
-    t0 = time.perf_counter()
-    out = {}
-    for steps in (1, 10):
-        stage2 = replace(
-            bundle["stage2"],
-            round_cfg=replace(bundle["stage2"].round_cfg, steps=steps),
-        )
-        for seed in bundle["seeds"]:
-            run = drain(run_personalized_fedavg(
-                bundle["spec"], bundle["dataset"], [bundle["stage1"], stage2],
-                bundle["eval_cfg"], seed=seed,
-            ))
-            s1, s2 = run.snapshots[-2], run.snapshots[-1]
-            out[("stage1", seed)] = (s1.initial_mean, s1.personalized_mean)
-            out[(steps, seed)] = (s2.initial_mean, s2.personalized_mean)
     out["elapsed"] = time.perf_counter() - t0
     return out
 
@@ -192,51 +182,47 @@ def test_criterion_3_meta_gradient_oracle():
     )
 
 
-def test_criterion_4_personalization_gap_direction(stage1_runs, bundle):
+def test_criterion_4_personalization_gap_direction(runs, bundle):
     gaps = []
     for seed in bundle["seeds"]:
-        init, pers = stage1_runs[(10, seed)]
+        init, pers = runs[("epochs", 10, seed)]
         gaps.append(pers - init)
     assert all(g >= 0.02 for g in gaps), f"gaps below 2pp: {gaps}"
     wins = sum(
-        stage1_runs[(10, seed)][1] >= stage1_runs[(2, seed)][1]
+        runs[("epochs", 10, seed)][1] >= runs[("epochs", 2, seed)][1]
         for seed in bundle["seeds"]
     )
     assert wins >= 4, f"E=10 personalized >= E=2 in only {wins}/5 seeds"
-    assert stage1_runs["elapsed"] < 600.0
+    assert runs["elapsed"] < 600.0
     print(
         f"\nPASS criterion 4: personalization gap min {min(gaps)*100:.1f}pp >= 2pp "
         f"in every seed; E=10 >= E=2 personalized in {wins}/5 seeds "
-        f"({stage1_runs['elapsed']:.0f}s)"
+        f"({runs['elapsed']:.0f}s)"
     )
 
 
-def test_criterion_5_finetune_tradeoff_direction(finetune_runs, bundle):
+def test_criterion_5_finetune_tradeoff_direction(runs, bundle):
     init_wins = sum(
-        finetune_runs[(1, seed)][0] > finetune_runs[(10, seed)][0]
+        runs[("steps", 1, seed)][0] > runs[("steps", 10, seed)][0]
         for seed in bundle["seeds"]
     )
     pers_wins = sum(
-        finetune_runs[(10, seed)][1] > finetune_runs[(1, seed)][1]
+        runs[("steps", 10, seed)][1] > runs[("steps", 1, seed)][1]
         for seed in bundle["seeds"]
     )
     assert init_wins >= 4, f"single-step fine-tune higher initial in only {init_wins}/5"
     assert pers_wins >= 4, f"10-step fine-tune higher personalized in only {pers_wins}/5"
-    assert finetune_runs["elapsed"] < 600.0
+    assert runs["elapsed"] < 600.0
     print(
         f"\nPASS criterion 5: initial accuracy favors 1-step fine-tuning in "
         f"{init_wins}/5 seeds, personalized favors 10-step in {pers_wins}/5 "
-        f"({finetune_runs['elapsed']:.0f}s)"
+        f"({runs['elapsed']:.0f}s)"
     )
 
 
-def test_criterion_6_finetune_stability(finetune_runs, bundle):
-    stage1_std = float(
-        np.std([finetune_runs[("stage1", seed)][0] for seed in bundle["seeds"]])
-    )
-    stage2_std = float(
-        np.std([finetune_runs[(10, seed)][0] for seed in bundle["seeds"]])
-    )
+def test_criterion_6_finetune_stability(runs, bundle):
+    stage1_std = float(np.std([runs[("epochs", 10, seed)][0] for seed in bundle["seeds"]]))
+    stage2_std = float(np.std([runs[("steps", 10, seed)][0] for seed in bundle["seeds"]]))
     assert stage2_std < stage1_std
     print(
         f"\nPASS criterion 6: initial-accuracy std across seeds "

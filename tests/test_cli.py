@@ -93,6 +93,35 @@ UNPARSABLE = [
     (DECOMPOSE, "stage2", "client.lr", "fast"),  # an empty stage
 ]
 
+# Values the smoke config (4 train clients) refuses beyond their parse, each
+# with its whole error line.
+INT64 = "int in [-9223372036854775808, 9223372036854775807]"
+REFUSED = [
+    ("dataset", "seed", "99999999999999999999",
+     f"[dataset] seed = '99999999999999999999': expected {INT64}"),
+    ("run", "seed", "-9223372036854775809",
+     f"[run] seed = '-9223372036854775809': expected {INT64}"),
+    ("stage1", "client.momentum", "0.9", "unknown key [stage1] client.momentum"),
+    ("extra", "key", "1", "unknown config section [extra]"),
+    ("dataset", "kind", "csv", "[dataset] path required for kind=csv"),
+    ("dataset", "kind", "parquet", "[dataset] unknown kind 'parquet'"),
+    ("dataset", "num_classes", "4",
+     "[model] layer_dims emits 3 classes but [dataset] num_classes is 4"),
+    ("dataset", "eval_fraction", "0", "no evaluation clients; set [dataset] eval_fraction > 0"),
+    ("dataset", "input_dim", "0", "[dataset] need input_dim >= 1 and num_classes >= 2"),
+    ("model", "loss", "hinge", "[model] unknown loss 'hinge'"),
+    ("model", "activation", "gelu", "[model] unknown activation 'gelu'"),
+    ("stage1", "algorithm", "sgd", "[stage1] unknown algorithm 'sgd'"),
+    ("stage1", "clients_per_round", "0", "[stage1] clients_per_round must be positive"),
+    ("stage1", "clients_per_round", "5", "[stage1] clients_per_round exceeds 4 train clients"),
+    ("stage1", "weighting", "equal", "[stage1] unknown weighting 'equal'"),
+    ("stage1", "client.epochs", "0", "[stage1] epochs must be positive"),
+    ("personalization", "optimizer", "rmsprop",
+     "[personalization] unknown personalization optimizer 'rmsprop'"),
+    ("personalization", "epochs", "-1", "[personalization] epochs must be non-negative"),
+    ("personalization", "batch_size", "0", "[personalization] batch_size must be positive"),
+]
+
 
 def diverging_config(tmp_path):
     """The smoke config as relu 6->8->3 with client lr 1e3 over 30 epochs,
@@ -280,7 +309,10 @@ class TestTrain:
         )
         out = tmp_path / "runs"
         assert main(["train", "-c", str(config), "--out", str(out)]) == 1
-        assert "error: personalization lr must be non-negative" in capsys.readouterr().err
+        assert (
+            "error: [personalization] personalization lr must be non-negative"
+            in capsys.readouterr().err
+        )
         assert not out.exists()
 
     def rejected_before_output(self, config, tmp_path, capsys, monkeypatch, message):
@@ -305,6 +337,42 @@ class TestTrain:
             config, tmp_path, capsys, monkeypatch,
             "^" + re.escape(f"error: [{section}] {key} = {value!r}: expected "),
         )
+
+    @pytest.mark.parametrize(
+        "section, key, value, message", REFUSED, ids=[f"{s}.{k}={v}" for s, k, v, _ in REFUSED]
+    )
+    def test_refused_value_rejected_before_output(
+        self, tmp_path, capsys, monkeypatch, section, key, value, message
+    ):
+        config = config_with(tmp_path, section, key, value)
+        self.rejected_before_output(
+            config, tmp_path, capsys, monkeypatch, "^" + re.escape(f"error: {message}") + "$"
+        )
+
+    def test_empty_output_dir_without_out_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(federation, "run_round", must_not_run("run_round"))
+        monkeypatch.chdir(tmp_path)
+        config = config_with(tmp_path, "run", "output_dir", "")
+        assert main(["train", "-c", str(config)]) == 1
+        assert one_error_line(capsys) == (
+            "error: output directory required ([run] output_dir or --out)"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["variant.ini"]
+
+    def test_last_replica_seed_outside_int64_rejected_before_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A seed whose later replicas would overflow is refused before the
+        first replica trains, not after it is committed."""
+        monkeypatch.setattr(federation, "run_round", must_not_run("run_round"))
+        out = tmp_path / "runs"
+        top = 2**63 - 1
+        assert main(["train", "-c", SMOKE, "--out", str(out), "--seed", str(top),
+                     "--replicas", "2"]) == 1
+        assert one_error_line(capsys) == (
+            f"error: replica 1 would take seed {top + 1}, past the largest seed {top}"
+        )
+        assert not out.exists()
 
     def test_undecodable_csv_dataset_is_parse_error(self, tmp_path, capsys, monkeypatch):
         rows = "".join(f"{cid},{cid % 3}," + ",".join(["0.5"] * 6) + "\n" for cid in range(6))
@@ -566,6 +634,15 @@ class TestReport:
         assert rc == 0
         capsys.readouterr()
         assert (out / "report.txt").read_bytes() == GOLDEN.read_bytes()
+
+    def test_run_dir_without_metrics_refused(self, smoke_run, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "report"
+        rc = main(["report", *self.run_dirs(smoke_run), str(empty), "--out", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys) == f"error: no metrics.csv in {empty}"
+        assert not out.exists()
 
     def test_report_csv_emitted(self, smoke_run, tmp_path, capsys):
         out = tmp_path / "report"
@@ -1158,7 +1235,13 @@ class TestUsage:
          "--round: expected int in [0, inf], got '-1'"),
         (["decompose", "-c", DECOMPOSE, "--run-dir", "runs", "--round", "one"],
          "--round: expected int in [0, inf], got 'one'"),
-    ], ids=["replicas", "sweep-epochs", "threshold-nan", "threshold-7", "round", "round-text"])
+        (["train", "-c", SMOKE, "--out", "runs", "--seed", "99999999999999999999"],
+         f"--seed: expected {INT64}, got '99999999999999999999'"),
+        (["personalize", "-c", SMOKE, "--checkpoint", "ckpt.fms", "--out", "pers",
+          "--seed", "-9223372036854775809"],
+         f"--seed: expected {INT64}, got '-9223372036854775809'"),
+    ], ids=["replicas", "sweep-epochs", "threshold-nan", "threshold-7", "round", "round-text",
+            "train-seed", "personalize-seed"])
     def test_out_of_range_flag_is_usage_error(self, monkeypatch, capsys, argv, message):
         for name in ("load_config", "eval_population", "_load_metrics", "_load_trace"):
             monkeypatch.setattr(cli, name, must_not_run(name))

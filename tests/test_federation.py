@@ -23,6 +23,7 @@ from fedmetasim import (
     make_client_batches,
     run_personalized_fedavg,
     run_round,
+    run_stage,
     sample_clients,
     split_train_eval,
     substream,
@@ -751,6 +752,35 @@ class TestRunPersonalizedFedAvg:
         # Each round's parameters are left as they were, so a consumer needs no copy.
         for r, (_, params) in enumerate(seen):
             assert params.tobytes() == drain(run(r + 1)).final_params.tobytes()
+
+    def test_stage_forked_from_stage1_run_equals_two_stage_run(self):
+        """Stage 2 run from the [stage1] run's last parameters, at its round
+        count, is the [stage1, stage2] run's stage 2, bit for bit."""
+        spec, ds = ModelSpec(4, (6, 3)), self.dataset()
+        evals = EvalConfig(personalization=eval_cfg().personalization, every=2)
+        stage1 = stage("fedavg", 3, "momentum", 0.5, epochs=2)
+        base = drain(run_personalized_fedavg(spec, ds, [stage1], evals, seed=5))
+        for steps in (1, 2):
+            stage2 = stage("reptile", 3, "adam", 0.01, steps=steps)
+            whole, forked = [], []
+            drain(tapped(run_personalized_fedavg(
+                spec, ds, [stage1, stage2], evals, seed=5, trace=True
+            ), whole))
+            drain(tapped(run_stage(
+                spec, ds, stage2, evals, StreamFactory(5), base.final_params, 3, trace=True
+            ), forked))
+            # snapshots at global round 4 (every=2) and at the stage end
+            assert [tr.snapshot.round_index for tr, _ in forked if tr.snapshot] == [4, 6]
+            assert len(forked) == 3
+            for (a, a_params), (b, b_params) in zip(whole[3:], forked):
+                assert (a.round_index, a.client_ids, a.beta, a.snapshot) == (
+                    b.round_index, b.client_ids, b.beta, b.snapshot)
+                for x, y in zip(
+                    [a.weights, a.deltas, a.aggregate, *a.step_gradients, a_params],
+                    [b.weights, b.deltas, b.aggregate, *b.step_gradients, b_params],
+                ):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+                assert len(a.step_gradients) == len(b.step_gradients)
 
 
 def tapped(rounds, seen):
