@@ -70,6 +70,6 @@ from .personalization import (
     evaluate_accuracy,
     personalize,
 )
-from .rng import StreamFactory, substream
+from .rng import substream
 
 __version__ = "0.1.0"

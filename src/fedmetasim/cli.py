@@ -62,7 +62,6 @@ from .federation import (
 )
 from .model import load_checkpoint, save_checkpoint
 from .personalization import PersonalizationConfig, epochs_sweep, eval_population, sweep_csv
-from .rng import StreamFactory
 
 DECOMPOSE_RESIDUAL_GATE = 1e-8
 
@@ -372,10 +371,12 @@ def cmd_personalize(args) -> int:
     dataset = build_dataset(cfg)
     pcfg = build_personalization(cfg)
     seed = args.seed if args.seed is not None else cfg.values["run"]["seed"]
-    streams = StreamFactory(seed)
     which = f"{args.which}_clients"
+    ids = dataset.train_client_ids if args.which == "train" else dataset.eval_client_ids
+    if not ids:
+        raise ConfigError(f"no clients in population {which!r}")
 
-    report = eval_population(spec, params, dataset, which, pcfg, streams)
+    report = eval_population(spec, params, dataset, ids, pcfg, seed)
     sweep_rows = None
     if args.sweep_epochs:
         optimizers = [pcfg]
@@ -384,7 +385,7 @@ def cmd_personalize(args) -> int:
                 PersonalizationConfig(optimizer="adam", batch_size=pcfg.batch_size)
             )
         sweep_rows = epochs_sweep(
-            spec, params, dataset, optimizers, args.sweep_epochs, streams, which
+            spec, params, dataset, ids, optimizers, args.sweep_epochs, seed
         )
 
     lines = [
@@ -426,6 +427,14 @@ def cmd_decompose(args) -> int:
     if out is not None:
         _ensure_writable([out], args.force)
     cfg = load_config(args.config)
+    manifest = Path(args.run_dir) / "manifest.txt"
+    if not manifest.exists():
+        raise ConfigError(f"no manifest.txt in {args.run_dir}")
+    if f"config_hash={cfg.hash}" not in read_utf8(manifest).splitlines():
+        raise ConfigError(
+            f"refusing to decompose a run of another config: {manifest} does not "
+            f"record config_hash={cfg.hash} of {args.config}"
+        )
     trace_path = _trace_path(Path(args.run_dir), args.round)
     if not trace_path.exists():
         print(
@@ -434,6 +443,12 @@ def cmd_decompose(args) -> int:
             file=sys.stderr,
         )
         return 1
+    stage = "stage1" if args.round < cfg.values["stage1"]["rounds"] else "stage2"
+    if cfg.values[stage]["algorithm"] == "fomaml":
+        raise ConfigError(
+            f"round {args.round} is a fomaml round, whose update is -beta times its last "
+            "gradient, not a sum of its steps, so it does not decompose"
+        )
     report = decompose_round(_load_trace(trace_path))
     text = decomposition_text(report)
     print(text, end="")

@@ -19,11 +19,14 @@ import argparse
 import configparser
 import contextlib
 import hashlib
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import FederatedDataset, generate_synthetic, load_csv_dataset, split_train_eval
+from .data import (
+    FederatedDataset, generate_synthetic, load_csv_dataset, read_utf8, split_train_eval,
+)
 from .errors import ConfigError, ContractViolation
 from .federation import EvalConfig, RoundConfig, StageConfig
 from .model import ModelSpec
@@ -137,15 +140,12 @@ def load_config(path) -> ExperimentConfig:
     # Values are literal ('%' is not special), so every parse error names a line.
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+        # Universal newlines, as a text-mode read gives.
+        parser.read_file(io.StringIO(read_utf8(path), newline=None), source=str(path))
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}") from None
     except IsADirectoryError:
         raise ConfigError(f"config {path} is a directory, not a file") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(
-            f"config {path} is not UTF-8: {exc.reason} at offset {exc.start}"
-        ) from None
     except configparser.Error as exc:  # its text names the file and line; one line here
         raise ConfigError(" ".join(str(exc).split())) from None
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractViolation, ParseError, SchemaError
 from .model import Batch
-from .rng import StreamFactory
+from .rng import substream
 
 TRAIN_FRACTION = 0.8
 
@@ -109,28 +109,27 @@ def generate_synthetic(
     if input_dim < 1 or num_classes < 2:
         raise ContractViolation("need input_dim >= 1 and num_classes >= 2")
 
-    streams = StreamFactory(seed)
-    means = CLASS_MEAN_SCALE * streams.stream("synth.class_means").normal(
+    means = CLASS_MEAN_SCALE * substream(seed, "synth.class_means").normal(
         size=(num_classes, input_dim)
     )
     concentration = (1.0 - heterogeneity) * 10.0 + 0.05
 
     clients = {}
     for cid in range(num_clients):
-        label_rng = streams.stream("synth.labels", cid)
+        label_rng = substream(seed, "synth.labels", cid)
         support = np.sort(
             label_rng.choice(num_classes, size=classes_per_client, replace=False)
         )
         proportions = label_rng.dirichlet(np.full(classes_per_client, concentration))
         y = support[label_rng.choice(classes_per_client, size=examples_per_client, p=proportions)]
 
-        style_rng = streams.stream("synth.style", cid)
+        style_rng = substream(seed, "synth.style", cid)
         scale = 1.0 + heterogeneity * style_rng.uniform(
             -STYLE_SCALE_JITTER, STYLE_SCALE_JITTER, size=input_dim
         )
         offset = heterogeneity * style_rng.normal(0.0, STYLE_OFFSET_STD, size=input_dim)
 
-        noise = streams.stream("synth.features", cid).normal(
+        noise = substream(seed, "synth.features", cid).normal(
             0.0, FEATURE_NOISE, size=(examples_per_client, input_dim)
         )
         x = scale * (means[y] + noise) + offset
@@ -188,13 +187,12 @@ def load_csv_dataset(path, input_dim: int, num_classes: int, seed: int = 0) -> F
     if not rows_by_client:
         raise SchemaError(f"{path}: no data rows in file")
 
-    streams = StreamFactory(seed)
     clients = {}
     for cid in sorted(rows_by_client):
         rows = rows_by_client[cid]
         y = np.array([label for label, _ in rows], dtype=np.int64)
         x = np.stack([feats for _, feats in rows])
-        order = streams.stream("csv.split", cid).permutation(len(rows))
+        order = substream(seed, "csv.split", cid).permutation(len(rows))
         clients[cid] = _split_examples(x[order], y[order])
 
     return FederatedDataset(
@@ -218,7 +216,7 @@ def split_train_eval(
         raise ContractViolation("eval_fraction must lie in [0, 1)")
     all_ids = sorted(ds.clients)
     n_eval = int(eval_fraction * len(all_ids))
-    order = StreamFactory(seed).stream("split.eval").permutation(len(all_ids))
+    order = substream(seed, "split.eval").permutation(len(all_ids))
     eval_ids = tuple(sorted(all_ids[i] for i in order[:n_eval]))
     train_ids = tuple(sorted(set(all_ids) - set(eval_ids)))
     return replace(ds, train_client_ids=train_ids, eval_client_ids=eval_ids)

@@ -41,7 +41,6 @@ import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -56,7 +55,7 @@ from .optimizers import (
     sgd_update,
 )
 from .personalization import PersonalizationConfig, eval_population
-from .rng import StreamFactory
+from .rng import substream
 
 ALGORITHMS = ("fedavg", "reptile", "fedsgd", "fomaml")
 WEIGHTINGS = ("data_proportional", "uniform")
@@ -162,20 +161,20 @@ def run_round(
     cfg: RoundConfig,
     server_state: ServerOptimizerState,
     round_index: int,
-    streams: StreamFactory,
+    seed: int,
     trace: bool = False,
 ) -> tuple[np.ndarray, ServerOptimizerState, RoundTrace]:
     """One communication round: sample, update, aggregate, apply.
 
     The sampled clients' trajectories run in lockstep, each to its own end
-    or divergence. Epoch-counted fedavg runs E full epochs; otherwise a
-    trajectory covers the first K batches (K+1 for fomaml) of as many epochs
-    as that needs. fomaml's update is -beta times the last gradient, taken at
-    the adapted parameters on the extra batch; every other algorithm's is
-    the parameter delta.
+    or divergence. Epoch-counted fedavg runs E full epochs, E * ceil(n / B)
+    steps; otherwise a trajectory covers the first K batches (K+1 for
+    fomaml). fomaml's update is -beta times the last gradient, taken at the
+    adapted parameters on the extra batch; every other algorithm's is the
+    parameter delta.
     """
     started = time.perf_counter()
-    sample_rng = streams.stream("round.sample", round_index)
+    sample_rng = substream(seed, "round.sample", round_index)
     ids = sample_clients(dataset.train_client_ids, cfg.clients_per_round, sample_rng)
     clients = [dataset.clients[cid] for cid in ids]
 
@@ -183,16 +182,14 @@ def run_round(
     weights = [float(c.weight) if proportional else 1.0 for c in clients]
     lr, batch_size = cfg.client_cfg.lr, cfg.client_cfg.batch_size
     fomaml = cfg.algorithm == "fomaml"
-    per_epoch = [math.ceil(c.train.n / batch_size) for c in clients]
     if cfg.epochs is not None:
-        lengths = [cfg.epochs * b for b in per_epoch]
+        lengths = [cfg.epochs * math.ceil(c.train.n / batch_size) for c in clients]
     else:
         lengths = [cfg.steps + fomaml] * len(ids)
 
-    rngs = [streams.stream("round.batch", round_index, cid) for cid in ids]
     schedules = [
-        islice(make_client_batches(c, math.ceil(k / b), batch_size, rng), k)
-        for c, k, b, rng in zip(clients, lengths, per_epoch, rngs)
+        make_client_batches(c, k, batch_size, substream(seed, "round.batch", round_index, cid))
+        for c, k, cid in zip(clients, lengths, ids)
     ]
     stacked = np.empty((len(ids), max(lengths), params.size)) if trace else None
     final, last, failures = sgd_trajectory(spec, params, schedules, sgd_update(lr), stacked)
@@ -263,7 +260,7 @@ def run_stage(
     dataset: FederatedDataset,
     stage: StageConfig,
     eval_cfg: EvalConfig | None,
-    streams: StreamFactory,
+    seed: int,
     params: np.ndarray,
     first_round: int,
     trace: bool = False,
@@ -278,15 +275,15 @@ def run_stage(
     for r in range(stage.rounds):
         params, server_state, tr = run_round(
             spec, params, dataset, stage.round_cfg,
-            server_state, round_index, streams, trace,
+            server_state, round_index, seed, trace,
         )
         round_index += 1
         if eval_cfg is not None and (
             r == stage.rounds - 1 or (eval_cfg.every and round_index % eval_cfg.every == 0)
         ):
             report = eval_population(
-                spec, params, dataset, "eval_clients",
-                eval_cfg.personalization, streams, snapshot_index=round_index,
+                spec, params, dataset, dataset.eval_client_ids,
+                eval_cfg.personalization, seed, snapshot_index=round_index,
             )
             tr.snapshot = EvalSnapshot(
                 round_index=round_index,
@@ -321,11 +318,10 @@ def run_personalized_fedavg(
     later, so they need no copy). A divergence raises out of the stream
     after the rounds before it were yielded.
     """
-    streams = StreamFactory(seed)
-    params = init_params(spec, streams.stream("init"))
+    params = init_params(spec, substream(seed, "init"))
     first_round = 0
     for stage in stages:
         params = yield from run_stage(
-            spec, dataset, stage, eval_cfg, streams, params, first_round, trace
+            spec, dataset, stage, eval_cfg, seed, params, first_round, trace
         )
         first_round += stage.rounds

@@ -522,7 +522,9 @@ def load_checkpoint(path) -> tuple[ModelSpec, np.ndarray]:
             activation=fields["activation"],
             loss=fields["loss"],
         )
-    except (KeyError, ValueError, ContractViolation) as exc:
+    except KeyError as exc:
+        raise CheckpointError(f"bad checkpoint header: no {exc.args[0]}= line") from None
+    except (ValueError, ContractViolation) as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from exc
     payload = blob[sep + 2 :]
     if len(payload) < 8:

@@ -16,14 +16,15 @@ personalization steps every client's row of (M, P) moments with one call
 per step. ``sgd_update`` is the SGD rule that local training and
 personalization hand to ``model.sgd_trajectory``.
 ``make_client_batches`` is the one per-epoch shuffler, shared by local
-training and personalization; it builds batches lazily, one epoch at a
-time, as read-only row views of one gather of the train split.
+training and personalization; it builds a step count of batches lazily, one
+epoch at a time, as read-only row views of one gather of the train split.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -169,29 +170,28 @@ def sgd_update(lr: float) -> Callable[[np.ndarray, np.ndarray, int, np.ndarray],
 
 
 def make_client_batches(
-    client, epochs: int, batch_size: int, rng: np.random.Generator
+    client, steps: int, batch_size: int, rng: np.random.Generator
 ) -> Iterator[Batch]:
-    """Shuffle the client's train split once per epoch and chunk it.
+    """The first ``steps`` chunks of the client's train split, shuffled once per epoch.
 
-    The final short chunk of each epoch is kept, so an epoch always covers
-    every training example exactly once. The batches are built lazily, one
-    epoch at a time: an epoch's permutation is drawn when its first batch is
-    taken, so a consumer that stops early builds no batch it does not use.
-    An epoch's batches are read-only views into one gathered copy of the
-    split that keep its label bound (``Batch.__getitem__``), so no batch is
-    converted or range-checked again. The arguments are checked at the call.
+    Each epoch's short last chunk is kept, so an epoch covers every training
+    example exactly once, and E epochs are E * ceil(n / B) steps. Batches are
+    built lazily: an epoch's permutation is drawn when its first batch is
+    taken, so none is drawn past the last step. An epoch's batches are
+    read-only views into one gathered copy of the split that keep its label
+    bound (``Batch.__getitem__``), so no batch is converted or range-checked
+    again. The arguments are checked at the call.
     """
-    if epochs < 1:
-        raise ContractViolation("epochs must be positive")
+    if steps < 1:
+        raise ContractViolation("steps must be positive")
     train = client.train
-    if train.n == 0:
+    if train.n == 0:  # its epochs would never yield a batch
         raise ContractViolation("client has no training data")
-    return _epoch_batches(train, epochs, batch_size, rng)
+    return islice(_epoch_batches(train, batch_size, rng), steps)
 
 
-def _epoch_batches(train: Batch, epochs, batch_size, rng) -> Iterator[Batch]:
-    for _ in range(epochs):
+def _epoch_batches(train: Batch, batch_size, rng) -> Iterator[Batch]:
+    while True:
         epoch = train[rng.permutation(train.n)]
         for start in range(0, train.n, batch_size):
             yield epoch[start : start + batch_size]
-

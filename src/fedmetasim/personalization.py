@@ -12,6 +12,7 @@ averages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from .data import ClientDataset, FederatedDataset
 from .errors import ContractViolation
 from .model import Batch, ModelSpec, forward_logits, sgd_trajectory
 from .optimizers import adam_step, make_client_batches, sgd_update
-from .rng import StreamFactory
+from .rng import substream
 
 PERSONALIZATION_OPTIMIZERS = ("sgd", "adam")
 
@@ -99,7 +100,9 @@ def personalize(
     if cfg.epochs == 0:
         return np.tile(params, (len(clients), 1)), np.zeros(len(clients), dtype=bool)
     schedules = [
-        make_client_batches(c, cfg.epochs, cfg.batch_size, rng) for c, rng in zip(clients, rngs)
+        make_client_batches(c, cfg.epochs * math.ceil(c.train.n / cfg.batch_size),
+                            cfg.batch_size, rng)
+        for c, rng in zip(clients, rngs)
     ]
     if cfg.optimizer == "sgd":
         update = sgd_update(cfg.lr)
@@ -130,25 +133,19 @@ def eval_population(
     spec: ModelSpec,
     params: np.ndarray,
     dataset: FederatedDataset,
-    which: str,
+    ids: tuple[int, ...],
     cfg: PersonalizationConfig,
-    streams: StreamFactory,
+    seed: int,
     snapshot_index: int = 0,
 ) -> PersonalizationReport:
-    """Personalize and score every client in the selected population.
+    """Personalize and score the clients ``ids`` of ``dataset``, usually
+    its ``train_client_ids`` or ``eval_client_ids``.
 
-    ``which`` is "train_clients" or "eval_clients". Each client gets its own
-    substream keyed by (snapshot_index, client id), so the report does not
-    depend on evaluation order.
+    Each client gets its own substream keyed by (snapshot_index, client
+    id), so the report does not depend on evaluation order.
     """
-    if which == "train_clients":
-        ids = dataset.train_client_ids
-    elif which == "eval_clients":
-        ids = dataset.eval_client_ids
-    else:
-        raise ContractViolation(f"unknown population {which!r}")
     if not ids:
-        raise ContractViolation(f"no clients in population {which!r}")
+        raise ContractViolation("no clients in the population")
 
     clients = [dataset.clients[cid] for cid in ids]
     for cid, client in zip(ids, clients):
@@ -157,7 +154,7 @@ def eval_population(
     initial = [evaluate_accuracy(spec, params, c.test) for c in clients]
     adapted, diverged = personalize(
         spec, params, clients, cfg,
-        [streams.stream("personalize", snapshot_index, cid) for cid in ids],
+        [substream(seed, "personalize", snapshot_index, cid) for cid in ids],
     )
     outcomes = [
         ClientOutcome(
@@ -177,10 +174,10 @@ def epochs_sweep(
     spec: ModelSpec,
     params: np.ndarray,
     dataset: FederatedDataset,
+    ids: tuple[int, ...],
     optimizers: list[PersonalizationConfig],
     max_epochs: int,
-    streams: StreamFactory,
-    which: str = "eval_clients",
+    seed: int,
 ) -> list[tuple[str, int, float]]:
     """Mean personalized accuracy at every epoch count in 1..max_epochs.
 
@@ -194,7 +191,7 @@ def epochs_sweep(
     for cfg in optimizers:
         for e in range(1, max_epochs + 1):
             report = eval_population(
-                spec, params, dataset, which, replace(cfg, epochs=e), streams,
+                spec, params, dataset, ids, replace(cfg, epochs=e), seed,
                 snapshot_index=e,
             )
             rows.append((cfg.label(), e, report.mean_personalized))

@@ -24,12 +24,3 @@ def substream(root_seed: int, purpose: str, *indices: int) -> np.random.Generato
     key = int.from_bytes(h.digest(), "little")
     return np.random.Generator(np.random.Philox(key=key))
 
-
-class StreamFactory:
-    """Hands out named substreams for one root seed."""
-
-    def __init__(self, root_seed: int):
-        self.root_seed = int(root_seed)
-
-    def stream(self, purpose: str, *indices: int) -> np.random.Generator:
-        return substream(self.root_seed, purpose, *indices)

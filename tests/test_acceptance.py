@@ -21,7 +21,6 @@ from fedmetasim import (
     PersonalizationConfig,
     RoundConfig,
     ServerOptimizerState,
-    StreamFactory,
     decompose_round,
     eval_population,
     fomaml_maml_gap,
@@ -94,7 +93,7 @@ def runs(bundle):
         for steps in (1, 10):
             fork = replace(stage2, round_cfg=replace(stage2.round_cfg, steps=steps))
             out[("steps", steps, seed)] = last(drain(run_stage(
-                spec, dataset, fork, eval_cfg, StreamFactory(seed),
+                spec, dataset, fork, eval_cfg, seed,
                 base.final_params, stage1.rounds,
             )))
         out[("epochs", 2, seed)] = last(
@@ -115,7 +114,7 @@ def test_criterion_1_round_update_decomposition():
     server = ServerOptimizerState("sgd", lr=1.0)
     params = init_params(spec, substream(42, "init"))
     _, _, trace = run_round(
-        spec, params, dataset, cfg, server, 0, StreamFactory(42), trace=True
+        spec, params, dataset, cfg, server, 0, 42, trace=True
     )
     report = decompose_round(trace)
     elapsed = time.perf_counter() - t0
@@ -242,9 +241,9 @@ def test_criterion_7_protocol_exactness(tmp_path, capsys):
     spec = ModelSpec(6, (10, 4))
     params = init_params(spec, substream(3, "init"))
     report = eval_population(
-        spec, params, dataset, "eval_clients",
+        spec, params, dataset, dataset.eval_client_ids,
         PersonalizationConfig(optimizer="sgd", lr=0.05, epochs=0, batch_size=10),
-        StreamFactory(3),
+        3,
     )
     assert report.mean_personalized == report.mean_initial
     assert report.std_personalized == report.std_initial

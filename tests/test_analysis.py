@@ -12,7 +12,6 @@ from fedmetasim import (
     ModelSpec,
     RoundConfig,
     ServerOptimizerState,
-    StreamFactory,
     TrainingRun,
     decompose_round,
     fomaml_maml_gap,
@@ -44,7 +43,7 @@ def traced_round(seed=42, clients=3, k=4, spec=None, lr=0.05):
     cfg = RoundConfig("reptile", clients, ClientOptimizerConfig(lr, 8), steps=k)
     server = ServerOptimizerState("sgd", lr=1.0)
     _, _, trace = run_round(
-        spec, params, ds, cfg, server, 0, StreamFactory(seed), trace=True
+        spec, params, ds, cfg, server, 0, seed, trace=True
     )
     return trace
 

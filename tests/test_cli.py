@@ -3,9 +3,12 @@ import configparser
 import gc
 import io
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zipfile
 from pathlib import Path
@@ -23,13 +26,12 @@ from fedmetasim import (
     ParseError,
     RoundConfig,
     ServerOptimizerState,
-    StreamFactory,
     init_params,
     load_checkpoint,
     run_round,
     substream,
 )
-from fedmetasim import cli, federation
+from fedmetasim import __version__, cli, federation
 from fedmetasim.cli import _load_trace, _save_trace, main
 from fedmetasim.config import _KEYS, load_config
 from fedmetasim.data import FederatedDataset
@@ -576,15 +578,15 @@ class TestTrain:
 
     @pytest.mark.parametrize("make, problem", [
         (lambda path: path.write_bytes(b"[run]\nseed = \xff\n"),
-         "is not UTF-8: invalid start byte at offset 13"),
-        (lambda path: path.mkdir(), "is a directory, not a file"),
+         "{} is not UTF-8: invalid start byte at byte offset 13"),
+        (lambda path: path.mkdir(), "config {} is a directory, not a file"),
     ], ids=["not-utf8", "directory"])
     def test_unreadable_config_is_one_error_line(self, tmp_path, capsys, make, problem):
         config = tmp_path / "bad.ini"
         make(config)
         out = tmp_path / "runs"
         assert main(["train", "-c", str(config), "--out", str(out)]) == 1
-        assert one_error_line(capsys) == f"error: config {config} {problem}"
+        assert one_error_line(capsys) == "error: " + problem.format(config)
         assert not out.exists()
 
     def test_seed_and_replicas_flags_leave_config_values(self, tmp_path, monkeypatch, capsys):
@@ -813,6 +815,19 @@ class TestPersonalize:
         )
         assert not out.exists()
 
+    def test_empty_population_named_before_evaluation(
+        self, smoke_run, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "eval_population", must_not_run("eval_population"))
+        out = tmp_path / "pers"
+        rc = main([
+            "personalize", "-c", str(config_with(tmp_path, "dataset", "eval_fraction", "0")),
+            "--checkpoint", str(smoke_run / "replica_00" / "checkpoint.fms"), "--out", str(out),
+        ])
+        assert rc == 1
+        assert one_error_line(capsys) == "error: no clients in population 'eval_clients'"
+        assert not out.exists()
+
     def test_spec_mismatch_rejected(self, traced_run, tmp_path, capsys):
         # decompose config has a different model spec than smoke
         ckpt = traced_run / "replica_00" / "checkpoint.fms"
@@ -866,6 +881,46 @@ class TestDecompose:
             assert main(["decompose", "-c", str(config), "--run-dir", str(rdir),
                          "--round", str(r)]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("damage", ["other-config", "no-manifest"])
+    def test_run_of_another_config_refused_before_output(
+        self, traced_run, tmp_path, capsys, damage
+    ):
+        rdir, _ = self.damaged_copy(traced_run, tmp_path)
+        if damage == "other-config":
+            config = SMOKE
+            expected = (
+                "error: refusing to decompose a run of another config: "
+                f"{rdir / 'manifest.txt'} does not record "
+                f"config_hash={load_config(SMOKE).hash} of {SMOKE}"
+            )
+        else:
+            config = DECOMPOSE
+            (rdir / "manifest.txt").unlink()
+            expected = f"error: no manifest.txt in {rdir}"
+        out = tmp_path / "round_1.txt"
+        rc = main(["decompose", "-c", config, "--run-dir", str(rdir), "--round", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys) == expected
+        assert not out.exists()
+
+    def test_fomaml_round_refused_before_output(self, tmp_path, capsys):
+        config = config_variant(tmp_path, "fomaml.ini", (
+            ("rounds = 3", "rounds = 1"), ("algorithm = reptile", "algorithm = fomaml"),
+        ), base=DECOMPOSE)
+        runs = tmp_path / "runs"
+        assert main(["train", "-c", str(config), "--out", str(runs), "--trace"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "round_0.txt"
+        rc = main(["decompose", "-c", str(config), "--run-dir", str(runs / "replica_00"),
+                   "--round", "0", "--out", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys) == (
+            "error: round 0 is a fomaml round, whose update is -beta times its last "
+            "gradient, not a sum of its steps, so it does not decompose"
+        )
+        assert not out.exists()
 
     def test_untraced_run_explains_tracing(self, smoke_run, capsys):
         rc = main([
@@ -1021,7 +1076,7 @@ def unequal_traced_round(algorithm="fedavg"):
     cfg = RoundConfig(algorithm, 4, ClientOptimizerConfig(0.05, 5), **local)
     server = ServerOptimizerState("sgd", lr=1.0)
     params = init_params(spec, substream(3, "init"))
-    _, _, trace = run_round(spec, params, ds, cfg, server, 6, StreamFactory(3), trace=True)
+    _, _, trace = run_round(spec, params, ds, cfg, server, 6, 3, trace=True)
     return trace
 
 
@@ -1103,6 +1158,17 @@ class TestTraceFile:
         replace_member(path, "weights", buf.getvalue())
         with pytest.raises(ParseError, match="weights"):
             _load_trace(path)
+
+    def test_npy_version_other_than_1_0_is_parse_error(self, tmp_path):
+        path, trace = self.saved(tmp_path)
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, trace.weights, version=(2, 0))
+        replace_member(path, "weights", buf.getvalue())
+        with pytest.raises(ParseError) as err:
+            _load_trace(path)
+        assert str(err.value) == (
+            f"damaged trace {path}: weights: unsupported .npy version (2, 0)"
+        )
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
         path, _ = self.saved(tmp_path)
@@ -1264,6 +1330,29 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv, code, stdout, stderr", [
+        (["--version"], 0, f"{__version__}\n", ""),
+        (["train", "-c", SMOKE, "--out", "runs", "--replicas", "0"], 2, "",
+         "--replicas: expected int in [1, inf], got '0'"),
+        (["train", "-c", "nope.ini", "--out", "runs"], 1, "",
+         "error: config file not found: nope.ini\n"),
+    ], ids=["version", "out-of-range-flag", "missing-config"])
+    def test_process_exit_code(self, tmp_path, argv, code, stdout, stderr):
+        """The exit-code contract of the real entry point, ``sys.exit(main())``."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "fedmetasim.cli", *argv], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == code
+        assert result.stdout == stdout
+        if code == 2:
+            assert stderr in result.stderr
+        else:
+            assert result.stderr == stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

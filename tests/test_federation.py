@@ -15,7 +15,6 @@ from fedmetasim import (
     ServerOptimizerState,
     StageConfig,
     RoundTrace,
-    StreamFactory,
     decompose_round,
     generate_synthetic,
     gradient,
@@ -75,7 +74,7 @@ def round_weight(spec, params, client, cfg):
         num_classes=spec.num_classes,
     )
     server = ServerOptimizerState("sgd", lr=1.0)
-    _, _, trace = run_round(spec, params, ds, cfg, server, 0, StreamFactory(0))
+    _, _, trace = run_round(spec, params, ds, cfg, server, 0, 0)
     return trace.weights[0]
 
 
@@ -253,7 +252,7 @@ class TestFomamlUpdate:
 
         replayed = []
         for i, c in enumerate(clients):
-            batches = list(make_client_batches(c, 2, cfg.batch_size, substream(9, "b", i)))[: k + 1]
+            batches = list(make_client_batches(c, k + 1, cfg.batch_size, substream(9, "b", i)))
             theta = params.copy()
             for b in batches[:k]:
                 theta = theta - cfg.lr * gradient(spec, theta, b)
@@ -273,7 +272,7 @@ class TestLocalUpdate:
         k = 3
         fomaml = RoundConfig("fomaml", 1, cfg, steps=k)
         delta, _ = reference_local_update(spec, params, client, fomaml, substream(20, "b"))
-        batches = list(make_client_batches(client, 2, cfg.batch_size, substream(20, "b")))
+        batches = list(make_client_batches(client, k + 1, cfg.batch_size, substream(20, "b")))
         theta = params.copy()
         for b in batches[:k]:
             theta = theta - cfg.lr * gradient(spec, theta, b)
@@ -292,7 +291,7 @@ class TestLocalUpdate:
         )
         seed = next(
             s for s in range(50)
-            if list(make_client_batches(client, 1, 1, substream(s, "b")))[1].x[0, 0] > 1.0
+            if list(make_client_batches(client, 2, 1, substream(s, "b")))[1].x[0, 0] > 1.0
         )
         cfg = RoundConfig("fomaml", 1, ClientOptimizerConfig(0.01, 1), steps=1)
         params = np.full(spec.param_count, 0.3)
@@ -356,10 +355,9 @@ class TestRunRound:
         params = init_params(spec, substream(3, "init"))
         cfg = RoundConfig("fedavg", 1, ClientOptimizerConfig(0.05, 100), epochs=1)
         server = ServerOptimizerState("sgd", lr=1.0)
-        streams = StreamFactory(3)
-        new_params, _, trace = run_round(spec, params, ds, cfg, server, 0, streams)
+        new_params, _, trace = run_round(spec, params, ds, cfg, server, 0, 3)
         batch = list(make_client_batches(
-            ds.clients[0], 1, cfg.client_cfg.batch_size, streams.stream("round.batch", 0, 0)
+            ds.clients[0], 1, cfg.client_cfg.batch_size, substream(3, "round.batch", 0, 0)
         ))[0]
         expected = params - 0.05 * gradient(spec, params, batch)
         np.testing.assert_allclose(new_params, expected, rtol=0, atol=5e-15)
@@ -386,7 +384,7 @@ class TestRunRound:
             cfg = RoundConfig(
                 "fedavg", m, ClientOptimizerConfig(0.05, 8), epochs=2, weighting=weighting
             )
-            new, _, trace = run_round(spec, params, ds, cfg, server, 0, StreamFactory(seed))
+            new, _, trace = run_round(spec, params, ds, cfg, server, 0, seed)
             out[weighting] = new.tobytes(), trace.aggregate.tobytes()
         assert out["uniform"] == out["data_proportional"]
 
@@ -410,7 +408,7 @@ class TestRunRound:
             "fedavg", len(sizes), ClientOptimizerConfig(0.05, 4), epochs=2, weighting=weighting
         )
         server = ServerOptimizerState("sgd", lr=1.0)
-        _, _, trace = run_round(spec, params, ds, cfg, server, 3, StreamFactory(seed))
+        _, _, trace = run_round(spec, params, ds, cfg, server, 3, seed)
 
         ids = sorted(clients)
         weights = {
@@ -419,7 +417,7 @@ class TestRunRound:
         }
         deltas = {
             cid: reference_local_update(
-                spec, params, clients[cid], cfg, StreamFactory(seed).stream("round.batch", 3, cid)
+                spec, params, clients[cid], cfg, substream(seed, "round.batch", 3, cid)
             )[0]
             for cid in ids
         }
@@ -461,7 +459,7 @@ class TestRunRound:
         state = ServerOptimizerState(server, lr=0.5)
         rounds = [
             run_round(
-                spec, params, ds, MODES[mode](client_cfg, m, k, w), state, 2, StreamFactory(seed)
+                spec, params, ds, MODES[mode](client_cfg, m, k, w), state, 2, seed
             )
             for w in ("data_proportional", "uniform")
         ]
@@ -478,7 +476,7 @@ class TestRunRound:
         params = init_params(spec, substream(5, "init"))
         cfg = RoundConfig("fedavg", 3, ClientOptimizerConfig(0.05, 8), epochs=1)
         server = ServerOptimizerState("sgd", lr=1.0)
-        _, _, trace = run_round(spec, params, ds, cfg, server, 2, StreamFactory(5))
+        _, _, trace = run_round(spec, params, ds, cfg, server, 2, 5)
         total = sum(trace.weights)
         expected = sum((w / total) * d for w, d in zip(trace.weights, trace.deltas))
         np.testing.assert_allclose(trace.aggregate, expected, rtol=0, atol=1e-16)
@@ -491,7 +489,7 @@ class TestRunRound:
         outs = []
         for _ in range(2):
             server = ServerOptimizerState("adam", lr=0.01)
-            outs.append(run_round(spec, params, ds, cfg, server, 7, StreamFactory(6)))
+            outs.append(run_round(spec, params, ds, cfg, server, 7, 6))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert outs[0][2].client_ids == outs[1][2].client_ids
         assert np.array_equal(outs[0][2].aggregate, outs[1][2].aggregate)
@@ -503,7 +501,7 @@ class TestRunRound:
         cfg = RoundConfig("fomaml", 2, ClientOptimizerConfig(0.05, 8), steps=2)
         server = ServerOptimizerState("sgd", lr=1.0)
         _, _, trace = run_round(
-            spec, params, ds, cfg, server, 0, StreamFactory(7), trace=True
+            spec, params, ds, cfg, server, 0, 7, trace=True
         )
         for grads in trace.step_gradients:
             assert len(grads) == 3  # K steps + evaluation gradient
@@ -518,7 +516,7 @@ class TestRunRound:
             cfg = RoundConfig(algorithm, 3, ClientOptimizerConfig(0.05, 8), steps=1)
             server = ServerOptimizerState("sgd", lr=1.0)
             out[algorithm], _, _ = run_round(
-                spec, params, ds, cfg, server, 0, StreamFactory(12)
+                spec, params, ds, cfg, server, 0, 12
             )
         assert np.array_equal(out["fedsgd"], out["reptile"])
 
@@ -537,7 +535,7 @@ class TestRunRound:
         cfg = RoundConfig("fedavg", 1, ClientOptimizerConfig(1e200, 50), epochs=30)
         server = ServerOptimizerState("sgd", lr=1.0)
         with pytest.raises(DivergenceError) as err:
-            run_round(spec, params, ds, cfg, server, 4, StreamFactory(8))
+            run_round(spec, params, ds, cfg, server, 4, 8)
         assert err.value.client_id == 0
         assert err.value.round_index == 4
 
@@ -553,9 +551,9 @@ class TestRunRound:
         cfg = RoundConfig("fedavg", 3, ClientOptimizerConfig(1e3, 10), epochs=30)
         server = ServerOptimizerState("sgd", lr=1.0)
         with pytest.raises(DivergenceError) as err:
-            run_round(spec, params, ds, cfg, server, 2, StreamFactory(0))
+            run_round(spec, params, ds, cfg, server, 2, 0)
         with pytest.raises(DivergenceError) as expected:
-            reference_round_updates(spec, params, ds, cfg, 2, StreamFactory(0))
+            reference_round_updates(spec, params, ds, cfg, 2, 0)
         assert err.value.client_id == expected.value.client_id
         assert err.value.round_index == 2
         assert err.value.step_index == expected.value.step_index
@@ -578,7 +576,7 @@ class TestRunRound:
         cfg = RoundConfig("fedavg", 1, ClientOptimizerConfig(0.1, 50), epochs=1)
         server = ServerOptimizerState("sgd", lr=1e10)
         with pytest.raises(DivergenceError) as err:
-            run_round(spec, params, ds, cfg, server, 4, StreamFactory(8))
+            run_round(spec, params, ds, cfg, server, 4, 8)
         assert err.value.round_index == 4
         assert err.value.client_id is None and err.value.step_index is None
         assert str(err.value).startswith("server step diverged in round 4")
@@ -767,7 +765,7 @@ class TestRunPersonalizedFedAvg:
                 spec, ds, [stage1, stage2], evals, seed=5, trace=True
             ), whole))
             drain(tapped(run_stage(
-                spec, ds, stage2, evals, StreamFactory(5), base.final_params, 3, trace=True
+                spec, ds, stage2, evals, 5, base.final_params, 3, trace=True
             ), forked))
             # snapshots at global round 4 (every=2) and at the stage end
             assert [tr.snapshot.round_index for tr, _ in forked if tr.snapshot] == [4, 6]
@@ -864,16 +862,16 @@ class TestLockstepRound:
 
         try:
             ids, deltas, grads = reference_round_updates(
-                spec, params, ds, cfg, 3, StreamFactory(seed), trace
+                spec, params, ds, cfg, 3, seed, trace
             )
         except DivergenceError as exc:
             event(f"client diverged: {str(exc.__cause__).split(' at ')[0]}")
             with pytest.raises(DivergenceError) as err:
-                run_round(spec, params, ds, cfg, server, 3, StreamFactory(seed), trace)
+                run_round(spec, params, ds, cfg, server, 3, seed, trace)
             assert divergence_facts(err.value) == divergence_facts(exc)
             return
         try:
-            _, _, tr = run_round(spec, params, ds, cfg, server, 3, StreamFactory(seed), trace)
+            _, _, tr = run_round(spec, params, ds, cfg, server, 3, seed, trace)
         except DivergenceError as err:
             assert err.client_id is None  # only the server step may still overflow
             event("server step diverged")
@@ -924,10 +922,10 @@ class TestLockstepRound:
         assert "non-finite gradient" in str(alone[1])
 
         with pytest.raises(DivergenceError) as expected:
-            reference_round_updates(spec, params, ds, cfg, 6, StreamFactory(2))
+            reference_round_updates(spec, params, ds, cfg, 6, 2)
         with pytest.raises(DivergenceError) as err:
             run_round(
-                spec, params, ds, cfg, ServerOptimizerState("sgd", lr=1.0), 6, StreamFactory(2)
+                spec, params, ds, cfg, ServerOptimizerState("sgd", lr=1.0), 6, 2
             )
         assert divergence_facts(err.value) == divergence_facts(expected.value)
         assert err.value.client_id == 0 and err.value.round_index == 6

@@ -21,7 +21,6 @@ from fedmetasim import (
     PersonalizationConfig,
     RoundConfig,
     ServerOptimizerState,
-    StreamFactory,
     eval_population,
     init_params,
     run_round,
@@ -78,9 +77,9 @@ def count_round(cfg, ds):
     params = init_params(SPEC, substream(0, "init"))
     server = ServerOptimizerState("sgd", lr=1.0)
     with counted_gradient() as lockstep:
-        run_round(SPEC, params, ds, cfg, server, 1, StreamFactory(3))
+        run_round(SPEC, params, ds, cfg, server, 1, 3)
     with counted_gradient() as oracle:
-        reference_round_updates(SPEC, params, ds, cfg, 1, StreamFactory(3))
+        reference_round_updates(SPEC, params, ds, cfg, 1, 3)
     return lockstep[0], oracle[0]
 
 
@@ -105,11 +104,11 @@ def test_eval_population_with_a_diverging_client():
     params = init_params(spec, substream(1, "init"))
     cfg = PersonalizationConfig("sgd", lr=0.05, epochs=3, batch_size=3)
     with counted_gradient() as lockstep:
-        report = eval_population(spec, params, ds, "train_clients", cfg, StreamFactory(4))
+        report = eval_population(spec, params, ds, ds.train_client_ids, cfg, 4)
     assert [o.diverged for o in report.outcomes] == [False, True, False, False]
     with counted_gradient() as oracle:
         for cid in ds.train_client_ids:
-            rng = StreamFactory(4).stream("personalize", 0, cid)
+            rng = substream(4, "personalize", 0, cid)
             reference_personalize(spec, params, ds.clients[cid], cfg, rng)
     assert lockstep[0] == oracle[0] < 3 * sum(-(-n // 3) for n in (8, 9, 6, 9))
 
@@ -125,11 +124,11 @@ def test_round_rows_stop_only_on_their_own_end_or_divergence():
     cfg = RoundConfig("fedavg", 4, ClientOptimizerConfig(0.05, 3), epochs=3)
     server = ServerOptimizerState("sgd", lr=1.0)
     with counted_gradient() as lockstep, pytest.raises(DivergenceError) as err:
-        run_round(spec, params, ds, cfg, server, 1, StreamFactory(4))
+        run_round(spec, params, ds, cfg, server, 1, 4)
     assert err.value.client_id == 1
     with counted_gradient() as solo:
         for cid in ds.train_client_ids:
-            rng = StreamFactory(4).stream("round.batch", 1, cid)
+            rng = substream(4, "round.batch", 1, cid)
             try:
                 reference_local_update(spec, params, ds.clients[cid], cfg, rng)
             except DivergenceError:

@@ -599,6 +599,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("old, new, message", [
+        (b"activation=tanh", b"activation=t\xc3\xa4nh", "header is not ASCII"),
+        (b"input_dim=4", b"input_dim=four",
+         "bad checkpoint header: invalid literal for int() with base 10: 'four'"),
+        (b"\nloss=softmax_cross_entropy", b"", "bad checkpoint header: no loss= line"),
+        (b"layer_dims=5,3", b"layer_dims=6,3",
+         "checkpoint has 43 parameters but spec implies 51"),
+    ], ids=["non-ascii", "malformed-value", "missing-key", "count-mismatch"])
+    def test_bad_header_names_its_fault(self, tmp_path, old, new, message):
+        spec, params, _ = mlp_case(23)
+        path = tmp_path / "model.fms"
+        save_checkpoint(path, spec, params)
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == message
+
     @checkpoint_settings
     @given(case=checkpoint_cases())
     def test_truncated_payload_rejected(self, tmp_path, case):

@@ -16,6 +16,7 @@ from fedmetasim import (
     sgd_trajectory,
     substream,
 )
+from fedmetasim.data import ClientDataset
 from fedmetasim.optimizers import adam_step, sgd_update
 from util import make_client, reference_adam_step, reference_client_batches
 
@@ -231,13 +232,13 @@ class TestClientBatches:
     def test_chunk_arithmetic_with_short_tail(self):
         client = make_client(np.random.default_rng(2), n_train=45)
         cfg = ClientOptimizerConfig(lr=0.02, batch_size=20)
-        batches = list(make_client_batches(client, 2, cfg.batch_size, substream(2, "b")))
+        batches = list(make_client_batches(client, 6, cfg.batch_size, substream(2, "b")))
         assert [b.n for b in batches] == [20, 20, 5, 20, 20, 5]
 
     def test_each_epoch_covers_every_example(self):
         client = make_client(np.random.default_rng(3), n_train=13)
         cfg = ClientOptimizerConfig(lr=0.02, batch_size=5)
-        batches = list(make_client_batches(client, 2, cfg.batch_size, substream(3, "b")))
+        batches = list(make_client_batches(client, 6, cfg.batch_size, substream(3, "b")))
         for epoch_batches in (batches[:3], batches[3:]):
             xs = np.concatenate([b.x for b in epoch_batches])
             assert xs.shape[0] == 13
@@ -249,18 +250,26 @@ class TestClientBatches:
     @given(
         n=st.integers(1, 45),
         batch_size=st.integers(1, 9),
-        epochs=st.integers(1, 12),
+        steps=st.integers(1, 100),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_per_epoch_loop(self, n, batch_size, epochs, seed):
+    def test_matches_per_epoch_loop(self, n, batch_size, steps, seed):
         client = make_client(np.random.default_rng(seed), n_train=n)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = list(make_client_batches(client, epochs, batch_size, rng))
-        expected = reference_client_batches(client, epochs, batch_size, ref_rng)
+        got = list(make_client_batches(client, steps, batch_size, rng))
+        expected = reference_client_batches(client, steps, batch_size, ref_rng)
         assert [(b.x.tobytes(), b.y.tobytes()) for b in got] == [
             (b.x.tobytes(), b.y.tobytes()) for b in expected
         ]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_no_steps_or_no_training_data_refused(self):
+        client = make_client(np.random.default_rng(7), n_train=5)
+        with pytest.raises(ContractViolation, match="steps must be positive"):
+            make_client_batches(client, 0, 2, substream(7, "b"))
+        empty = ClientDataset(train=client.train[np.arange(0)], test=client.test)
+        with pytest.raises(ContractViolation, match="no training data"):
+            make_client_batches(empty, 1, 2, substream(7, "b"))
 
     def test_deterministic_in_stream(self):
         client = make_client(np.random.default_rng(4), n_train=17)
@@ -280,7 +289,7 @@ class TestClientBatches:
         # minibatches are read-only views into it, and stepping over them
         # converts and range-checks nothing again.
         client = make_client(np.random.default_rng(5), n_train=23)
-        batches = list(make_client_batches(client, 2, 5, substream(5, "b")))
+        batches = list(make_client_batches(client, 10, 5, substream(5, "b")))
         for epoch in (batches[:5], batches[5:]):
             x, y = epoch[0].x.base, epoch[0].y.base
             assert x.shape == (23, 4) and y.shape == (23,)
@@ -300,7 +309,7 @@ class TestClientBatches:
             post_init(self)
 
         monkeypatch.setattr(Batch, "__post_init__", counting)
-        schedules = [make_client_batches(client, 3, 5, substream(6, "b", i)) for i in range(2)]
+        schedules = [make_client_batches(client, 15, 5, substream(6, "b", i)) for i in range(2)]
         _, _, failures = sgd_trajectory(
             spec, init_params(spec, substream(6, "init")), schedules, sgd_update(0.1)
         )

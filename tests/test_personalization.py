@@ -8,7 +8,6 @@ from fedmetasim import (
     ContractViolation,
     ModelSpec,
     PersonalizationConfig,
-    StreamFactory,
     epochs_sweep,
     eval_population,
     evaluate_accuracy,
@@ -158,7 +157,8 @@ class TestPersonalize:
         cfg = PersonalizationConfig(optimizer=optimizer, lr=lr, epochs=2, batch_size=2)
 
         theta, m, v = params.copy(), np.zeros_like(params), np.zeros_like(params)
-        steps = list(make_client_batches(client, cfg.epochs, cfg.batch_size, substream(6, "p")))
+        count = cfg.epochs * -(-client.train.n // cfg.batch_size)
+        steps = list(make_client_batches(client, count, cfg.batch_size, substream(6, "p")))
         with np.errstate(over="ignore", invalid="ignore"):
             for j, batch in enumerate(steps):
                 try:
@@ -232,7 +232,8 @@ def solo_failure(spec, params, client, cfg, rng):
     range ("gradient" or "iterate") and at which step, or None."""
     theta, m, v = params.copy(), np.zeros_like(params), np.zeros_like(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, batch in enumerate(make_client_batches(client, cfg.epochs, cfg.batch_size, rng)):
+        steps = cfg.epochs * -(-client.train.n // cfg.batch_size)
+        for t, batch in enumerate(make_client_batches(client, steps, cfg.batch_size, rng)):
             try:
                 g = gradient(spec, theta, batch)
             except NumericError:
@@ -345,7 +346,7 @@ class TestEvalPopulation:
         ds = toy_dataset()
         params = init_params(SPEC, substream(0, "init"))
         cfg = PersonalizationConfig(optimizer="sgd", lr=0.05, epochs=0, batch_size=10)
-        report = eval_population(SPEC, params, ds, "eval_clients", cfg, StreamFactory(0))
+        report = eval_population(SPEC, params, ds, ds.eval_client_ids, cfg, 0)
         assert report.mean_personalized == report.mean_initial
         assert report.std_personalized == report.std_initial
         for o in report.outcomes:
@@ -365,14 +366,14 @@ class TestEvalPopulation:
         )
         params = init_params(SPEC, substream(6, "init"))
         cfg = PersonalizationConfig(optimizer="sgd", lr=0.05, epochs=0, batch_size=10)
-        report = eval_population(SPEC, params, ds, "train_clients", cfg, StreamFactory(6))
+        report = eval_population(SPEC, params, ds, ds.train_client_ids, cfg, 6)
         assert report.std_initial == 0.0
 
     def test_negative_fraction_complement(self):
         ds = toy_dataset(seed=2)
         params = init_params(SPEC, substream(2, "init"))
         cfg = PersonalizationConfig(optimizer="sgd", lr=0.05, epochs=2, batch_size=10)
-        report = eval_population(SPEC, params, ds, "eval_clients", cfg, StreamFactory(2))
+        report = eval_population(SPEC, params, ds, ds.eval_client_ids, cfg, 2)
         frac_ge = np.mean(
             [o.personalized_acc >= o.initial_acc for o in report.outcomes]
         )
@@ -382,8 +383,8 @@ class TestEvalPopulation:
         ds = toy_dataset(seed=3)
         params = init_params(SPEC, substream(3, "init"))
         cfg = PersonalizationConfig(optimizer="sgd", lr=0.05, epochs=0, batch_size=10)
-        train_report = eval_population(SPEC, params, ds, "train_clients", cfg, StreamFactory(3))
-        eval_report = eval_population(SPEC, params, ds, "eval_clients", cfg, StreamFactory(3))
+        train_report = eval_population(SPEC, params, ds, ds.train_client_ids, cfg, 3)
+        eval_report = eval_population(SPEC, params, ds, ds.eval_client_ids, cfg, 3)
         train_ids = {o.client_id for o in train_report.outcomes}
         eval_ids = {o.client_id for o in eval_report.outcomes}
         assert not train_ids & eval_ids
@@ -396,13 +397,13 @@ class TestEvalPopulation:
         params = init_params(SPEC, substream(0, "init"))
         cfg = PersonalizationConfig()
         with pytest.raises(ContractViolation):
-            eval_population(SPEC, params, ds, "eval_clients", cfg, StreamFactory(0))
+            eval_population(SPEC, params, ds, ds.eval_client_ids, cfg, 0)
 
     def test_mean_invariant_to_client_order(self):
         ds = toy_dataset(seed=4)
         params = init_params(SPEC, substream(4, "init"))
         cfg = PersonalizationConfig(optimizer="sgd", lr=0.05, epochs=1, batch_size=10)
-        report = eval_population(SPEC, params, ds, "train_clients", cfg, StreamFactory(4))
+        report = eval_population(SPEC, params, ds, ds.train_client_ids, cfg, 4)
         # Per-client outcomes are keyed by stream, not position: recompute the
         # mean from a shuffled copy of the outcomes.
         shuffled = sorted(report.outcomes, key=lambda o: -o.client_id)
@@ -419,7 +420,7 @@ class TestEpochsSweep:
             PersonalizationConfig(optimizer="sgd", lr=0.05, batch_size=10),
             PersonalizationConfig(optimizer="adam", batch_size=10),
         ]
-        rows = epochs_sweep(SPEC, params, ds, cfgs, 3, StreamFactory(5))
+        rows = epochs_sweep(SPEC, params, ds, ds.eval_client_ids, cfgs, 3, 5)
         assert len(rows) == 6
         sgd_rows = [r for r in rows if r[0].startswith("sgd")]
         assert [r[1] for r in sgd_rows] == [1, 2, 3]
@@ -430,12 +431,12 @@ class TestEpochsSweep:
         ds = toy_dataset(seed=6)
         params = init_params(SPEC, substream(6, "init"))
         cfg = PersonalizationConfig(optimizer="sgd", lr=0.05, batch_size=10)
-        rows = epochs_sweep(SPEC, params, ds, [cfg], 2, StreamFactory(6))
+        rows = epochs_sweep(SPEC, params, ds, ds.eval_client_ids, [cfg], 2, 6)
         from dataclasses import replace
 
         report = eval_population(
-            SPEC, params, ds, "eval_clients", replace(cfg, epochs=1),
-            StreamFactory(6), snapshot_index=1,
+            SPEC, params, ds, ds.eval_client_ids, replace(cfg, epochs=1),
+            6, snapshot_index=1,
         )
         assert rows[0][2] == report.mean_personalized
 
@@ -443,7 +444,7 @@ class TestEpochsSweep:
         ds = toy_dataset(seed=7)
         params = init_params(SPEC, substream(7, "init"))
         with pytest.raises(ContractViolation):
-            epochs_sweep(SPEC, params, ds, [PersonalizationConfig()], 0, StreamFactory(7))
+            epochs_sweep(SPEC, params, ds, ds.eval_client_ids, [PersonalizationConfig()], 0, 7)
 
     def test_matched_sgd_beats_default_adam_somewhere(self):
         # Train a small model, then sweep both optimizers: the SGD sweep with
@@ -469,7 +470,7 @@ class TestEpochsSweep:
             PersonalizationConfig(optimizer="sgd", lr=0.05, batch_size=10),
             PersonalizationConfig(optimizer="adam", batch_size=10),
         ]
-        rows = epochs_sweep(spec, run.final_params, ds, cfgs, 4, StreamFactory(8))
+        rows = epochs_sweep(spec, run.final_params, ds, ds.eval_client_ids, cfgs, 4, 8)
         sgd = {e: acc for label, e, acc in rows if label.startswith("sgd")}
         adam = {e: acc for label, e, acc in rows if label == "adam"}
         assert any(sgd[e] > adam[e] for e in sgd)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from fedmetasim import StreamFactory, substream
+from fedmetasim import substream
 
 
 def test_same_key_same_sequence():
@@ -26,13 +26,6 @@ def test_streams_independent_of_draw_order():
     b2 = substream(5, "b").random(4)
     assert np.array_equal(b1, b2)
     assert not np.array_equal(first, b1)
-
-
-def test_factory_matches_function():
-    factory = StreamFactory(99)
-    assert np.array_equal(
-        factory.stream("init").random(4), substream(99, "init").random(4)
-    )
 
 
 def test_negative_indices_allowed():

@@ -29,6 +29,7 @@ from fedmetasim import (
     forward_loss,
     gradient,
     sample_clients,
+    substream,
 )
 from fedmetasim.data import ClientDataset
 from fedmetasim.personalization import ADAM_LR
@@ -113,19 +114,19 @@ def reference_gradient(spec, params, batch):
     return np.concatenate(parts)
 
 
-def reference_client_batches(client, epochs, batch_size, rng):
+def reference_client_batches(client, steps, batch_size, rng):
     """The batching contract of ``optimizers.make_client_batches``, as a
     plain per-epoch loop: draw one permutation per epoch, in epoch order,
-    gather the epoch's examples and chunk them, keeping the short tail. A
-    rewrite of the batcher must give the same bytes and leave the generator
-    in the same state."""
+    gather the epoch's examples and chunk them, keeping the short tail,
+    until ``steps`` batches are taken. A rewrite of the batcher must give
+    the same bytes and leave the generator in the same state."""
     train, batches = client.train, []
-    for _ in range(epochs):
+    while len(batches) < steps:
         order = rng.permutation(train.n)
         x, y = train.x[order], train.y[order]
         for start in range(0, train.n, batch_size):
             batches.append(Batch(x[start : start + batch_size], y[start : start + batch_size]))
-    return batches
+    return batches[:steps]
 
 
 def reference_sgd_trajectory(spec, params, batches, beta):
@@ -154,27 +155,26 @@ def reference_local_update(spec, params, client, cfg, rng, trace=False):
     update is -beta times the last gradient, every other one the delta."""
     lr, batch_size = cfg.client_cfg.lr, cfg.client_cfg.batch_size
     if cfg.epochs is not None:
-        batches = reference_client_batches(client, cfg.epochs, batch_size, rng)
+        k = cfg.epochs * math.ceil(client.train.n / batch_size)
     else:
         k = cfg.steps + (cfg.algorithm == "fomaml")
-        epochs = math.ceil(k / math.ceil(client.train.n / batch_size))
-        batches = reference_client_batches(client, epochs, batch_size, rng)[:k]
+    batches = reference_client_batches(client, k, batch_size, rng)
     final, grads = reference_sgd_trajectory(spec, params, batches, lr)
     delta = -lr * grads[-1] if cfg.algorithm == "fomaml" else final - params
     return delta, np.stack(grads) if trace else None
 
 
-def reference_round_updates(spec, params, dataset, cfg, round_index, streams, trace=False):
+def reference_round_updates(spec, params, dataset, cfg, round_index, seed, trace=False):
     """The client half of ``federation.run_round`` with the clients run one
     after another in id order: (ids, (M, P) updates, per-client gradients
     or None). The first client to diverge raises the round's
     DivergenceError, and no later client runs."""
     ids = sample_clients(
-        dataset.train_client_ids, cfg.clients_per_round, streams.stream("round.sample", round_index)
+        dataset.train_client_ids, cfg.clients_per_round, substream(seed, "round.sample", round_index)
     )
     deltas, grads = np.empty((len(ids), np.size(params))), []
     for i, cid in enumerate(ids):
-        rng, client = streams.stream("round.batch", round_index, cid), dataset.clients[cid]
+        rng, client = substream(seed, "round.batch", round_index, cid), dataset.clients[cid]
         try:
             deltas[i], g = reference_local_update(spec, params, client, cfg, rng, trace)
         except DivergenceError as exc:
@@ -196,7 +196,8 @@ def reference_personalize(spec, params, client, cfg, rng):
     if cfg.epochs == 0:
         return theta, False
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    batches = reference_client_batches(client, cfg.epochs, cfg.batch_size, rng)
+    steps = cfg.epochs * math.ceil(client.train.n / cfg.batch_size)
+    batches = reference_client_batches(client, steps, cfg.batch_size, rng)
     with np.errstate(over="ignore", invalid="ignore"):
         for t, batch in enumerate(batches, start=1):
             try:
