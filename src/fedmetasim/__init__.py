@@ -34,7 +34,6 @@ from .errors import (
 )
 from .federation import (
     EvalConfig,
-    EvalSnapshot,
     RoundConfig,
     RoundTrace,
     StageConfig,
@@ -64,6 +63,7 @@ from .optimizers import (
     server_apply,
 )
 from .personalization import (
+    EvalSnapshot,
     PersonalizationConfig,
     epochs_sweep,
     eval_population,

@@ -3,8 +3,8 @@
 Subcommands: train, personalize, decompose, report. The config hash and seed
 head metrics.csv, timings.csv, manifest.txt and personalize's report.csv and
 summary.json; decompose's and report's files carry the hash only, and
-sweep.csv, checkpoints and traces neither. Existing files are never
-overwritten without --force.
+sweep.csv, checkpoints and traces neither. Every CSV table is written by
+``_table``. Existing files are never overwritten without --force.
 Exit codes: 0 success, 1 domain or I/O error, 2 usage error.
 
 Round metrics go to metrics.csv (deterministic columns only, so reruns with
@@ -57,11 +57,9 @@ from .config import (
 )
 from .data import dataset_manifest, read_utf8
 from .errors import ConfigError, DivergenceError, FedMetaSimError, ParseError
-from .federation import (
-    EvalSnapshot, RoundTrace, StageConfig, TrainingRun, run_personalized_fedavg,
-)
+from .federation import RoundTrace, StageConfig, TrainingRun, run_personalized_fedavg
 from .model import load_checkpoint, save_checkpoint
-from .personalization import PersonalizationConfig, epochs_sweep, eval_population, sweep_csv
+from .personalization import EvalSnapshot, PersonalizationConfig, epochs_sweep, eval_population
 
 DECOMPOSE_RESIDUAL_GATE = 1e-8
 
@@ -134,24 +132,14 @@ def _replica_outputs(rdir: Path, rounds: int, checkpoint_every: int, trace: bool
     return paths + [rdir / "metrics.csv"]
 
 
-def _metrics_lines(cfg_hash: str, seed: int, snapshots: list[EvalSnapshot]) -> str:
-    lines = [
-        f"# config_hash={cfg_hash}",
-        f"# seed={seed}",
-        "round,mean_initial_acc,std_initial_acc,mean_personalized_acc,std_personalized_acc",
-    ]
-    for snap in snapshots:
-        lines.append(
-            f"{snap.round_index},{snap.initial_mean:.8f},{snap.initial_std:.8f},"
-            f"{snap.personalized_mean:.8f},{snap.personalized_std:.8f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _timings_lines(cfg_hash: str, seed: int, wallclock_ms: list[float]) -> str:
-    lines = [f"# config_hash={cfg_hash}", f"# seed={seed}", "round,wallclock_ms"]
-    for round_index, ms in enumerate(wallclock_ms):
-        lines.append(f"{round_index},{ms:.3f}")
+def _table(columns: str, row_format: str, rows, cfg_hash: str | None = None,
+           seed: int | None = None) -> str:
+    """A CSV table: ``# config_hash=`` and ``# seed=`` lines for the values
+    given, the ``columns`` header, and ``row_format.format(*row)`` per row."""
+    lines = [] if cfg_hash is None else [f"# config_hash={cfg_hash}"]
+    if seed is not None:
+        lines.append(f"# seed={seed}")
+    lines += [columns, *(row_format.format(*row) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -333,15 +321,25 @@ def cmd_train(args) -> int:
                     # Deleting drops this round's arrays before the next one runs.
                     del tr
                 for name, text in (
-                    ("metrics.csv", _metrics_lines(cfg.hash, seed, snapshots)),
-                    ("timings.csv", _timings_lines(cfg.hash, seed, wallclock_ms)),
+                    ("metrics.csv", _table(
+                        "round,mean_initial_acc,std_initial_acc,"
+                        "mean_personalized_acc,std_personalized_acc",
+                        "{},{:.8f},{:.8f},{:.8f},{:.8f}",
+                        [(s.round_index, s.initial_mean, s.initial_std,
+                          s.personalized_mean, s.personalized_std) for s in snapshots],
+                        cfg.hash, seed,
+                    )),
+                    ("timings.csv", _table("round,wallclock_ms", "{},{:.3f}",
+                                           enumerate(wallclock_ms), cfg.hash, seed)),
                     ("manifest.txt", _manifest_text(cfg.hash, stages, seed, replica, dataset)),
                 ):
                     staged[rdir / name].write_text(text)
                 save_checkpoint(staged[rdir / "checkpoint.fms"], spec, params)
         except DivergenceError as exc:
-            print(f"replica {replica} (seed {seed}): {exc}", file=sys.stderr)
-            return 1
+            raise DivergenceError(
+                f"replica {replica} (seed {seed}): {exc}",
+                exc.step_index, exc.client_id, exc.round_index,
+            ) from exc
         # --force replaces the trace and periodic checkpoint sets, and no other file.
         for path in {*rdir.glob("ckpt_*.fms"), *rdir.glob("traces/round_*.npz")} - {*outputs}:
             path.unlink()
@@ -388,35 +386,33 @@ def cmd_personalize(args) -> int:
             spec, params, dataset, ids, optimizers, args.sweep_epochs, seed
         )
 
-    lines = [
-        f"# config_hash={cfg.hash}",
-        f"# seed={seed}",
-        "client_id,n_train,n_test,initial_acc,personalized_acc,diverged",
-    ]
-    for o in report.outcomes:
-        lines.append(
-            f"{o.client_id},{o.n_train},{o.n_test},{o.initial_acc:.8f},"
-            f"{o.personalized_acc:.8f},{int(o.diverged)}"
-        )
     summary = {
         "config_hash": cfg.hash,
         "seed": seed,
         "population": which,
         "clients": len(report.outcomes),
-        "mean_initial_acc": report.mean_initial,
-        "std_initial_acc": report.std_initial,
-        "mean_personalized_acc": report.mean_personalized,
-        "std_personalized_acc": report.std_personalized,
+        "mean_initial_acc": report.initial_mean,
+        "std_initial_acc": report.initial_std,
+        "mean_personalized_acc": report.personalized_mean,
+        "std_personalized_acc": report.personalized_std,
         "negative_fraction": report.negative_fraction,
     }
     with _staged(outputs) as staged:
-        staged[out / "report.csv"].write_text("\n".join(lines) + "\n")
+        staged[out / "report.csv"].write_text(_table(
+            "client_id,n_train,n_test,initial_acc,personalized_acc,diverged",
+            "{},{},{},{:.8f},{:.8f},{:d}",
+            [(o.client_id, o.n_train, o.n_test, o.initial_acc, o.personalized_acc, o.diverged)
+             for o in report.outcomes],
+            cfg.hash, seed,
+        ))
         staged[out / "summary.json"].write_text(json.dumps(summary, indent=2) + "\n")
         if sweep_rows is not None:
-            staged[out / "sweep.csv"].write_text(sweep_csv(sweep_rows))
+            staged[out / "sweep.csv"].write_text(
+                _table("optimizer,epochs,mean_personalized_acc", "{},{},{:.8f}", sweep_rows)
+            )
     print(
-        f"{which}: initial={report.mean_initial:.4f} "
-        f"personalized={report.mean_personalized:.4f} "
+        f"{which}: initial={report.initial_mean:.4f} "
+        f"personalized={report.personalized_mean:.4f} "
         f"negative_fraction={report.negative_fraction:.3f}"
     )
     return 0
@@ -435,14 +431,17 @@ def cmd_decompose(args) -> int:
             f"refusing to decompose a run of another config: {manifest} does not "
             f"record config_hash={cfg.hash} of {args.config}"
         )
+    rounds = cfg.values["stage1"]["rounds"] + cfg.values["stage2"]["rounds"]
+    if args.round >= rounds:
+        raise ConfigError(
+            f"no round {args.round} in {args.run_dir}: its last round is {rounds - 1}"
+        )
     trace_path = _trace_path(Path(args.run_dir), args.round)
     if not trace_path.exists():
-        print(
+        raise ConfigError(
             f"no trace at {trace_path}; train with --trace (or [run] trace=true) "
-            "to record per-step gradients",
-            file=sys.stderr,
+            "to record per-step gradients"
         )
-        return 1
     stage = "stage1" if args.round < cfg.values["stage1"]["rounds"] else "stage2"
     if cfg.values[stage]["algorithm"] == "fomaml":
         raise ConfigError(
@@ -456,15 +455,14 @@ def cmd_decompose(args) -> int:
         with _staged([out]) as staged:
             staged[out].write_text(f"# config_hash={cfg.hash}\n" + text)
     if report.residual_norm > DECOMPOSE_RESIDUAL_GATE:
-        print(
-            f"residual {report.residual_norm:.3e} exceeds {DECOMPOSE_RESIDUAL_GATE:.0e}",
-            file=sys.stderr,
+        raise FedMetaSimError(
+            f"residual {report.residual_norm:.3e} exceeds {DECOMPOSE_RESIDUAL_GATE:.0e}"
         )
-        return 1
     return 0
 
 
 REPORT_COLUMNS = "round,initial_mean,initial_std,personalized_mean,personalized_std"
+REPORT_ROW = "{},{:.6f},{:.6f},{:.6f},{:.6f}"
 
 
 def _load_metrics(path: Path) -> tuple[str, TrainingRun]:
@@ -492,14 +490,13 @@ def _load_metrics(path: Path) -> tuple[str, TrainingRun]:
     return cfg_hash, TrainingRun(seed=seed, snapshots=snapshots)
 
 
-def _report(cfg_hash: str, runs: list[TrainingRun], threshold: float) -> tuple[str, list[str]]:
+def _report(cfg_hash: str, runs: list[TrainingRun], threshold: float) -> tuple[str, list]:
     """The report text, and its REPORT_COLUMNS rows: the mean and std across
     replicas at each snapshot."""
     stats_i = per_snapshot_stats(runs, "initial")
     stats_p = per_snapshot_stats(runs, "personalized")
     rows = [
-        f"{rnd},{im:.6f},{istd:.6f},{pm:.6f},{pstd:.6f}"
-        for (rnd, im, istd), (_, pm, pstd) in zip(stats_i, stats_p)
+        (rnd, im, istd, pm, pstd) for (rnd, im, istd), (_, pm, pstd) in zip(stats_i, stats_p)
     ]
     t_init = threshold_stats(runs, "initial", threshold)
     t_pers = threshold_stats(runs, "personalized", threshold)
@@ -512,11 +509,8 @@ def _report(cfg_hash: str, runs: list[TrainingRun], threshold: float) -> tuple[s
         f"rounds_to_threshold personalized: {t_pers.format()}",
         f"final initial_accuracy: {format_mean_std(*stats_i[-1][1:])}",
         f"final personalized_accuracy: {format_mean_std(*stats_p[-1][1:])}",
-        "",
-        REPORT_COLUMNS,
-        *rows,
     ]
-    return "\n".join(lines) + "\n", rows
+    return "\n".join(lines) + "\n\n" + _table(REPORT_COLUMNS, REPORT_ROW, rows), rows
 
 
 def cmd_report(args) -> int:
@@ -543,10 +537,11 @@ def cmd_report(args) -> int:
     text, rows = _report(hashes[0], runs, args.threshold)
     print(text, end="")
     if out is not None:
-        csv_lines = [f"# config_hash={hashes[0]}", REPORT_COLUMNS, *rows]
         with _staged([out / "report.txt", out / "report.csv"]) as staged:
             staged[out / "report.txt"].write_text(text)
-            staged[out / "report.csv"].write_text("\n".join(csv_lines) + "\n")
+            staged[out / "report.csv"].write_text(
+                _table(REPORT_COLUMNS, REPORT_ROW, rows, hashes[0])
+            )
     return 0
 
 

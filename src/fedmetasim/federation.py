@@ -26,9 +26,10 @@ server step raises it naming the round.
 
 The driver, ``run_personalized_fedavg``, chains one ``run_stage`` stream per
 stage: each yields every round's ``RoundTrace``, with its evaluation snapshot
-attached when one is due, and the global parameters after it, one round at
-a time. Its consumer keeps what it needs; ``TrainingRun``, a seed plus its
-snapshots, is the metrics record that reports are built from.
+(the held-out population's ``PersonalizationReport``) attached when one is
+due, and the global parameters after it, one round at a time. Its consumer
+keeps what it needs; ``TrainingRun``, a seed plus its snapshots, is the
+metrics record that reports are built from.
 
 Randomness is drawn from counter-based substreams keyed by (purpose, round,
 client), so per-client work is order-independent and a run is a pure
@@ -54,7 +55,12 @@ from .optimizers import (
     server_apply,
     sgd_update,
 )
-from .personalization import PersonalizationConfig, eval_population
+from .personalization import (
+    EvalSnapshot,
+    PersonalizationConfig,
+    PersonalizationReport,
+    eval_population,
+)
 from .rng import substream
 
 ALGORITHMS = ("fedavg", "reptile", "fedsgd", "fomaml")
@@ -107,15 +113,6 @@ class RoundConfig:
 
 
 @dataclass
-class EvalSnapshot:
-    round_index: int
-    initial_mean: float
-    initial_std: float
-    personalized_mean: float
-    personalized_std: float
-
-
-@dataclass
 class RoundTrace:
     """One round, as its trace file holds it: the M sampled clients in
     ascending order, their aggregation weights (M,) and deltas (M, P) in
@@ -130,7 +127,7 @@ class RoundTrace:
     aggregate: np.ndarray
     beta: float
     step_gradients: list[np.ndarray] | None = None
-    snapshot: EvalSnapshot | None = None
+    snapshot: PersonalizationReport | None = None
     wallclock_ms: float = 0.0
 
 
@@ -281,16 +278,9 @@ def run_stage(
         if eval_cfg is not None and (
             r == stage.rounds - 1 or (eval_cfg.every and round_index % eval_cfg.every == 0)
         ):
-            report = eval_population(
+            tr.snapshot = eval_population(
                 spec, params, dataset, dataset.eval_client_ids,
                 eval_cfg.personalization, seed, snapshot_index=round_index,
-            )
-            tr.snapshot = EvalSnapshot(
-                round_index=round_index,
-                initial_mean=report.mean_initial,
-                initial_std=report.std_initial,
-                personalized_mean=report.mean_personalized,
-                personalized_std=report.std_personalized,
             )
         yield tr, params
         # Deleting drops this round's arrays before the next one runs.

@@ -446,7 +446,8 @@ def maml_gradient_oracle(
 ) -> np.ndarray:
     """Central finite differences of theta -> loss(adapt(theta), eval_batch).
 
-    ``adapt`` replays the SGD trajectory over ``batches``. One coordinate
+    ``adapt`` replays the SGD trajectory over ``batches`` through
+    ``sgd_trajectory``, and a replay that diverges raises. One coordinate
     moves by +-FD_STEP at a time, at two trajectory replays per parameter,
     so the dimension is capped. With no batches (or beta = 0) the
     adaptation is the identity and the result reduces to the plain gradient
@@ -462,9 +463,15 @@ def maml_gradient_oracle(
             raise ContractViolation("eval_batch required when batches is empty")
         eval_batch = merge_batches(batches)
 
+    from .optimizers import sgd_update  # optimizers imports this module
+
+    update = sgd_update(beta)
+
     def adapted_loss(theta: np.ndarray) -> float:
-        for batch in batches:
-            theta = theta - beta * gradient(spec, theta, batch)
+        if batches:
+            (theta,), _, (failure,) = sgd_trajectory(spec, theta, [batches], update)
+            if failure is not None:
+                raise failure
         return forward_loss(spec, theta, eval_batch)
 
     out = np.empty(spec.param_count)

@@ -63,12 +63,24 @@ class ClientOutcome:
 
 
 @dataclass
-class PersonalizationReport:
+class EvalSnapshot:
+    """A population's accuracy before and after personalization at
+    snapshot ``round_index`` (in training, the rounds run so far): the mean
+    and population std over its clients. One metrics.csv row."""
+
+    round_index: int
+    initial_mean: float
+    initial_std: float
+    personalized_mean: float
+    personalized_std: float
+
+
+@dataclass
+class PersonalizationReport(EvalSnapshot):
+    """A snapshot with what it was computed from: each client's outcome,
+    and the fraction of clients that personalization made worse."""
+
     outcomes: list[ClientOutcome]
-    mean_initial: float
-    std_initial: float
-    mean_personalized: float
-    std_personalized: float
     negative_fraction: float
 
 
@@ -116,19 +128,6 @@ def personalize(
     return adapted, np.array([f is not None for f in failures])
 
 
-def _report_from_outcomes(outcomes: list[ClientOutcome]) -> PersonalizationReport:
-    init = np.array([o.initial_acc for o in outcomes])
-    pers = np.array([o.personalized_acc for o in outcomes])
-    return PersonalizationReport(
-        outcomes=outcomes,
-        mean_initial=float(init.mean()),
-        std_initial=float(init.std()),
-        mean_personalized=float(pers.mean()),
-        std_personalized=float(pers.std()),
-        negative_fraction=float(np.mean(pers < init)),
-    )
-
-
 def eval_population(
     spec: ModelSpec,
     params: np.ndarray,
@@ -151,23 +150,24 @@ def eval_population(
     for cid, client in zip(ids, clients):
         if client.test.n == 0:
             raise ContractViolation(f"client {cid} has no test examples")
-    initial = [evaluate_accuracy(spec, params, c.test) for c in clients]
+    initial = np.array([evaluate_accuracy(spec, params, c.test) for c in clients])
     adapted, diverged = personalize(
         spec, params, clients, cfg,
         [substream(seed, "personalize", snapshot_index, cid) for cid in ids],
     )
-    outcomes = [
-        ClientOutcome(
-            client_id=cid,
-            initial_acc=initial[i],
-            personalized_acc=evaluate_accuracy(spec, adapted[i], clients[i].test),
-            n_train=clients[i].train.n,
-            n_test=clients[i].test.n,
-            diverged=bool(diverged[i]),
-        )
-        for i, cid in enumerate(ids)
-    ]
-    return _report_from_outcomes(outcomes)
+    final = np.array([evaluate_accuracy(spec, row, c.test) for row, c in zip(adapted, clients)])
+    return PersonalizationReport(
+        round_index=snapshot_index,
+        initial_mean=float(initial.mean()),
+        initial_std=float(initial.std()),
+        personalized_mean=float(final.mean()),
+        personalized_std=float(final.std()),
+        outcomes=[
+            ClientOutcome(cid, float(a), float(b), c.train.n, c.test.n, bool(d))
+            for cid, a, b, c, d in zip(ids, initial, final, clients, diverged)
+        ],
+        negative_fraction=float(np.mean(final < initial)),
+    )
 
 
 def epochs_sweep(
@@ -194,11 +194,5 @@ def epochs_sweep(
                 spec, params, dataset, ids, replace(cfg, epochs=e), seed,
                 snapshot_index=e,
             )
-            rows.append((cfg.label(), e, report.mean_personalized))
+            rows.append((cfg.label(), e, report.personalized_mean))
     return rows
-
-
-def sweep_csv(rows: list[tuple[str, int, float]]) -> str:
-    lines = ["optimizer,epochs,mean_personalized_acc"]
-    lines.extend(f"{label},{e},{acc:.8f}" for label, e, acc in rows)
-    return "\n".join(lines) + "\n"

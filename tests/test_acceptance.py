@@ -245,8 +245,8 @@ def test_criterion_7_protocol_exactness(tmp_path, capsys):
         PersonalizationConfig(optimizer="sgd", lr=0.05, epochs=0, batch_size=10),
         3,
     )
-    assert report.mean_personalized == report.mean_initial
-    assert report.std_personalized == report.std_initial
+    assert report.personalized_mean == report.initial_mean
+    assert report.personalized_std == report.initial_std
     assert all(o.personalized_acc == o.initial_acc for o in report.outcomes)
 
     # (b) rounds_to_threshold is monotone in the threshold over random traces

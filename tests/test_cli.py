@@ -494,7 +494,9 @@ class TestTrain:
         rc = main(["decompose", "-c", DECOMPOSE, "--run-dir", str(out / "replica_00"),
                    "--round", "3"])
         assert rc == 1
-        assert "no trace at" in capsys.readouterr().err
+        assert one_error_line(capsys) == (
+            f"error: no round 3 in {out / 'replica_00'}: its last round is 2"
+        )
 
     def test_force_replaces_checkpoint_set(self, tmp_path):
         out = tmp_path / "runs"
@@ -558,9 +560,9 @@ class TestTrain:
     def test_nonfinite_gradient_names_replica_client_and_round(self, tmp_path, capsys):
         config = diverging_config(tmp_path)
         rc = main(["train", "-c", str(config), "--out", str(tmp_path / "runs")])
-        err = capsys.readouterr().err
+        err = one_error_line(capsys)
         assert rc == 1
-        assert err.startswith("replica 0 (seed 7): client ")
+        assert err.startswith("error: replica 0 (seed 7): client ")
         assert " at step " in err and " in round " in err
 
     def test_diverged_replica_leaves_no_directory(self, tmp_path, capsys):
@@ -928,7 +930,8 @@ class TestDecompose:
             str(smoke_run / "replica_00"), "--round", "1",
         ])
         assert rc == 1
-        assert "--trace" in capsys.readouterr().err
+        line = one_error_line(capsys)
+        assert line.startswith("error: no trace at ") and "--trace" in line
 
     def test_report_file_written(self, traced_run, tmp_path, capsys):
         target = tmp_path / "decomp.txt"
@@ -989,9 +992,9 @@ class TestDecompose:
         arrays["aggregate"] = arrays["aggregate"] + 1e-6
         np.savez(path, **arrays)
         rc = main(["decompose", "-c", DECOMPOSE, "--run-dir", str(rdir), "--round", "1"])
-        captured = capsys.readouterr()
         assert rc == 1
-        assert "exceeds" in captured.err
+        line = one_error_line(capsys)
+        assert line.startswith("error: residual ") and line.endswith(" exceeds 1e-08")
 
 
     def test_truncated_trace_is_parse_error(self, traced_run, tmp_path, capsys):
@@ -1325,6 +1328,22 @@ class TestUsage:
         argv = ["personalize", "-c", SMOKE, "--checkpoint", "c.fms", "--out", "p"]
         assert parse(argv).sweep_epochs == 0
         assert parse([*argv, "--sweep-epochs", "0"]).sweep_epochs == 0
+
+    def test_commands_fail_only_by_raising(self):
+        """No function but ``main`` writes to stderr or returns 1, so every
+        exit-1 path ends in ``main``'s one ``error:`` line."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        functions = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name != "main"]
+        assert {f"cmd_{c}" for c in ("train", "personalize", "decompose", "report")} <= {
+            f.name for f in functions}
+        offending = [
+            (f.name, node.lineno)
+            for f in functions for node in ast.walk(f)
+            if (isinstance(node, ast.Attribute) and node.attr == "stderr")
+            or (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                and node.value.value == 1)
+        ]
+        assert offending == []
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -16,6 +16,7 @@ from fedmetasim import (
     StageConfig,
     RoundTrace,
     decompose_round,
+    eval_population,
     generate_synthetic,
     gradient,
     init_params,
@@ -689,6 +690,26 @@ class TestRunPersonalizedFedAvg:
             seed=2,
         ))
         assert [s.round_index for s in run.snapshots] == [2, 4, 5]
+
+    def test_snapshot_is_the_population_report(self):
+        """Each snapshot the stream carries is ``eval_population``'s report
+        at that round's parameters, per-client outcomes included."""
+        spec, ds = ModelSpec(4, (6, 3)), self.dataset()
+        cfg = EvalConfig(personalization=PersonalizationConfig("sgd", 0.05, 1, 8), every=2)
+        snapshots = [
+            (tr.round_index, tr.snapshot, params)
+            for tr, params in run_personalized_fedavg(
+                spec, ds, [stage("fedavg", 5, "momentum", 0.5, epochs=1)], cfg, seed=2
+            )
+            if tr.snapshot is not None
+        ]
+        assert [r + 1 for r, _, _ in snapshots] == [2, 4, 5]
+        for r, snapshot, params in snapshots:
+            assert snapshot == eval_population(
+                spec, params, ds, ds.eval_client_ids, cfg.personalization, 2,
+                snapshot_index=r + 1,
+            )
+            assert len(snapshot.outcomes) == len(ds.eval_client_ids)
 
     def test_divergence_ends_stream_after_earlier_rounds(self):
         """The rounds before the diverging one are yielded in order; then the

@@ -347,8 +347,8 @@ class TestEvalPopulation:
         params = init_params(SPEC, substream(0, "init"))
         cfg = PersonalizationConfig(optimizer="sgd", lr=0.05, epochs=0, batch_size=10)
         report = eval_population(SPEC, params, ds, ds.eval_client_ids, cfg, 0)
-        assert report.mean_personalized == report.mean_initial
-        assert report.std_personalized == report.std_initial
+        assert report.personalized_mean == report.initial_mean
+        assert report.personalized_std == report.initial_std
         for o in report.outcomes:
             assert o.personalized_acc == o.initial_acc
         assert report.negative_fraction == 0.0
@@ -367,7 +367,7 @@ class TestEvalPopulation:
         params = init_params(SPEC, substream(6, "init"))
         cfg = PersonalizationConfig(optimizer="sgd", lr=0.05, epochs=0, batch_size=10)
         report = eval_population(SPEC, params, ds, ds.train_client_ids, cfg, 6)
-        assert report.std_initial == 0.0
+        assert report.initial_std == 0.0
 
     def test_negative_fraction_complement(self):
         ds = toy_dataset(seed=2)
@@ -408,7 +408,7 @@ class TestEvalPopulation:
         # mean from a shuffled copy of the outcomes.
         shuffled = sorted(report.outcomes, key=lambda o: -o.client_id)
         assert np.mean([o.initial_acc for o in shuffled]) == pytest.approx(
-            report.mean_initial, abs=0
+            report.initial_mean, abs=0
         )
 
 
@@ -438,7 +438,7 @@ class TestEpochsSweep:
             SPEC, params, ds, ds.eval_client_ids, replace(cfg, epochs=1),
             6, snapshot_index=1,
         )
-        assert rows[0][2] == report.mean_personalized
+        assert rows[0][2] == report.personalized_mean
 
     def test_invalid_max_epochs(self):
         ds = toy_dataset(seed=7)
