@@ -6,14 +6,7 @@ per-client personalization evaluation, and exact numerical checks of how the
 averaged round update decomposes into single-step and adapted-gradient terms.
 """
 
-from .analysis import (
-    decompose_round,
-    fomaml_maml_gap,
-    format_mean_std,
-    per_snapshot_stats,
-    rounds_to_threshold,
-    threshold_stats,
-)
+from .analysis import decompose_round, fomaml_maml_gap, replica_rows, rounds_to_threshold
 from .data import (
     ClientDataset,
     FederatedDataset,
@@ -37,7 +30,6 @@ from .federation import (
     RoundConfig,
     RoundTrace,
     StageConfig,
-    TrainingRun,
     run_personalized_fedavg,
     run_round,
     run_stage,

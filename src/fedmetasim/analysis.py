@@ -17,12 +17,13 @@ them. All update-space quantities here follow that convention.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
-from .federation import RoundTrace, TrainingRun
+from .federation import RoundTrace
 from .model import (
     Batch,
     ModelSpec,
@@ -32,8 +33,7 @@ from .model import (
     sgd_trajectory,
 )
 from .optimizers import sgd_update
-
-METRICS = ("initial", "personalized")
+from .personalization import EvalSnapshot
 
 
 @dataclass
@@ -142,64 +142,35 @@ def fomaml_maml_gap(
     return gap, cosine
 
 
-def rounds_to_threshold(run: TrainingRun, metric: str, threshold: float) -> int | None:
-    """First evaluated round whose metric reaches the threshold, else None."""
-    if metric not in METRICS:
-        raise ContractViolation(f"unknown metric {metric!r}")
-    snapshots = run.snapshots
-    if not snapshots:
-        raise ContractViolation("run has no evaluation snapshots")
-    for snap in snapshots:
-        if _snapshot_value(snap, metric) >= threshold:
-            return snap.round_index
-    return None
-
-
-@dataclass
-class ThresholdStats:
-    mean_rounds: float | None
-    reached_count: int
-
-    def format(self) -> str:
-        if self.reached_count == 0:
-            return "never"
-        return f"{self.mean_rounds:.1f}({self.reached_count})"
-
-
-def threshold_stats(runs: list[TrainingRun], metric: str, threshold: float) -> ThresholdStats:
-    """Mean rounds-to-threshold over the replicas that reached it."""
-    per_replica = [rounds_to_threshold(run, metric, threshold) for run in runs]
-    reached = [r for r in per_replica if r is not None]
-    mean_rounds = float(np.mean(reached)) if reached else None
-    return ThresholdStats(mean_rounds=mean_rounds, reached_count=len(reached))
-
-
-def format_mean_std(mean: float, std: float) -> str:
-    return f"{mean:.4f} ({std:.4f})"
-
-
-def _snapshot_value(snap, metric: str) -> float:
-    return snap.initial_mean if metric == "initial" else snap.personalized_mean
-
-
-def _check_schedules(runs: list[TrainingRun]) -> None:
+def replica_rows(runs: list[list[EvalSnapshot]]) -> list[tuple[int, float, float, float, float]]:
+    """The report's rows, one per snapshot of the replicas' shared schedule:
+    the round, then the mean and population std across replicas of the
+    initial and of the personalized means."""
     if not runs:
         raise ContractViolation("need at least one run")
-    schedules = [[s.round_index for s in run.snapshots] for run in runs]
-    if any(not s for s in schedules):
+    schedules = [[s.round_index for s in run] for run in runs]
+    if not all(schedules):
         raise ContractViolation("every run needs evaluation snapshots")
     if any(s != schedules[0] for s in schedules[1:]):
         raise ContractViolation("runs have inconsistent snapshot schedules")
+    rows = []
+    for snaps in zip(*runs):
+        row = [snaps[0].round_index]
+        for values in ([s.initial_mean for s in snaps], [s.personalized_mean for s in snaps]):
+            # Sorted, so the stats are exactly permutation-invariant. One 1-D
+            # pass per cell: an (R, S) axis-0 pass adds in another order once R >= 8.
+            values = np.sort(values)
+            row += [float(values.mean()), float(values.std())]
+        rows.append(tuple(row))
+    return rows
 
 
-def per_snapshot_stats(runs: list[TrainingRun], metric: str) -> list[tuple[int, float, float]]:
-    """(round, mean, population std) across replicas at every snapshot."""
-    if metric not in METRICS:
-        raise ContractViolation(f"unknown metric {metric!r}")
-    _check_schedules(runs)
-    out = []
-    for i, snap in enumerate(runs[0].snapshots):
-        # Sort before reducing so the stats are exactly permutation-invariant.
-        vals = np.sort([_snapshot_value(run.snapshots[i], metric) for run in runs])
-        out.append((snap.round_index, float(vals.mean()), float(vals.std())))
-    return out
+def rounds_to_threshold(
+    runs: list[list[EvalSnapshot]], metric: Callable[[EvalSnapshot], float], threshold: float
+) -> str:
+    """The mean, over the replicas whose ``metric`` reaches ``threshold``, of
+    the first snapshot round where it does, and their count, as ``1.5(2)``;
+    ``never`` if no replica reaches it."""
+    firsts = [next((s.round_index for s in run if metric(s) >= threshold), None) for run in runs]
+    reached = [r for r in firsts if r is not None]
+    return f"{np.mean(reached):.1f}({len(reached)})" if reached else "never"

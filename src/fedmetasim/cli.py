@@ -36,13 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    decompose_round,
-    decomposition_text,
-    format_mean_std,
-    per_snapshot_stats,
-    threshold_stats,
-)
+from .analysis import decompose_round, decomposition_text, replica_rows, rounds_to_threshold
 from .config import (
     SEED,
     bounded,
@@ -57,7 +51,7 @@ from .config import (
 )
 from .data import dataset_manifest, read_utf8
 from .errors import ConfigError, DivergenceError, FedMetaSimError, ParseError
-from .federation import RoundTrace, StageConfig, TrainingRun, run_personalized_fedavg
+from .federation import RoundTrace, StageConfig, run_personalized_fedavg
 from .model import load_checkpoint, save_checkpoint
 from .personalization import EvalSnapshot, PersonalizationConfig, epochs_sweep, eval_population
 
@@ -448,7 +442,13 @@ def cmd_decompose(args) -> int:
             f"round {args.round} is a fomaml round, whose update is -beta times its last "
             "gradient, not a sum of its steps, so it does not decompose"
         )
-    report = decompose_round(_load_trace(trace_path))
+    trace, lr = _load_trace(trace_path), cfg.values[stage]["client.lr"]
+    if (trace.round_index, trace.beta) != (args.round, lr):
+        raise ConfigError(
+            f"refusing to decompose {trace_path}: it records round {trace.round_index} with "
+            f"beta={trace.beta!r}, not round {args.round} with [{stage}] client.lr={lr!r}"
+        )
+    report = decompose_round(trace)
     text = decomposition_text(report)
     print(text, end="")
     if out is not None:
@@ -465,8 +465,8 @@ REPORT_COLUMNS = "round,initial_mean,initial_std,personalized_mean,personalized_
 REPORT_ROW = "{},{:.6f},{:.6f},{:.6f},{:.6f}"
 
 
-def _load_metrics(path: Path) -> tuple[str, TrainingRun]:
-    """A replica's config hash, and its seed and snapshots, from its metrics.csv."""
+def _load_metrics(path: Path) -> tuple[str, int, list[EvalSnapshot]]:
+    """A replica's config hash, seed and snapshots, from its metrics.csv."""
     cfg_hash, seed, snapshots = "", None, []
     for number, line in enumerate(read_utf8(path).splitlines(), start=1):
         try:
@@ -487,28 +487,25 @@ def _load_metrics(path: Path) -> tuple[str, TrainingRun]:
         raise ParseError(f"{path} has no '# config_hash=' line")
     if seed is None:
         raise ParseError(f"{path} has no '# seed=' line")
-    return cfg_hash, TrainingRun(seed=seed, snapshots=snapshots)
+    return cfg_hash, seed, snapshots
 
 
-def _report(cfg_hash: str, runs: list[TrainingRun], threshold: float) -> tuple[str, list]:
+def _report(cfg_hash: str, runs: list[list[EvalSnapshot]], threshold: float) -> tuple[str, list]:
     """The report text, and its REPORT_COLUMNS rows: the mean and std across
     replicas at each snapshot."""
-    stats_i = per_snapshot_stats(runs, "initial")
-    stats_p = per_snapshot_stats(runs, "personalized")
-    rows = [
-        (rnd, im, istd, pm, pstd) for (rnd, im, istd), (_, pm, pstd) in zip(stats_i, stats_p)
-    ]
-    t_init = threshold_stats(runs, "initial", threshold)
-    t_pers = threshold_stats(runs, "personalized", threshold)
+    rows = replica_rows(runs)
+    _, im, istd, pm, pstd = rows[-1]
     lines = [
         "fms-report/1",
         f"config_hash={cfg_hash}",
         f"replicas={len(runs)}",
         f"threshold={threshold:g}",
-        f"rounds_to_threshold initial: {t_init.format()}",
-        f"rounds_to_threshold personalized: {t_pers.format()}",
-        f"final initial_accuracy: {format_mean_std(*stats_i[-1][1:])}",
-        f"final personalized_accuracy: {format_mean_std(*stats_p[-1][1:])}",
+        "rounds_to_threshold initial: "
+        + rounds_to_threshold(runs, lambda s: s.initial_mean, threshold),
+        "rounds_to_threshold personalized: "
+        + rounds_to_threshold(runs, lambda s: s.personalized_mean, threshold),
+        f"final initial_accuracy: {im:.4f} ({istd:.4f})",
+        f"final personalized_accuracy: {pm:.4f} ({pstd:.4f})",
     ]
     return "\n".join(lines) + "\n\n" + _table(REPORT_COLUMNS, REPORT_ROW, rows), rows
 
@@ -517,20 +514,20 @@ def cmd_report(args) -> int:
     out = Path(args.out) if args.out else None
     if out is not None:
         _ensure_writable([out / "report.txt", out / "report.csv"], args.force)
-    hashes, runs = set(), []
+    hashes, seeds, runs = set(), [], []
     for rdir in args.run_dirs:
         path = Path(rdir) / "metrics.csv"
         if not path.exists():
             raise ConfigError(f"no metrics.csv in {rdir}")
-        cfg_hash, run = _load_metrics(path)
+        cfg_hash, seed, snapshots = _load_metrics(path)
         hashes.add(cfg_hash)
-        runs.append(run)
+        seeds.append(seed)
+        runs.append(snapshots)
     hashes = sorted(hashes)
     if len(hashes) != 1:
         raise ConfigError(
             "refusing to aggregate runs with different configs: " + ", ".join(hashes)
         )
-    seeds = [run.seed for run in runs]
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"refusing to aggregate duplicate replicas: seeds {seeds}")
 

@@ -148,6 +148,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config {path} is a directory, not a file") from None
     except configparser.Error as exc:  # its text names the file and line; one line here
         raise ConfigError(" ".join(str(exc).split())) from None
+    if parser.defaults():  # configparser would merge its keys into every section
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
 
     text = {}
     for section, keys in _KEYS.items():

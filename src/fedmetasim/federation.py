@@ -28,8 +28,7 @@ The driver, ``run_personalized_fedavg``, chains one ``run_stage`` stream per
 stage: each yields every round's ``RoundTrace``, with its evaluation snapshot
 (the held-out population's ``PersonalizationReport``) attached when one is
 due, and the global parameters after it, one round at a time. Its consumer
-keeps what it needs; ``TrainingRun``, a seed plus its snapshots, is the
-metrics record that reports are built from.
+keeps what it needs.
 
 Randomness is drawn from counter-based substreams keyed by (purpose, round,
 client), so per-client work is order-independent and a run is a pure
@@ -41,7 +40,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,12 +54,7 @@ from .optimizers import (
     server_apply,
     sgd_update,
 )
-from .personalization import (
-    EvalSnapshot,
-    PersonalizationConfig,
-    PersonalizationReport,
-    eval_population,
-)
+from .personalization import PersonalizationConfig, PersonalizationReport, eval_population
 from .rng import substream
 
 ALGORITHMS = ("fedavg", "reptile", "fedsgd", "fomaml")
@@ -129,15 +123,6 @@ class RoundTrace:
     step_gradients: list[np.ndarray] | None = None
     snapshot: PersonalizationReport | None = None
     wallclock_ms: float = 0.0
-
-
-@dataclass
-class TrainingRun:
-    """A replica's metrics record, as its metrics.csv holds it: the seed
-    and the evaluation snapshots in round order."""
-
-    seed: int
-    snapshots: list[EvalSnapshot] = field(default_factory=list)
 
 
 def sample_clients(

@@ -24,20 +24,17 @@ from fedmetasim import (
     decompose_round,
     eval_population,
     fomaml_maml_gap,
-    format_mean_std,
     generate_synthetic,
     gradient,
     init_params,
     maml_gradient_oracle,
-    per_snapshot_stats,
-    rounds_to_threshold,
     run_personalized_fedavg,
     run_round,
     run_stage,
     split_train_eval,
     substream,
 )
-from fedmetasim.cli import main as cli_main
+from fedmetasim.cli import _report, main as cli_main
 from fedmetasim.config import (
     build_dataset,
     build_eval_config,
@@ -45,7 +42,9 @@ from fedmetasim.config import (
     build_stage,
     load_config,
 )
-from util import drain, fd_gradient, max_relative_error, quadratic_problem, snapshot_run
+from util import (
+    drain, fd_gradient, first_round, max_relative_error, quadratic_problem, snapshot_run,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -254,15 +253,11 @@ def test_criterion_7_protocol_exactness(tmp_path, capsys):
     for _ in range(100):
         run = snapshot_run(rng.random(rng.integers(1, 12)).tolist())
         lo, hi = sorted(rng.random(2))
-        r_lo = rounds_to_threshold(run, "initial", lo)
-        r_hi = rounds_to_threshold(run, "initial", hi)
-        inf = float("inf")
-        assert (r_lo if r_lo is not None else inf) <= (r_hi if r_hi is not None else inf)
+        assert first_round(run, lo) <= first_round(run, hi)
 
     # (c) replica aggregation uses the "mean (std)" format, against the golden
     runs = [snapshot_run(values) for values in ((0.78, 0.80), (0.80, 0.82), (0.82, 0.78))]
-    _, mean, std = per_snapshot_stats(runs, "initial")[-1]
-    assert format_mean_std(mean, std) == "0.8000 (0.0163)"
+    assert "final initial_accuracy: 0.8000 (0.0163)" in _report("0" * 12, runs, 0.8)[0]
 
     # (d) identical train invocations write byte-identical metric CSVs
     out_a, out_b = tmp_path / "a", tmp_path / "b"

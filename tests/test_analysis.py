@@ -9,23 +9,22 @@ from fedmetasim import (
     Batch,
     ClientOptimizerConfig,
     ContractViolation,
+    EvalSnapshot,
     ModelSpec,
     RoundConfig,
     ServerOptimizerState,
-    TrainingRun,
     decompose_round,
     fomaml_maml_gap,
-    format_mean_std,
     generate_synthetic,
     init_params,
-    per_snapshot_stats,
+    replica_rows,
     rounds_to_threshold,
     run_round,
     substream,
-    threshold_stats,
 )
 from fedmetasim.analysis import decomposition_text
-from util import max_relative_error, quadratic_problem, snapshot_run
+from fedmetasim.cli import _report
+from util import first_round, max_relative_error, quadratic_problem, snapshot_run
 
 
 def traced_round(seed=42, clients=3, k=4, spec=None, lr=0.05):
@@ -146,23 +145,44 @@ class TestFomamlMamlGap:
             fomaml_maml_gap(spec, params, [batch], None, 2, 0.1)
 
 
+def initial(snap):
+    return snap.initial_mean
+
+
 class TestRoundsToThreshold:
     def test_never_reaching(self):
-        run = snapshot_run([0.1, 0.2, 0.3])
-        assert rounds_to_threshold(run, "initial", 0.8) is None
+        runs = [snapshot_run([0.1, 0.2, 0.3]), snapshot_run([0.1])]
+        assert rounds_to_threshold(runs, initial, 0.8) == "never"
 
     def test_first_snapshot_already_above(self):
         run = snapshot_run([0.9, 0.95])
-        assert rounds_to_threshold(run, "initial", 0.8) == 1
+        assert rounds_to_threshold([run], initial, 0.8) == "1.0(1)"
 
     def test_monotone_series_crossing(self):
         values = [0.1 * i for i in range(1, 11)]  # crosses 0.65 at round 7
         run = snapshot_run(values)
-        assert rounds_to_threshold(run, "initial", 0.65) == 7
+        assert rounds_to_threshold([run], initial, 0.65) == "7.0(1)"
 
     def test_no_snapshots_rejected(self):
-        with pytest.raises(ContractViolation):
-            rounds_to_threshold(TrainingRun(seed=0), "initial", 0.5)
+        # report reduces the rows, and so checks every run, before any threshold
+        with pytest.raises(ContractViolation, match="every run needs evaluation snapshots"):
+            replica_rows([snapshot_run([0.5]), snapshot_run([])])
+
+    def test_mean_excludes_never(self):
+        runs = [
+            snapshot_run([0.5, 0.9]),
+            snapshot_run([0.2, 0.3]),
+            snapshot_run([0.95]),
+        ]
+        assert rounds_to_threshold(runs, initial, 0.8) == "1.5(2)"
+
+    def test_never_format(self):
+        assert rounds_to_threshold([snapshot_run([0.1])], initial, 0.8) == "never"
+
+    def test_metric_is_the_callable(self):
+        runs = [[EvalSnapshot(1, 0.1, 0.0, 0.9, 0.0), EvalSnapshot(2, 0.9, 0.0, 0.1, 0.0)]]
+        assert rounds_to_threshold(runs, initial, 0.8) == "2.0(1)"
+        assert rounds_to_threshold(runs, lambda s: s.personalized_mean, 0.8) == "1.0(1)"
 
     def test_monotone_in_threshold_over_random_traces(self):
         rng = np.random.default_rng(0)
@@ -170,33 +190,13 @@ class TestRoundsToThreshold:
             values = rng.random(rng.integers(1, 12))
             run = snapshot_run(list(values))
             t1, t2 = sorted(rng.random(2))
-            r1 = rounds_to_threshold(run, "initial", t1)
-            r2 = rounds_to_threshold(run, "initial", t2)
-            inf = float("inf")
-            assert (r1 if r1 is not None else inf) <= (r2 if r2 is not None else inf)
+            assert first_round(run, t1) <= first_round(run, t2)
 
 
-class TestThresholdStats:
-    def test_mean_excludes_never(self):
-        runs = [
-            snapshot_run([0.5, 0.9]),
-            snapshot_run([0.2, 0.3]),
-            snapshot_run([0.95]),
-        ]
-        stats = threshold_stats(runs, "initial", 0.8)
-        assert stats.reached_count == 2
-        assert stats.mean_rounds == pytest.approx((2 + 1) / 2)
-        assert stats.format() == "1.5(2)"
-
-    def test_never_format(self):
-        stats = threshold_stats([snapshot_run([0.1])], "initial", 0.8)
-        assert stats.format() == "never"
-
-
-def final_stats(runs, metric="initial"):
-    """(mean, std) across replicas at the last snapshot, as the report's
-    final accuracy lines show them."""
-    return per_snapshot_stats(runs, metric)[-1][1:]
+def final_stats(runs):
+    """(mean, std) of the initial means across replicas at the last
+    snapshot, as the report's final accuracy lines show them."""
+    return replica_rows(runs)[-1][1:3]
 
 
 class TestAggregateReplicas:
@@ -217,24 +217,65 @@ class TestAggregateReplicas:
         # population std computed directly from the definition
         expected = math.sqrt(((0.02) ** 2 + 0.0 + (0.02) ** 2) / 3)
         assert std == pytest.approx(expected, rel=1e-12)
-        assert format_mean_std(mean, std) == "0.8000 (0.0163)"
+        assert "\nfinal initial_accuracy: 0.8000 (0.0163)\n" in _report("0" * 12, runs, 0.8)[0]
 
     def test_permutation_invariant(self):
         runs = [snapshot_run([v]) for v in (0.3, 0.5, 0.9)]
-        assert per_snapshot_stats(runs, "initial") == per_snapshot_stats(runs[::-1], "initial")
+        assert replica_rows(runs) == replica_rows(runs[::-1])
 
     def test_inconsistent_schedules_rejected(self):
         runs = [snapshot_run([0.1, 0.2]), snapshot_run([0.1])]
-        with pytest.raises(ContractViolation):
-            per_snapshot_stats(runs, "initial")
+        with pytest.raises(ContractViolation, match="inconsistent snapshot schedules"):
+            replica_rows(runs)
 
     def test_per_snapshot_stats(self):
         runs = [snapshot_run([0.1, 0.3]), snapshot_run([0.3, 0.5])]
-        stats = per_snapshot_stats(runs, "initial")
+        stats = replica_rows(runs)
         assert stats[0][0] == 1 and stats[1][0] == 2
         assert stats[0][1] == pytest.approx(0.2)
         assert stats[1][1] == pytest.approx(0.4)
+        assert [row[1:3] for row in stats] == [row[3:] for row in stats]
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(ContractViolation, match="need at least one run"):
+            replica_rows([])
 
 
-def test_format_mean_std():
-    assert format_mean_std(0.78789, 0.03155) == "0.7879 (0.0316)"
+def snapshot_lists(draw_values, replicas, snapshots):
+    """``replicas`` runs sharing the schedule 1..``snapshots``, each
+    snapshot's two means drawn independently."""
+    return [
+        [EvalSnapshot(i + 1, draw_values(), 0.0, draw_values(), 0.0) for i in range(snapshots)]
+        for _ in range(replicas)
+    ]
+
+
+def cell_bits(values):
+    """A report cell pair as bytes: the mean and population std of
+    ``np.sort(values)``, each reduced in one 1-D pass."""
+    values = np.sort(values)
+    return np.float64(values.mean()).tobytes() + np.float64(values.std()).tobytes()
+
+
+def row_bits(row):
+    return b"".join(np.float64(cell).tobytes() for cell in row[1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), replicas=st.integers(1, 12), snapshots=st.integers(1, 5))
+def test_replica_rows_keep_every_bit(data, replicas, snapshots):
+    """Every cell is the 1-D sorted mean and std of that snapshot's values,
+    byte for byte, and no order of the replicas moves a bit. Up to 12
+    replicas, so the default 9, where numpy sums pairwise, is covered."""
+    value = st.floats(0.0, 1.0, allow_subnormal=False)
+    runs = snapshot_lists(lambda: data.draw(value), replicas, snapshots)
+    rows = replica_rows(runs)
+    assert [row[0] for row in rows] == list(range(1, snapshots + 1))
+    for i, row in enumerate(rows):
+        expected = cell_bits([run[i].initial_mean for run in runs]) + cell_bits(
+            [run[i].personalized_mean for run in runs]
+        )
+        assert row_bits(row) == expected
+    order = data.draw(st.permutations(range(replicas)))
+    shuffled = replica_rows([runs[j] for j in order])
+    assert [row_bits(row) for row in shuffled] == [row_bits(row) for row in rows]

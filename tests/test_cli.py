@@ -997,6 +997,32 @@ class TestDecompose:
         assert line.startswith("error: residual ") and line.endswith(" exceeds 1e-08")
 
 
+    @pytest.mark.parametrize("damage", ["round", "beta"])
+    def test_trace_of_another_round_or_step_size_refused_before_output(
+        self, traced_run, tmp_path, capsys, damage
+    ):
+        rdir, path = self.damaged_copy(traced_run, tmp_path)
+        if damage == "round":  # round 0's trace under round 1's name
+            shutil.copyfile(rdir / "traces" / "round_00000.npz", path)
+            recorded = "round 0 with beta=0.05"
+        else:
+            with np.load(path) as data:
+                arrays = {k: data[k].copy() for k in data.files}
+            arrays["beta"] = np.array(0.05000000000000001)
+            np.savez(path, **arrays)
+            recorded = "round 1 with beta=0.05000000000000001"
+        out = tmp_path / "round_1.txt"
+        rc = main(["decompose", "-c", DECOMPOSE, "--run-dir", str(rdir), "--round", "1",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: refusing to decompose {path}: it records {recorded}, "
+            "not round 1 with [stage1] client.lr=0.05\n"
+        )
+        assert not out.exists()
+
     def test_truncated_trace_is_parse_error(self, traced_run, tmp_path, capsys):
         rdir, path = self.damaged_copy(traced_run, tmp_path)
         blob = path.read_bytes()

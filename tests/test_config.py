@@ -42,6 +42,25 @@ def test_syntax_error_names_file_and_line(tmp_path, text, line):
     assert re.search(rf"\bline:? {line}\b", message), message
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nrounds = 2\n[stage1]\n[stage2]\n",
+    "[DEFAULT]\nseed = 3\n\n" + (ROOT / "configs/smoke.ini").read_text(),
+], ids=["merged-into-both-stages", "merged-into-model"])
+def test_default_section_with_keys_refused(tmp_path, text):
+    """configparser would merge [DEFAULT]'s keys into every section: here
+    into both stages' rounds, or into [model], which has no seed."""
+    path = tmp_path / "default.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+        load_config(path)
+
+
+def test_empty_default_section_is_no_key(tmp_path):
+    path = tmp_path / "default.ini"
+    path.write_text("[DEFAULT]\n" + (ROOT / "configs/smoke.ini").read_text())
+    assert load_config(path).hash == load_config(ROOT / "configs/smoke.ini").hash
+
+
 def test_percent_sign_is_literal(tmp_path):
     path = tmp_path / "percent.ini"
     path.write_text("[run]\noutput_dir = runs/100%\n")

@@ -25,9 +25,9 @@ from fedmetasim import (
     EvalSnapshot,
     ModelSpec,
     NumericError,
-    TrainingRun,
     forward_loss,
     gradient,
+    rounds_to_threshold,
     sample_clients,
     substream,
 )
@@ -287,12 +287,16 @@ def onehot(y, c):
 
 
 def snapshot_run(values):
-    """A run whose snapshots, at rounds 1, 2, ..., have both means equal to
-    the given series and zero stds."""
-    return TrainingRun(
-        seed=0,
-        snapshots=[EvalSnapshot(i + 1, v, 0.0, v, 0.0) for i, v in enumerate(values)],
-    )
+    """A run's snapshots, at rounds 1, 2, ..., with both means equal to the
+    given series and zero stds."""
+    return [EvalSnapshot(i + 1, v, 0.0, v, 0.0) for i, v in enumerate(values)]
+
+
+def first_round(run, threshold):
+    """The first round at which one run's initial mean reaches
+    ``threshold``, as ``rounds_to_threshold`` reports it; inf if never."""
+    text = rounds_to_threshold([run], lambda s: s.initial_mean, threshold)
+    return math.inf if text == "never" else float(text.split("(")[0])
 
 
 @dataclass
