@@ -60,11 +60,11 @@ def decompose_round(trace: RoundTrace) -> DecompositionReport:
         )
     if not grads:
         raise ContractViolation("trace has no clients")
-    lengths = {len(g) for g in grads}
-    if len(lengths) != 1:
+    shapes = {np.shape(g) for g in grads}
+    if len(shapes) != 1:
         raise ContractViolation(
-            f"clients took different step counts {sorted(lengths)}; "
-            "the decomposition requires a common K"
+            f"clients' step gradients have shapes {sorted(shapes)}; "
+            "the decomposition requires a common K and P"
         )
     if len(set(trace.weights.tolist())) != 1:
         raise ContractViolation(
@@ -72,10 +72,13 @@ def decompose_round(trace: RoundTrace) -> DecompositionReport:
         )
 
     g_fedavg = np.asarray(trace.aggregate, dtype=np.float64)
-    # Row 0 is the FedSGD update, row j the jth FOMAML term. The mean adds
-    # the clients in order, as a per-step (M, P) mean does when P >= 2
-    # (every ModelSpec); at P = 1 numpy would sum that axis pairwise.
-    g_fedsgd, *terms = -trace.beta * np.stack(grads).mean(axis=0)
+    # Row 0 is the FedSGD update, row j the jth FOMAML term. Adding the clients
+    # in order to zeros, then dividing by M, is numpy's mean of the stacked
+    # (M, K, P) gradients over clients when P >= 2 (every ModelSpec), bit for bit.
+    total = np.zeros(np.shape(grads[0]))
+    for g in grads:
+        total += g
+    g_fedsgd, *terms = -trace.beta * (total / len(grads))
 
     reconstruction = g_fedsgd.copy()
     for term in terms:

@@ -29,8 +29,9 @@ import math
 import os
 import shutil
 import stat
+import struct
 import sys
-import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -189,11 +190,11 @@ def _parse_npy_header(header: bytes) -> tuple[tuple[int, ...], np.dtype]:
     return shape, dtype
 
 
-def _npy_array(name: str, blob: bytes) -> np.ndarray:
+def _npy_array(name: str, blob: memoryview) -> np.ndarray:
     """A read-only view of the array in the .npy bytes ``blob``."""
     end = 10 + int.from_bytes(blob[8:10], "little")  # magic, version, header length
     try:
-        shape, dtype = _parse_npy_header(blob[:end])
+        shape, dtype = _parse_npy_header(bytes(blob[:end]))  # the cache keeps no trace buffer
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
     count = math.prod(shape)
@@ -204,10 +205,17 @@ def _npy_array(name: str, blob: bytes) -> np.ndarray:
     return np.frombuffer(blob, dtype, count, end).reshape(shape)
 
 
+# The records zipfile writes for np.savez, and the sizes, offsets and member count past
+# which it writes zip64 fields. Members are dated 1980-01-01 00:00 (DOS date 33).
+_LOCAL, _CENTRAL = struct.Struct("<4s2B4HL2L2H"), struct.Struct("<4s4B4HL2L5H2L")
+_END, _END64, _LOCATOR = (struct.Struct(f) for f in ("<4s4H2LH", "<4sQ2H2L4Q", "<4sLQL"))
+_ZIP64_LIMIT, _ZIP_FILECOUNT_LIMIT, _FULL = (1 << 31) - 1, (1 << 16) - 1, 0xFFFFFFFF
+
+
 def _save_trace(path: Path, trace: RoundTrace) -> None:
     """Write ``trace`` as the bytes ``np.savez`` writes for the same members:
-    a stored zip64 member ``<name>.npy`` per array, built in memory and
-    written with one call."""
+    a stored zip64 member ``<name>.npy`` per array, then the central
+    directory and end records, built in memory and written with one call."""
     arrays = {
         "round_index": np.array(trace.round_index),
         "client_ids": np.array(trace.client_ids),
@@ -218,13 +226,70 @@ def _save_trace(path: Path, trace: RoundTrace) -> None:
     }
     for i, grads in enumerate(trace.step_gradients):
         arrays[f"grads_{i}"] = grads
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", allowZip64=True) as archive:
-        for name, array in arrays.items():
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                member.write(_npy_header(array.dtype, array.shape))
-                member.write(np.ascontiguousarray(array))
-    path.write_bytes(buf.getbuffer())
+    members, directory, offset = [], [], 0
+    for name, array in arrays.items():
+        filename, header = f"{name}.npy".encode(), _npy_header(array.dtype, array.shape)
+        data = np.ascontiguousarray(array)
+        size, crc = len(header) + data.nbytes, zlib.crc32(data, zlib.crc32(header))
+        members += [_LOCAL.pack(b"PK\x03\x04", 45, 0, 0, 0, 0, 33, crc, _FULL, _FULL,
+                                len(filename), 20),
+                    filename, struct.pack("<HHQQ", 1, 16, size, size), header, data]
+        wide = [size, size] * (size > _ZIP64_LIMIT) + [offset] * (offset > _ZIP64_LIMIT)
+        extra = struct.pack(f"<HH{len(wide)}Q", 1, 8 * len(wide), *wide) if wide else b""
+        low = [_FULL if v > _ZIP64_LIMIT else v for v in (size, size, offset)]
+        directory += [_CENTRAL.pack(b"PK\x01\x02", 45, 3, 45, 0, 0, 0, 0, 33, crc, *low[:2],
+                                    len(filename), len(extra), 0, 0, 0, 0o600 << 16, low[2]),
+                      filename, extra]
+        offset += _LOCAL.size + len(filename) + 20 + size
+    count, size = len(arrays), sum(map(len, directory))
+    if count > _ZIP_FILECOUNT_LIMIT or offset > _ZIP64_LIMIT or size > _ZIP64_LIMIT:
+        directory += [_END64.pack(b"PK\x06\x06", 44, 45, 45, 0, 0, count, count, size, offset),
+                      _LOCATOR.pack(b"PK\x06\x07", 0, offset + size, 1)]
+        count, size, offset = min(count, 0xFFFF), min(size, _FULL), min(offset, _FULL)
+    directory.append(_END.pack(b"PK\x05\x06", 0, 0, count, count, size, offset, 0))
+    path.write_bytes(b"".join(members + directory))
+
+
+def _zip_members(data: memoryview) -> dict[str, memoryview]:
+    """Each member of the zip archive ``data`` by name, as a view of its bytes;
+    ValueError unless the end records follow the directory and close the file, and
+    every member is stored, unencrypted, named alike in its local header and CRC-valid."""
+    end = len(data) - _END.size
+    if end < 0 or data[end:end + 4] != b"PK\x05\x06":
+        raise ValueError("no end of central directory record at the end of the file")
+    size, start = _END.unpack_from(data, end)[5:7]
+    if end >= _LOCATOR.size + _END64.size and data[end - 20:end - 16] == b"PK\x06\x07":
+        end -= _LOCATOR.size + _END64.size
+        if data[end:end + 4] != b"PK\x06\x06":
+            raise ValueError("no zip64 end of central directory record before its locator")
+        size, start = _END64.unpack_from(data, end)[8:10]
+    if start + size != end:
+        raise ValueError(f"central directory of {size} bytes at {start} does not end at {end}")
+    members, pos = {}, start
+    while pos < end:  # as zipfile walks it: by its size, whatever count the end records give
+        if pos + _CENTRAL.size > end or data[pos:pos + 4] != b"PK\x01\x02":
+            raise ValueError(f"no central directory entry at offset {pos}")
+        (flags, method, _, _, crc, stored, length, name_len, extra_len, comment_len, _, _, _,
+         offset) = _CENTRAL.unpack_from(data, pos)[5:]
+        extra_at = pos + _CENTRAL.size + name_len
+        raw, pos = data[extra_at - name_len:extra_at], extra_at + extra_len + comment_len
+        name = str(raw, "latin-1")
+        if wide := sum(v == _FULL for v in (length, stored, offset)):  # zip64 holds those
+            tag, wide_len, *values = struct.unpack_from(f"<HH{wide}Q", data, extra_at)
+            if tag != 1 or not 8 * wide <= wide_len <= extra_len - 4:
+                raise ValueError(f"{name}: no zip64 field for its sizes and offset")
+            length, stored, offset = (values.pop(0) if v == _FULL else v
+                                      for v in (length, stored, offset))
+        if pos > end or flags & 1 or method or stored != length:
+            raise ValueError(f"{name}: not a stored, unencrypted member within the directory")
+        sig, *_, n_len, x_len = _LOCAL.unpack_from(data, offset)
+        at = offset + _LOCAL.size + n_len + x_len  # where its data starts
+        if sig != b"PK\x03\x04" or data[at - x_len - n_len:][:n_len] != raw or start < at + stored:
+            raise ValueError(f"{name}: no local header of that name at {offset} before its data")
+        members[name] = blob = data[at:at + stored]
+        if zlib.crc32(blob) != crc:
+            raise ValueError(f"{name}: bad CRC-32")
+    return members
 
 
 def _load_trace(path: Path) -> RoundTrace:
@@ -239,33 +304,34 @@ def _load_trace(path: Path) -> RoundTrace:
     are read-only views of the members' bytes.
     """
     try:
-        with zipfile.ZipFile(io.BytesIO(path.read_bytes())) as archive:
-            dims = {}
+        members, dims = _zip_members(memoryview(path.read_bytes())), {}
 
-            def member(name: str, shape: str = "") -> np.ndarray:
-                array = _npy_array(name, archive.read(f"{name}.npy"))
-                want = shape.split()
-                if len(array.shape) != len(want) or not all(
-                    got >= 1 and got == dims.get(d, got) for got, d in zip(array.shape, want)
-                ):
-                    expected = "(" + ", ".join(want) + ("," if len(want) == 1 else "") + ")"
-                    sizes = "".join(f", {d} = {dims[d]}" for d in want if d in dims)
-                    raise ValueError(f"{name}: shape {array.shape}, expected {expected}{sizes}")
-                return array
+        def member(name: str, shape: str = "") -> np.ndarray:
+            if f"{name}.npy" not in members:
+                raise ValueError(f"no member {name}.npy")
+            array = _npy_array(name, members[f"{name}.npy"])
+            want = shape.split()
+            if len(array.shape) != len(want) or not all(
+                got >= 1 and got == dims.get(d, got) for got, d in zip(array.shape, want)
+            ):
+                expected = "(" + ", ".join(want) + ("," if len(want) == 1 else "") + ")"
+                sizes = "".join(f", {d} = {dims[d]}" for d in want if d in dims)
+                raise ValueError(f"{name}: shape {array.shape}, expected {expected}{sizes}")
+            return array
 
-            client_ids = member("client_ids", "M")
-            aggregate = member("aggregate", "P")
-            dims.update(M=len(client_ids), P=len(aggregate))
-            return RoundTrace(
-                round_index=int(member("round_index")),
-                client_ids=[int(c) for c in client_ids],
-                weights=member("weights", "M"),
-                deltas=member("deltas", "M P"),
-                aggregate=aggregate,
-                beta=float(member("beta")),
-                step_gradients=[member(f"grads_{i}", "K P") for i in range(dims["M"])],
-            )
-    except (zipfile.BadZipFile, KeyError, IndexError, ValueError, EOFError) as exc:
+        client_ids = member("client_ids", "M")
+        aggregate = member("aggregate", "P")
+        dims.update(M=len(client_ids), P=len(aggregate))
+        return RoundTrace(
+            round_index=int(member("round_index")),
+            client_ids=[int(c) for c in client_ids],
+            weights=member("weights", "M"),
+            deltas=member("deltas", "M P"),
+            aggregate=aggregate,
+            beta=float(member("beta")),
+            step_gradients=[member(f"grads_{i}", "K P") for i in range(dims["M"])],
+        )
+    except (IndexError, TypeError, ValueError, EOFError, struct.error) as exc:
         raise ParseError(f"damaged trace {path}: {exc}") from exc
 
 

@@ -130,7 +130,7 @@ def sample_clients(
 ) -> list[int]:
     """M distinct training clients, uniform without replacement, ascending."""
     ids = list(train_client_ids)
-    if m > len(ids):
+    if not 1 <= m <= len(ids):
         raise ContractViolation(f"cannot sample {m} of {len(ids)} train clients")
     picked = rng.permutation(len(ids))[:m]
     return sorted(ids[i] for i in picked)

@@ -184,6 +184,8 @@ def make_client_batches(
     """
     if steps < 1:
         raise ContractViolation("steps must be positive")
+    if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        raise ContractViolation(f"batch size must be a positive int, not {batch_size!r}")
     train = client.train
     if train.n == 0:  # its epochs would never yield a batch
         raise ContractViolation("client has no training data")

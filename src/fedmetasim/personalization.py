@@ -108,6 +108,8 @@ def personalize(
     the (M,) diverged flags; ``params`` is not mutated. With epochs=0 every
     row is ``params``. Optimizer state always starts from zero.
     """
+    if len(rngs) != len(clients):
+        raise ContractViolation(f"{len(rngs)} random streams for {len(clients)} clients")
     params = np.asarray(params, dtype=np.float64)
     if cfg.epochs == 0:
         return np.tile(params, (len(clients), 1)), np.zeros(len(clients), dtype=bool)

@@ -12,6 +12,15 @@ import hashlib
 import struct
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+
+class _PhiloxKey(bytes, ISeedSequence):
+    """A 128-bit key as the two little-endian words Philox asks for: the state
+    of ``Philox(key=int)``, without the OS entropy ``key=`` draws and drops."""
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return np.frombuffer(self, "<u8", n_words)
 
 
 def substream(root_seed: int, purpose: str, *indices: int) -> np.random.Generator:
@@ -21,6 +30,4 @@ def substream(root_seed: int, purpose: str, *indices: int) -> np.random.Generato
     h.update(purpose.encode("utf-8"))
     for index in indices:
         h.update(struct.pack("<q", int(index)))
-    key = int.from_bytes(h.digest(), "little")
-    return np.random.Generator(np.random.Philox(key=key))
-
+    return np.random.Generator(np.random.Philox(_PhiloxKey(h.digest())))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedmetasim import (
     Batch,
@@ -12,6 +13,7 @@ from fedmetasim import (
     EvalSnapshot,
     ModelSpec,
     RoundConfig,
+    RoundTrace,
     ServerOptimizerState,
     decompose_round,
     fomaml_maml_gap,
@@ -68,6 +70,23 @@ class TestDecomposeRound:
         assert report.residual_norm <= 1e-8
         assert len(report.g_fomaml_by_j) == k - 1
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_terms_are_the_stacked_client_mean_bit_for_bit(self, data):
+        """The per-step client mean, summed in place, keeps every bit of
+        numpy's mean over the stacked (M, K, P) gradients."""
+        m, k, p = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 7), (1, 5), (2, 30)))
+        value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+        grads = [data.draw(hnp.arrays(np.float64, (k, p), elements=value)) for _ in range(m)]
+        beta = data.draw(st.floats(1e-6, 1.0))
+        report = decompose_round(RoundTrace(
+            round_index=0, client_ids=list(range(m)), weights=np.ones(m),
+            deltas=np.zeros((m, p)), aggregate=np.zeros(p), beta=beta, step_gradients=grads,
+        ))
+        want = -beta * np.stack(grads).mean(axis=0)
+        got = np.stack([report.g_fedsgd, *report.g_fomaml_by_j])
+        assert got.tobytes() == want.tobytes()
+
     def test_single_step_round_has_no_adapted_terms(self):
         trace = traced_round(seed=1, clients=3, k=1)
         report = decompose_round(trace)
@@ -91,6 +110,12 @@ class TestDecomposeRound:
         trace = traced_round(seed=4, clients=3, k=3)
         trace.step_gradients[1] = trace.step_gradients[1][:-1]
         with pytest.raises(ContractViolation, match="common K"):
+            decompose_round(trace)
+
+    def test_one_parameter_client_rejected_not_broadcast(self):
+        trace = traced_round(seed=4, clients=3, k=3)
+        trace.step_gradients[1] = trace.step_gradients[1][:, :1]
+        with pytest.raises(ContractViolation, match=r"shapes \[\(3, 1\), \(3, \d+\)\]"):
             decompose_round(trace)
 
     def test_non_uniform_weights_rejected(self):

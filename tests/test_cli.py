@@ -1,5 +1,6 @@
 import ast
 import configparser
+import functools
 import gc
 import io
 import json
@@ -11,11 +12,12 @@ import subprocess
 import sys
 import tracemalloc
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -1069,6 +1071,19 @@ class TestDecompose:
         assert captured.err.startswith(f"error: damaged trace {path}: {named}: shape ")
         assert captured.out == ""
 
+    def test_encrypted_member_is_parse_error(self, traced_run, tmp_path, capsys):
+        rdir, path = self.damaged_copy(traced_run, tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[struct.unpack_from("<L", blob, len(blob) - 6)[0] + 8] |= 0x01  # the first entry's
+        path.write_bytes(blob)
+        rc = main(["decompose", "-c", DECOMPOSE, "--run-dir", str(rdir), "--round", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (
+            f"error: damaged trace {path}: round_index.npy: not a stored, unencrypted member "
+            "within the directory\n"
+        )
+
     @pytest.mark.parametrize("name", ["deltas", "weights", "grads_2"])
     def test_member_without_npy_magic_is_parse_error(
         self, traced_run, tmp_path, capsys, name
@@ -1109,6 +1124,38 @@ def unequal_traced_round(algorithm="fedavg"):
     return trace
 
 
+def trace_members(trace):
+    """The arrays of ``trace`` by member name, as ``np.savez`` is given them."""
+    return {
+        "round_index": np.array(trace.round_index),
+        "client_ids": np.array(trace.client_ids),
+        "aggregate": trace.aggregate,
+        "weights": trace.weights,
+        "deltas": trace.deltas,
+        "beta": np.array(trace.beta),
+        **{f"grads_{i}": g for i, g in enumerate(trace.step_gradients)},
+    }
+
+
+def assert_same_trace(loaded, trace):
+    """Every member of ``loaded`` holds the bytes, dtype and shape of ``trace``'s."""
+    got, want = trace_members(loaded), trace_members(trace)
+    assert got.keys() == want.keys()
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype and got[name].shape == array.shape, name
+        assert got[name].tobytes() == array.tobytes(), name
+
+
+@functools.cache
+def saved_unequal_trace():
+    """``unequal_traced_round()`` and its trace file's bytes, as ``np.savez``
+    writes them (``_save_trace`` writes the same)."""
+    trace = unequal_traced_round()
+    buf = io.BytesIO()
+    np.savez(buf, **trace_members(trace))
+    return trace, buf.getvalue()
+
+
 class TestTraceFile:
     def test_round_trip_is_exact(self, tmp_path):
         trace = unequal_traced_round()
@@ -1137,17 +1184,23 @@ class TestTraceFile:
 
     def test_load_reads_each_member_once(self, tmp_path, monkeypatch):
         path, trace = self.saved(tmp_path)
-        reads = []
-        original = zipfile.ZipFile.read
+        crcs, parses = [], []
+        crc32, npy_array = zlib.crc32, cli._npy_array
 
-        def counting(self, name, *args, **kwargs):
-            reads.append(name)
-            return original(self, name, *args, **kwargs)
+        def counting_crc(blob, *args):
+            crcs.append(len(blob))
+            return crc32(blob, *args)
 
-        monkeypatch.setattr(zipfile.ZipFile, "read", counting)
+        def counting_parse(name, blob):
+            parses.append(name)
+            return npy_array(name, blob)
+
+        monkeypatch.setattr(zlib, "crc32", counting_crc)
+        monkeypatch.setattr(cli, "_npy_array", counting_parse)
         _load_trace(path)
-        assert len(reads) == 6 + len(trace.client_ids)
-        assert len(set(reads)) == len(reads)
+        members = 6 + len(trace.client_ids)
+        assert len(crcs) == len(parses) == members
+        assert len(set(parses)) == members
 
     def saved(self, tmp_path):
         """The path of a saved ``unequal_traced_round`` trace, and the trace."""
@@ -1199,6 +1252,39 @@ class TestTraceFile:
             f"damaged trace {path}: weights: unsupported .npy version (2, 0)"
         )
 
+    @pytest.mark.parametrize("limit, count", [
+        (0, 0),  # every size, offset and count (the first member's offset is 0)
+        (2600, 65535),  # the offsets of beta and the grads_i, and the directory's (9199)
+        (9000, 65535),  # the directory's offset alone
+        (10**6, 9),  # the member count (10) alone
+        (10**6, 10),  # nothing
+    ])
+    def test_bytes_equal_savez_past_zip64_limits(self, tmp_path, monkeypatch, limit, count):
+        """Past zipfile's ZIP64_LIMIT bytes or ZIP_FILECOUNT_LIMIT members,
+        np.savez records sizes, offsets and counts in zip64 fields; the
+        limits are lowered here so that a small trace crosses them."""
+        trace = unequal_traced_round()
+        for module in (zipfile, cli):
+            prefix = "_" if module is cli else ""
+            monkeypatch.setattr(module, f"{prefix}ZIP64_LIMIT", limit)
+            monkeypatch.setattr(module, f"{prefix}ZIP_FILECOUNT_LIMIT", count)
+        path = tmp_path / "round.npz"
+        _save_trace(path, trace)
+        reference = io.BytesIO()
+        np.savez(reference, **trace_members(trace))
+        assert path.read_bytes() == reference.getvalue()
+        assert_same_trace(_load_trace(path), trace)
+
+    @pytest.mark.parametrize("name", ["round_index", "beta"])
+    def test_complex_scalar_is_parse_error(self, tmp_path, name):
+        trace = unequal_traced_round()
+        members = trace_members(trace)
+        members[name] = np.array(1 + 2j)
+        path = tmp_path / "round.npz"
+        np.savez(path, **members)
+        with pytest.raises(ParseError, match=f"damaged trace {re.escape(str(path))}: "):
+            _load_trace(path)
+
     def test_loaded_arrays_are_read_only(self, tmp_path):
         path, _ = self.saved(tmp_path)
         loaded = _load_trace(path)
@@ -1223,15 +1309,7 @@ class TestTraceFile:
                 data.draw(hnp.arrays(np.float64, (k, p), elements=value)) for k in steps
             ],
         )
-        members = {
-            "round_index": np.array(trace.round_index),
-            "client_ids": np.array(trace.client_ids),
-            "aggregate": trace.aggregate,
-            "weights": trace.weights,
-            "deltas": trace.deltas,
-            "beta": np.array(trace.beta),
-            **{f"grads_{i}": g for i, g in enumerate(trace.step_gradients)},
-        }
+        members = trace_members(trace)
         path = tmp_path_factory.mktemp("trace") / "round.npz"
         _save_trace(path, trace)
         reference = io.BytesIO()
@@ -1243,13 +1321,36 @@ class TestTraceFile:
                 assert archive[name].dtype == array.dtype
                 assert archive[name].shape == array.shape
                 assert archive[name].tobytes() == array.tobytes()
-        loaded = _load_trace(path)
-        assert np.array(loaded.beta).tobytes() == np.array(trace.beta).tobytes()
-        assert loaded.client_ids == trace.client_ids
-        for name in ("weights", "deltas", "aggregate"):
-            assert getattr(loaded, name).tobytes() == getattr(trace, name).tobytes()
-        for got, want in zip(loaded.step_gradients, trace.step_gradients, strict=True):
-            assert got.tobytes() == want.tobytes()
+        assert_same_trace(_load_trace(path), trace)
+
+    @settings(max_examples=300, deadline=None)
+    @given(at=st.integers(0, 2**14), from_directory=st.booleans(), mask=st.integers(0, 255))
+    @example(at=8, from_directory=True, mask=0x01)  # the first directory entry's encrypted flag
+    @example(at=6, from_directory=True, mask=0x80)  # its version to extract: 45 becomes 173
+    def test_damaged_file_loads_unchanged_or_is_parse_error(
+        self, tmp_path_factory, at, from_directory, mask
+    ):
+        """A trace file with one byte flipped by ``mask``, or cut at that
+        byte when ``mask`` is 0, loads the saved arrays or is refused with a
+        ParseError. The byte is ``at`` past the start of the file or of the
+        central directory (modulo the file's length); the two examples made
+        zipfile raise RuntimeError and NotImplementedError."""
+        trace, blob = saved_unequal_trace()
+        blob = bytearray(blob)
+        start = struct.unpack_from("<L", blob, len(blob) - 6)[0] if from_directory else 0
+        at = (start + at) % len(blob)
+        if mask:
+            blob[at] ^= mask
+        else:
+            del blob[at:]
+        path = tmp_path_factory.mktemp("damaged") / "round.npz"
+        path.write_bytes(blob)
+        try:
+            loaded = _load_trace(path)
+        except ParseError as exc:
+            assert str(exc).startswith(f"damaged trace {path}: ")
+        else:
+            assert_same_trace(loaded, trace)
 
 
 class TestOutputSets:

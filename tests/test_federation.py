@@ -101,6 +101,11 @@ class TestSampleClients:
         with pytest.raises(ContractViolation):
             sample_clients((1, 2), 3, substream(0, "s"))
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_count_below_one_rejected(self, m):
+        with pytest.raises(ContractViolation, match=f"cannot sample {m} of 6 train clients"):
+            sample_clients(range(6), m, substream(0, "s"))
+
 
 class TestClientUpdate:
     def test_single_epoch_full_batch_is_one_step(self):

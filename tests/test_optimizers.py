@@ -271,6 +271,17 @@ class TestClientBatches:
         with pytest.raises(ContractViolation, match="no training data"):
             make_client_batches(empty, 1, 2, substream(7, "b"))
 
+    @pytest.mark.parametrize("batch_size", [-3, 0, 2.5, "2", None])
+    def test_batch_size_not_a_positive_int_refused_at_the_call(self, batch_size):
+        client = make_client(np.random.default_rng(7), n_train=5)
+        with pytest.raises(ContractViolation, match="batch size must be a positive int"):
+            make_client_batches(client, 3, batch_size, substream(7, "b"))
+
+    def test_numpy_int_batch_size_accepted(self):
+        client = make_client(np.random.default_rng(7), n_train=5)
+        batches = make_client_batches(client, 3, np.int64(2), substream(7, "b"))
+        assert [b.n for b in batches] == [2, 2, 1]
+
     def test_deterministic_in_stream(self):
         client = make_client(np.random.default_rng(4), n_train=17)
         cfg = ClientOptimizerConfig(lr=0.02, batch_size=4)

@@ -95,6 +95,16 @@ class TestPersonalize:
         with pytest.raises(ContractViolation, match="personalization lr"):
             PersonalizationConfig(lr=lr)
 
+    @pytest.mark.parametrize("epochs", [0, 2])
+    @pytest.mark.parametrize("streams", [1, 2, 4])
+    def test_one_stream_per_client_required(self, epochs, streams):
+        clients = [make_client(np.random.default_rng(i)) for i in range(3)]
+        params = init_params(SPEC, substream(0, "init"))
+        cfg = PersonalizationConfig(optimizer="sgd", lr=0.1, epochs=epochs, batch_size=10)
+        rngs = [substream(0, "p", i) for i in range(streams)]
+        with pytest.raises(ContractViolation, match=f"{streams} random streams for 3 clients"):
+            personalize(SPEC, params, clients, cfg, rngs)
+
     def test_zero_epochs_identity(self):
         client = make_client(np.random.default_rng(0))
         params = init_params(SPEC, substream(0, "init"))

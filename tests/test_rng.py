@@ -1,4 +1,10 @@
+import hashlib
+import random
+import struct
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmetasim import substream
 
@@ -32,3 +38,42 @@ def test_negative_indices_allowed():
     a = substream(1, "p", -1).random(2)
     b = substream(1, "p", -1).random(2)
     assert np.array_equal(a, b)
+
+
+def reference_substream(root_seed, purpose, *indices):
+    """The stream as ``Philox(key=int)`` builds it from the same blake2b key."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(struct.pack("<q", root_seed))
+    h.update(purpose.encode("utf-8"))
+    for index in indices:
+        h.update(struct.pack("<q", index))
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(h.digest(), "little")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(-(2**63), 2**63 - 1),
+    purpose=st.text(),
+    indices=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=3),
+)
+def test_matches_philox_keyed_by_int(seed, purpose, indices):
+    got, want = substream(seed, purpose, *indices), reference_substream(seed, purpose, *indices)
+    state, expected = got.bit_generator.state, want.bit_generator.state
+    assert state.keys() == expected.keys() and state["state"].keys() == expected["state"].keys()
+    for key, value in expected["state"].items():
+        assert np.array_equal(state["state"][key], value)
+    for key in expected.keys() - {"state"}:
+        assert np.array_equal(state[key], expected[key])
+    assert got.random(3).tobytes() == want.random(3).tobytes()
+    assert got.integers(0, 2**63, 5).tobytes() == want.integers(0, 2**63, 5).tobytes()
+    assert got.permutation(9).tobytes() == want.permutation(9).tobytes()
+
+
+def test_no_entropy_drawn(monkeypatch):
+    """A stream is a function of its key alone: building one asks the OS for
+    no randomness (``Philox(key=int)`` seeds, then drops, a SeedSequence)."""
+    def refuse(n):
+        raise AssertionError("substream drew OS entropy")
+
+    monkeypatch.setattr(random, "_urandom", refuse)
+    substream(3, "round.batch", 1, 2).random()
