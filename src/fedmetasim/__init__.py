@@ -6,7 +6,13 @@ per-client personalization evaluation, and exact numerical checks of how the
 averaged round update decomposes into single-step and adapted-gradient terms.
 """
 
-from .analysis import decompose_round, fomaml_maml_gap, replica_rows, rounds_to_threshold
+from .analysis import (
+    decompose_round,
+    fomaml_maml_gap,
+    maml_gradient_oracle,
+    replica_rows,
+    rounds_to_threshold,
+)
 from .data import (
     ClientDataset,
     FederatedDataset,
@@ -43,7 +49,6 @@ from .model import (
     gradient,
     init_params,
     load_checkpoint,
-    maml_gradient_oracle,
     save_checkpoint,
     sgd_trajectory,
     unflatten_params,

@@ -1,5 +1,5 @@
-"""Numerical certification of the update-decomposition claims and
-replica-level statistics.
+"""Numerical certification of the update-decomposition claims, the
+meta-gradient certificate, and replica-level statistics.
 
 The central check: when every sampled client takes the same number K of
 plain SGD steps and updates are averaged uniformly, the round's mean
@@ -13,6 +13,9 @@ into an (M, K, P) array whose client mean gives every term at once.
 Convention: recorded step gradients are raw loss gradients; the client step
 size enters once, with a minus sign, when an update vector is built from
 them. All update-space quantities here follow that convention.
+
+The meta-gradient certificate measures how far first-order MAML is from MAML,
+whose exact meta-gradient a finite-difference oracle gives for small models.
 """
 
 from __future__ import annotations
@@ -22,18 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import CapacityError, ContractViolation
 from .federation import RoundTrace
-from .model import (
-    Batch,
-    ModelSpec,
-    gradient,
-    maml_gradient_oracle,
-    merge_batches,
-    sgd_trajectory,
-)
+from .model import Batch, ModelSpec, _check_params, forward_loss, gradient, sgd_trajectory
 from .optimizers import sgd_update
 from .personalization import EvalSnapshot
+
+
+# The meta-gradient oracle costs two trajectory replays per parameter.
+MAML_ORACLE_MAX_DIM = 2000
+FD_STEP = 1e-5
 
 
 @dataclass
@@ -104,6 +105,65 @@ def decomposition_text(report: DecompositionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _eval_batch_or_union(batches: list[Batch], eval_batch: Batch | None) -> Batch:
+    """``eval_batch``, by default one batch of every example of ``batches`` in order."""
+    if eval_batch is not None:
+        return eval_batch
+    if not batches:
+        raise ContractViolation("eval_batch required when there are no adaptation batches")
+    xs = np.concatenate([b.x for b in batches])
+    ys = np.concatenate([b.y for b in batches])
+    if all(b.targets is not None for b in batches):
+        return Batch(xs, ys, np.concatenate([b.targets for b in batches]))
+    return Batch(xs, ys)
+
+
+def _adapted(spec: ModelSpec, theta: np.ndarray, batches: list[Batch], beta: float) -> np.ndarray:
+    """``theta`` after one SGD step of size ``beta`` per batch, replayed through
+    ``sgd_trajectory``; a replay that diverges raises its DivergenceError."""
+    update = sgd_update(beta)  # checks beta even with no batch to replay
+    if batches:
+        (theta,), _, (failure,) = sgd_trajectory(spec, theta, [batches], update)
+        if failure is not None:
+            raise failure
+    return theta
+
+
+def maml_gradient_oracle(
+    spec: ModelSpec,
+    params: np.ndarray,
+    batches: list[Batch],
+    beta: float,
+    eval_batch: Batch | None = None,
+) -> np.ndarray:
+    """Central finite differences of theta -> loss(adapt(theta), eval_batch):
+    the meta-gradient, the loss after K local SGD steps differentiated with
+    respect to the starting point.
+
+    ``adapt`` replays the SGD trajectory over ``batches``, and a replay that
+    diverges raises. One coordinate moves by +-FD_STEP at a time, at two
+    trajectory replays per parameter, so the dimension is capped. With no
+    batches (or beta = 0) the adaptation is the identity and the result is
+    the plain gradient up to finite-difference error. The oracle is
+    deliberately independent of backpropagation, so the two check each other.
+    """
+    params = _check_params(spec, params)
+    if spec.param_count > MAML_ORACLE_MAX_DIM:
+        raise CapacityError(
+            f"oracle capped at {MAML_ORACLE_MAX_DIM} parameters, spec has {spec.param_count}"
+        )
+    eval_batch = _eval_batch_or_union(batches, eval_batch)
+    out = np.empty(spec.param_count)
+    for i in range(spec.param_count):
+        bumped = params.copy()
+        bumped[i] = params[i] + FD_STEP
+        up = forward_loss(spec, _adapted(spec, bumped, batches, beta), eval_batch)
+        bumped[i] = params[i] - FD_STEP
+        down = forward_loss(spec, _adapted(spec, bumped, batches, beta), eval_batch)
+        out[i] = (up - down) / (2.0 * FD_STEP)
+    return out
+
+
 def fomaml_maml_gap(
     spec: ModelSpec,
     params: np.ndarray,
@@ -125,18 +185,10 @@ def fomaml_maml_gap(
     if len(batches) < steps:
         raise ContractViolation(f"need {steps} adaptation batches, got {len(batches)}")
     adapt = batches[:steps]
-    if eval_batch is None:
-        if not adapt:
-            raise ContractViolation("eval_batch required when steps is 0")
-        eval_batch = merge_batches(adapt)
+    eval_batch = _eval_batch_or_union(adapt, eval_batch)
 
     g_maml = maml_gradient_oracle(spec, params, adapt, beta, eval_batch)
-    theta = params
-    if steps:
-        (theta,), _, (failure,) = sgd_trajectory(spec, params, [adapt], sgd_update(beta))
-        if failure is not None:
-            raise failure
-    g_first_order = gradient(spec, theta, eval_batch)
+    g_first_order = gradient(spec, _adapted(spec, params, adapt, beta), eval_batch)
 
     gap = float(np.linalg.norm(g_maml - g_first_order))
     n1 = np.linalg.norm(g_maml)

@@ -217,15 +217,15 @@ def _save_trace(path: Path, trace: RoundTrace) -> None:
     a stored zip64 member ``<name>.npy`` per array, then the central
     directory and end records, built in memory and written with one call."""
     arrays = {
-        "round_index": np.array(trace.round_index),
-        "client_ids": np.array(trace.client_ids),
-        "aggregate": trace.aggregate,
-        "weights": trace.weights,
-        "deltas": trace.deltas,
-        "beta": np.array(trace.beta),
+        "round_index": np.array(trace.round_index, dtype=np.int64),
+        "client_ids": np.array(trace.client_ids, dtype=np.int64),
+        "aggregate": np.asarray(trace.aggregate, dtype=np.float64),
+        "weights": np.asarray(trace.weights, dtype=np.float64),
+        "deltas": np.asarray(trace.deltas, dtype=np.float64),
+        "beta": np.array(trace.beta, dtype=np.float64),
     }
     for i, grads in enumerate(trace.step_gradients):
-        arrays[f"grads_{i}"] = grads
+        arrays[f"grads_{i}"] = np.asarray(grads, dtype=np.float64)
     members, directory, offset = [], [], 0
     for name, array in arrays.items():
         filename, header = f"{name}.npy".encode(), _npy_header(array.dtype, array.shape)
@@ -297,19 +297,22 @@ def _load_trace(path: Path) -> RoundTrace:
 
     The file is read whole; each member's CRC is checked, and it must hold
     the .npy magic, a C-ordered non-object dtype, exactly the data its
-    header declares, and its shape in the record: () for round_index and
-    beta, (M,) for client_ids and weights, (P,) for aggregate, (M, P) for
-    deltas and (K_i, P) for grads_i, where M >= 1 is the length of
-    client_ids, P >= 1 that of aggregate and K_i >= 1. The arrays returned
-    are read-only views of the members' bytes.
+    header declares, its dtype in the record, int64 for round_index and
+    client_ids and float64 for the rest, and its shape in the record: () for
+    round_index and beta, (M,) for client_ids and weights, (P,) for
+    aggregate, (M, P) for deltas and (K_i, P) for grads_i, where M >= 1 is
+    the length of client_ids, P >= 1 that of aggregate and K_i >= 1. The
+    arrays returned are read-only views of the members' bytes.
     """
     try:
         members, dims = _zip_members(memoryview(path.read_bytes())), {}
 
-        def member(name: str, shape: str = "") -> np.ndarray:
+        def member(name: str, shape: str = "", dtype: type = np.float64) -> np.ndarray:
             if f"{name}.npy" not in members:
                 raise ValueError(f"no member {name}.npy")
             array = _npy_array(name, members[f"{name}.npy"])
+            if array.dtype != dtype:
+                raise ValueError(f"{name}: dtype {array.dtype}, expected {np.dtype(dtype)}")
             want = shape.split()
             if len(array.shape) != len(want) or not all(
                 got >= 1 and got == dims.get(d, got) for got, d in zip(array.shape, want)
@@ -319,11 +322,11 @@ def _load_trace(path: Path) -> RoundTrace:
                 raise ValueError(f"{name}: shape {array.shape}, expected {expected}{sizes}")
             return array
 
-        client_ids = member("client_ids", "M")
+        client_ids = member("client_ids", "M", np.int64)
         aggregate = member("aggregate", "P")
         dims.update(M=len(client_ids), P=len(aggregate))
         return RoundTrace(
-            round_index=int(member("round_index")),
+            round_index=int(member("round_index", dtype=np.int64)),
             client_ids=[int(c) for c in client_ids],
             weights=member("weights", "M"),
             deltas=member("deltas", "M P"),

@@ -159,8 +159,8 @@ def load_csv_dataset(path, input_dim: int, num_classes: int, seed: int = 0) -> F
     Row layout: client_id, label, feature_0 .. feature_{input_dim-1}. The
     per-client split shuffles row order with a stream keyed by (seed, client
     id), so the partition is stable for a given seed regardless of how the
-    file is chunked by client. Every input error names the file and, for a
-    row, its line.
+    file is chunked by client. A nan or infinite feature is refused. Every
+    input error names the file and, for a row, its line.
     """
     rows_by_client: dict[int, list[tuple[int, np.ndarray]]] = {}
     with io.StringIO(read_utf8(path), newline="") as fh:
@@ -179,6 +179,12 @@ def load_csv_dataset(path, input_dim: int, num_classes: int, seed: int = 0) -> F
                 raise ParseError(f"{path}, line {lineno}: {exc}") from exc
             if cid < 0:
                 raise SchemaError(f"{path}, line {lineno}: negative client id {cid}")
+            if not (finite := np.isfinite(feats)).all():
+                column = 3 + int(finite.argmin())  # 1-based, after client id and label
+                raise SchemaError(
+                    f"{path}, line {lineno}, column {column}: "
+                    f"feature {row[column - 1]!r} is not finite"
+                )
             if not 0 <= label < num_classes:
                 raise SchemaError(
                     f"{path}, line {lineno}: label {label} outside [0, {num_classes})"

@@ -6,11 +6,6 @@ pure functions of their inputs; nothing mutates shared state, so values are
 safe to reuse across threads; the one buffer a caller may hand in is
 ``gradient``'s ``out``. A ``Batch`` owns read-only copies of its arrays and
 their label bound, so the per-call batch checks are O(1).
-
-A finite-difference oracle for the meta-gradient (loss after K local SGD
-steps, differentiated with respect to the starting point) is provided for
-small models. It is deliberately independent of backpropagation so the two
-can check each other.
 """
 
 from __future__ import annotations
@@ -22,21 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    CheckpointError,
-    ContractViolation,
-    DivergenceError,
-    NumericError,
-)
+from .errors import CheckpointError, ContractViolation, DivergenceError, NumericError
 
 LOSSES = ("softmax_cross_entropy", "quadratic")
 
 CKPT_MAGIC = "fms-ckpt/1"
-
-# The meta-gradient oracle costs two trajectory replays per parameter.
-MAML_ORACLE_MAX_DIM = 2000
-FD_STEP = 1e-5
 
 
 def _identity(*arrays: np.ndarray) -> None:
@@ -428,63 +413,6 @@ def sgd_trajectory(
     return theta, last, failures
 
 
-def merge_batches(batches: list[Batch]) -> Batch:
-    """One batch holding every example of ``batches``, in order."""
-    xs = np.concatenate([b.x for b in batches])
-    ys = np.concatenate([b.y for b in batches])
-    if all(b.targets is not None for b in batches):
-        return Batch(xs, ys, np.concatenate([b.targets for b in batches]))
-    return Batch(xs, ys)
-
-
-def maml_gradient_oracle(
-    spec: ModelSpec,
-    params: np.ndarray,
-    batches: list[Batch],
-    beta: float,
-    eval_batch: Batch | None = None,
-) -> np.ndarray:
-    """Central finite differences of theta -> loss(adapt(theta), eval_batch).
-
-    ``adapt`` replays the SGD trajectory over ``batches`` through
-    ``sgd_trajectory``, and a replay that diverges raises. One coordinate
-    moves by +-FD_STEP at a time, at two trajectory replays per parameter,
-    so the dimension is capped. With no batches (or beta = 0) the
-    adaptation is the identity and the result reduces to the plain gradient
-    up to finite-difference error.
-    """
-    params = _check_params(spec, params)
-    if spec.param_count > MAML_ORACLE_MAX_DIM:
-        raise CapacityError(
-            f"oracle capped at {MAML_ORACLE_MAX_DIM} parameters, spec has {spec.param_count}"
-        )
-    if eval_batch is None:
-        if not batches:
-            raise ContractViolation("eval_batch required when batches is empty")
-        eval_batch = merge_batches(batches)
-
-    from .optimizers import sgd_update  # optimizers imports this module
-
-    update = sgd_update(beta)
-
-    def adapted_loss(theta: np.ndarray) -> float:
-        if batches:
-            (theta,), _, (failure,) = sgd_trajectory(spec, theta, [batches], update)
-            if failure is not None:
-                raise failure
-        return forward_loss(spec, theta, eval_batch)
-
-    out = np.empty(spec.param_count)
-    for i in range(spec.param_count):
-        bumped = params.copy()
-        bumped[i] = params[i] + FD_STEP
-        up = adapted_loss(bumped)
-        bumped[i] = params[i] - FD_STEP
-        down = adapted_loss(bumped)
-        out[i] = (up - down) / (2.0 * FD_STEP)
-    return out
-
-
 def save_checkpoint(path, spec: ModelSpec, params: np.ndarray) -> None:
     """Versioned text header describing the spec, then the flat vector as
     a little-endian float64 array with a uint64 length prefix."""
@@ -549,4 +477,6 @@ def load_checkpoint(path) -> tuple[ModelSpec, np.ndarray]:
         raise CheckpointError(
             f"checkpoint has {count} parameters but spec implies {spec.param_count}"
         )
+    if not (finite := np.isfinite(params)).all():
+        raise CheckpointError(f"non-finite parameter at index {int(finite.argmin())}")
     return spec, params

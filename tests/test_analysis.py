@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from fedmetasim import (
     fomaml_maml_gap,
     generate_synthetic,
     init_params,
+    maml_gradient_oracle,
     replica_rows,
     rounds_to_threshold,
     run_round,
@@ -168,6 +170,41 @@ class TestFomamlMamlGap:
         spec, params, batch, _ = quadratic_problem(seed=25)
         with pytest.raises(ContractViolation):
             fomaml_maml_gap(spec, params, [batch], None, 2, 0.1)
+
+
+# SHA-256 over certificate_digest's outputs, recorded when the oracle and
+# fomaml_maml_gap moved into one module; any moved bit changes it.
+CERTIFICATE_SHA256 = "e361bc0abc6b0aaa52fffbe40b2e5285eff7b1582e8b38576663202b10f68485"
+
+
+def certificate_digest():
+    """A SHA-256 over the oracle's meta-gradients and fomaml_maml_gap's
+    (gap, cosine) on fixed MLP cases, every activation with an explicit and
+    a default eval batch at 0-3 steps, and on fixed quadratic cases."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(2718)
+    for activation in ("identity", "relu", "tanh"):
+        spec = ModelSpec(3, (4, 2), activation=activation)
+        params = rng.normal(scale=0.8, size=spec.param_count)
+        batches = [Batch(rng.normal(size=(5, 3)), rng.integers(0, 2, size=5)) for _ in range(3)]
+        held_out = Batch(rng.normal(size=(4, 3)), rng.integers(0, 2, size=4))
+        for steps in range(4):
+            for eval_batch in (held_out, None) if steps else (held_out,):
+                oracle = maml_gradient_oracle(spec, params, batches[:steps], 0.3, eval_batch)
+                gap = fomaml_maml_gap(spec, params, batches, eval_batch, steps, 0.3)
+                h.update(oracle.tobytes() + np.array(gap).tobytes())
+    for seed in (31, 32):
+        spec, params, batch, a = quadratic_problem(seed=seed, d=3, c=2, n=10)
+        beta = 0.2 / np.linalg.eigvalsh(a).max()
+        for steps in range(1, 4):
+            oracle = maml_gradient_oracle(spec, params, [batch] * steps, beta)
+            gap = fomaml_maml_gap(spec, params, [batch] * steps, None, steps, beta)
+            h.update(oracle.tobytes() + np.array(gap).tobytes())
+    return h.hexdigest()
+
+
+def test_certificate_keeps_every_bit():
+    assert certificate_digest() == CERTIFICATE_SHA256
 
 
 def initial(snap):

@@ -1285,6 +1285,25 @@ class TestTraceFile:
         with pytest.raises(ParseError, match=f"damaged trace {re.escape(str(path))}: "):
             _load_trace(path)
 
+    @pytest.mark.parametrize("name, value, dtype", [
+        ("client_ids", lambda ids: np.array(ids, dtype=np.float64) + 0.5, "float64"),
+        ("round_index", lambda _: np.array(2.0**70), "float64"),
+        ("client_ids", lambda ids: np.array(ids, dtype=np.int32), "int32"),
+        ("weights", lambda w: w.astype(np.float32), "float32"),
+        ("beta", lambda b: np.array(b).astype(">f8"), ">f8"),
+        ("grads_1", lambda g: g.astype(np.int64), "int64"),
+    ])
+    def test_member_of_another_dtype_is_parse_error(self, tmp_path, name, value, dtype):
+        """A member of another dtype is refused, not read as a number it does not hold."""
+        members = trace_members(unequal_traced_round())
+        members[name] = value(members[name])
+        path = tmp_path / "round.npz"
+        np.savez(path, **members)
+        expected = "int64" if name in ("round_index", "client_ids") else "float64"
+        with pytest.raises(ParseError) as err:
+            _load_trace(path)
+        assert str(err.value) == f"damaged trace {path}: {name}: dtype {dtype}, expected {expected}"
+
     def test_loaded_arrays_are_read_only(self, tmp_path):
         path, _ = self.saved(tmp_path)
         loaded = _load_trace(path)

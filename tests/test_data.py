@@ -140,6 +140,13 @@ class TestLoadCsv:
             load_csv_dataset(path, 2, 2)
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_feature(self, tmp_path, value):
+        path = self.write(tmp_path, f"0,0,0.1,0.2\n0,1,0.3,{value}\n")
+        with pytest.raises(SchemaError) as err:
+            load_csv_dataset(path, 2, 2)
+        assert str(err.value) == f"{path}, line 2, column 4: feature {value!r} is not finite"
+
     def test_wrong_column_count(self, tmp_path):
         path = self.write(tmp_path, "0,0,0.1\n")
         with pytest.raises(SchemaError) as err:

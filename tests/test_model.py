@@ -550,8 +550,8 @@ class TestInitParams:
 
 @st.composite
 def checkpoint_cases(draw):
-    """Any valid spec, with parameters that mix arbitrary doubles with
-    signed zeros and subnormals."""
+    """Any valid spec, with parameters that mix arbitrary finite doubles
+    with signed zeros and subnormals."""
     loss = draw(st.sampled_from(["softmax_cross_entropy", "quadratic"]))
     if loss == "quadratic":
         activation, dims = "identity", (draw(st.integers(1, 6)),)
@@ -560,7 +560,7 @@ def checkpoint_cases(draw):
         dims = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
     spec = ModelSpec(draw(st.integers(1, 6)), dims, activation=activation, loss=loss)
     special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308])
-    values = st.one_of(special, st.floats(width=64))
+    values = st.one_of(special, st.floats(width=64, allow_nan=False, allow_infinity=False))
     n = spec.param_count
     return spec, np.array(draw(st.lists(values, min_size=n, max_size=n)))
 
@@ -617,6 +617,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        spec, params, _ = mlp_case(24)
+        params[5] = params[9] = value
+        path = tmp_path / "model.fms"
+        save_checkpoint(path, spec, params)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == "non-finite parameter at index 5"
 
     @checkpoint_settings
     @given(case=checkpoint_cases())

@@ -1,5 +1,6 @@
 """The docs and the imports stay honest: README's library example imports
-only names the package exports, and no module imports a name it never uses."""
+only names the package exports, no module imports a name it never uses, and
+no function imports anything, so an import cycle cannot hide in a call."""
 
 import ast
 import re
@@ -49,3 +50,30 @@ def test_unused_import_is_found():
         "    x: int\n"
     )
     assert unused_imports(source) == ["line 1: field", "line 2: os"]
+
+
+def function_imports(source: str) -> list[str]:
+    """The imports ``source`` makes inside a function body."""
+    return [
+        f"line {node.lineno}: in {func.name}"
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_function_imports(module):
+    assert function_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_function_import_is_found():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    def g():\n"
+        "        from .model import Batch\n"
+        "    return g\n"
+    )
+    assert function_imports(source) == ["line 4: in f", "line 4: in g"]
