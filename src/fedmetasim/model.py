@@ -10,7 +10,9 @@ their label bound, so the per-call batch checks are O(1).
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import math
 import struct
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -280,9 +282,11 @@ def forward_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     return float(loss)
 
 
-# Overflow is an anticipated outcome, reported as NumericError. The decorator
-# sets the error state without building a context object per call.
-@np.errstate(over="ignore", invalid="ignore")
+# Set while sgd_trajectory holds the error state gradient needs (overflow is
+# an anticipated outcome, reported as NumericError), so its steps skip entering it.
+_STEP_ERRSTATE = contextvars.ContextVar("_STEP_ERRSTATE", default=False)
+
+
 def gradient(
     spec: ModelSpec, params: np.ndarray, batch: Batch, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -293,6 +297,13 @@ def gradient(
     is returned; a non-finite result is left there when NumericError is
     raised.
     """
+    if _STEP_ERRSTATE.get():
+        return _gradient(spec, params, batch, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gradient(spec, params, batch, out)
+
+
+def _gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, out) -> np.ndarray:
     params = _check_params(spec, params)
     _check_batch(spec, batch)
     if out is None:
@@ -335,7 +346,9 @@ def gradient(
         if i:
             dz = dot(dz, params[w0:b0].reshape(fan_out, fan_in))
             derivative(dz, a)
-    if not np.isfinite(out).all():
+    # A finite sum of squares proves every entry finite; the sum overflows
+    # for entries above about 1e154, so a non-finite one is confirmed.
+    if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
         raise NumericError("non-finite gradient")
     return out
 
@@ -367,7 +380,8 @@ def sgd_trajectory(
     ``grads[i, j]``. A row's failed step leaves its gradient row undefined.
 
     ``gradient`` writes each step's result straight into its row of the
-    gradient buffer, so no step allocates a result.
+    gradient buffer, so no step allocates a result, and runs in the error
+    state the loop holds, which it does not enter again.
     """
     params = _check_params(spec, params)
     if not schedules:
@@ -377,46 +391,59 @@ def sgd_trajectory(
     spare, last = np.empty_like(theta), np.empty_like(theta)
     failures: list[DivergenceError | None] = [None] * len(batches)
     running = list(range(len(batches)))
+    ones = np.ones(theta.shape[1])
     # Overflow here is an anticipated outcome, reported per row.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in itertools.count():
-            # At j == K no row can step; only the ended rows are found.
-            g = last if grads is None or j == grads.shape[1] else grads[:, j]
-            stepped = []
-            for i in running:
-                batch = next(batches[i], None)
-                if batch is None:
-                    if not j:
-                        raise ContractViolation("batches must be non-empty")
-                    if grads is not None:
-                        last[i] = grads[i, j - 1]
-                    continue
-                try:
-                    gradient(spec, theta[i], batch, out=g[i])
-                    stepped.append(i)
-                except NumericError as exc:
-                    failures[i] = DivergenceError(f"non-finite gradient at step {j}", step_index=j)
-                    failures[i].__cause__ = exc
-            if not stepped:
-                break
-            update(theta, g, j + 1, spare)
-            finite = np.isfinite(spare).all(axis=1)
-            if not finite.all():
-                for i in [i for i in stepped if not finite[i]]:
-                    failures[i] = DivergenceError(f"parameters diverged at step {j}", step_index=j)
-                stepped = [i for i in stepped if finite[i]]
-            running = stepped
-            if len(running) < len(batches):
-                theta[running] = spare[running]  # a stopped row keeps its last finite iterate
-            else:
-                theta, spare = spare, theta
+        mark = _STEP_ERRSTATE.set(True)
+        try:
+            for j in itertools.count():
+                # At j == K no row can step; only the ended rows are found.
+                g = last if grads is None or j == grads.shape[1] else grads[:, j]
+                stepped = []
+                for i in running:
+                    batch = next(batches[i], None)
+                    if batch is None:
+                        if not j:
+                            raise ContractViolation("batches must be non-empty")
+                        if grads is not None:
+                            last[i] = grads[i, j - 1]
+                        continue
+                    try:
+                        gradient(spec, theta[i], batch, out=g[i])
+                        stepped.append(i)
+                    except NumericError as exc:
+                        failures[i] = DivergenceError(
+                            f"non-finite gradient at step {j}", step_index=j
+                        )
+                        failures[i].__cause__ = exc
+                if not stepped:
+                    break
+                update(theta, g, j + 1, spare)
+                # A finite row sum proves its row finite; else the exact mask decides.
+                if not np.isfinite(spare.dot(ones)).all():
+                    finite = np.isfinite(spare).all(axis=1)
+                    for i in [i for i in stepped if not finite[i]]:
+                        failures[i] = DivergenceError(
+                            f"parameters diverged at step {j}", step_index=j
+                        )
+                    stepped = [i for i in stepped if finite[i]]
+                running = stepped
+                if len(running) < len(batches):
+                    theta[running] = spare[running]  # a stopped row keeps its last finite iterate
+                else:
+                    theta, spare = spare, theta
+        finally:
+            _STEP_ERRSTATE.reset(mark)
     return theta, last, failures
 
 
 def save_checkpoint(path, spec: ModelSpec, params: np.ndarray) -> None:
     """Versioned text header describing the spec, then the flat vector as
-    a little-endian float64 array with a uint64 length prefix."""
+    a little-endian float64 array with a uint64 length prefix. A non-finite
+    parameter is refused before the file is opened."""
     params = _check_params(spec, params)
+    if not (finite := np.isfinite(params)).all():
+        raise CheckpointError(f"non-finite parameter at index {int(finite.argmin())}")
     header = "\n".join(
         [
             CKPT_MAGIC,

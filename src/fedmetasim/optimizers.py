@@ -42,8 +42,8 @@ class ClientOptimizerConfig:
     batch_size: int
 
     def __post_init__(self):
-        if not self.lr >= 0:
-            raise ContractViolation("client lr must be non-negative")
+        if not 0 <= self.lr < np.inf:
+            raise ContractViolation("client lr must be non-negative and finite")
         if self.batch_size < 1:
             raise ContractViolation("batch_size must be positive")
 
@@ -68,13 +68,13 @@ class ServerOptimizerState:
     def __post_init__(self):
         if self.kind not in SERVER_KINDS:
             raise ContractViolation(f"unknown server optimizer {self.kind!r}")
-        if not self.lr > 0:
-            raise ContractViolation("server lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ContractViolation("server lr must be positive and finite")
         for name in ("momentum", "beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ContractViolation(f"server {name} must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ContractViolation("server eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ContractViolation("server eps must be positive and finite")
 
 
 def server_apply(

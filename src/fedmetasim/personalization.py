@@ -39,8 +39,8 @@ class PersonalizationConfig:
     def __post_init__(self):
         if self.optimizer not in PERSONALIZATION_OPTIMIZERS:
             raise ContractViolation(f"unknown personalization optimizer {self.optimizer!r}")
-        if not self.lr >= 0:
-            raise ContractViolation("personalization lr must be non-negative")
+        if not 0 <= self.lr < np.inf:
+            raise ContractViolation("personalization lr must be non-negative and finite")
         if self.epochs < 0:
             raise ContractViolation("epochs must be non-negative")
         if self.batch_size < 1:

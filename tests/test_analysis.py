@@ -11,6 +11,7 @@ from fedmetasim import (
     Batch,
     ClientOptimizerConfig,
     ContractViolation,
+    DivergenceError,
     EvalSnapshot,
     ModelSpec,
     RoundConfig,
@@ -108,6 +109,12 @@ class TestDecomposeRound:
         with pytest.raises(ContractViolation, match="trac"):
             decompose_round(trace)
 
+    def test_trace_without_clients_rejected(self):
+        trace = traced_round(seed=3, clients=3, k=2)
+        trace.step_gradients = []
+        with pytest.raises(ContractViolation, match="^trace has no clients$"):
+            decompose_round(trace)
+
     def test_unequal_step_counts_rejected(self):
         trace = traced_round(seed=4, clients=3, k=3)
         trace.step_gradients[1] = trace.step_gradients[1][:-1]
@@ -170,6 +177,19 @@ class TestFomamlMamlGap:
         spec, params, batch, _ = quadratic_problem(seed=25)
         with pytest.raises(ContractViolation):
             fomaml_maml_gap(spec, params, [batch], None, 2, 0.1)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda spec, params, batch: fomaml_maml_gap(spec, params, [batch], None, -1, 0.1),
+         ContractViolation, "steps must be non-negative"),
+        (lambda spec, params, batch: maml_gradient_oracle(spec, params, [], 0.1),
+         ContractViolation, "eval_batch required when there are no adaptation batches"),
+        (lambda spec, params, batch: maml_gradient_oracle(spec, 1e200 * params, [batch], 1e200),
+         DivergenceError, "parameters diverged at step 0"),
+    ], ids=["negative-steps", "no-eval-batch", "diverging-replay"])
+    def test_refused(self, call, error, message):
+        spec, params, batch, _ = quadratic_problem(seed=26)
+        with pytest.raises(error, match=f"^{message}$"):
+            call(spec, params, batch)
 
 
 # SHA-256 over certificate_digest's outputs, recorded when the oracle and

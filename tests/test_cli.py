@@ -124,6 +124,11 @@ REFUSED = [
      "[personalization] unknown personalization optimizer 'rmsprop'"),
     ("personalization", "epochs", "-1", "[personalization] epochs must be non-negative"),
     ("personalization", "batch_size", "0", "[personalization] batch_size must be positive"),
+    ("stage1", "client.lr", "inf", "[stage1] client lr must be non-negative and finite"),
+    ("stage2", "server.lr", "inf", "[stage2] server lr must be positive and finite"),
+    ("stage2", "server.adam_eps", "inf", "[stage2] server eps must be positive and finite"),
+    ("personalization", "lr", "inf",
+     "[personalization] personalization lr must be non-negative and finite"),
 ]
 
 
@@ -1274,6 +1279,32 @@ class TestTraceFile:
         np.savez(reference, **trace_members(trace))
         assert path.read_bytes() == reference.getvalue()
         assert_same_trace(_load_trace(path), trace)
+
+    @pytest.mark.parametrize("damage", ["end64 signature", "directory offset", "zip64 tag"])
+    def test_damaged_zip64_record_is_parse_error(self, tmp_path, monkeypatch, damage):
+        """A trace written with every size, offset and count in zip64 fields,
+        then one of those records damaged."""
+        monkeypatch.setattr(cli, "_ZIP64_LIMIT", 0)
+        monkeypatch.setattr(cli, "_ZIP_FILECOUNT_LIMIT", 0)
+        path, _ = self.saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        end64 = len(blob) - cli._END.size - cli._LOCATOR.size - cli._END64.size
+        size, start = cli._END64.unpack_from(blob, end64)[8:10]
+        if damage == "end64 signature":
+            blob[end64 + 3] ^= 0x01
+            message = "no zip64 end of central directory record before its locator"
+        elif damage == "directory offset":
+            struct.pack_into("<Q", blob, end64 + 48, start + 1)  # the record's last field
+            message = f"central directory of {size} bytes at {start + 1} does not end at {end64}"
+        else:  # the first entry's extra field: tag 1 holds the zip64 values
+            extra_at = start + cli._CENTRAL.size + len(b"round_index.npy")
+            assert struct.unpack_from("<H", blob, extra_at) == (1,)
+            struct.pack_into("<H", blob, extra_at, 2)
+            message = "round_index.npy: no zip64 field for its sizes and offset"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError) as err:
+            _load_trace(path)
+        assert str(err.value) == f"damaged trace {path}: {message}"
 
     @pytest.mark.parametrize("name", ["round_index", "beta"])
     def test_complex_scalar_is_parse_error(self, tmp_path, name):

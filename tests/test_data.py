@@ -246,6 +246,16 @@ class TestFederatedDatasetInvariants:
         with pytest.raises(ContractViolation, match="labels outside"):
             FederatedDataset({0: client}, (0,), (), input_dim=3, num_classes=3)
 
+    @pytest.mark.parametrize("train_shape, test_shape, message", [
+        ((2, 4), (1, 3), "client 0 feature dim mismatch"),
+        ((2, 3), (1, 2), "client 0 feature dim mismatch"),
+        ((0, 3), (1, 3), "training client 0 has no train examples"),
+    ])
+    def test_client_split_refused(self, train_shape, test_shape, message):
+        train, test = (Batch(np.zeros(s), np.zeros(s[0])) for s in (train_shape, test_shape))
+        with pytest.raises(ContractViolation, match=f"^{message}$"):
+            FederatedDataset({0: ClientDataset(train, test)}, (0,), (), input_dim=3, num_classes=3)
+
 
 def test_manifest_contents():
     ds = split_train_eval(small_synthetic(num_clients=10), 0.3, seed=1)

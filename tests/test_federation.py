@@ -341,6 +341,29 @@ class TestRoundConfig:
     def test_fedavg_defaults_data_proportional(self):
         assert RoundConfig("fedavg", 2, CFG, epochs=1).weighting == "data_proportional"
 
+    @pytest.mark.parametrize("algorithm, local, message", [
+        ("reptile", {"epochs": 2}, "reptile requires steps, not epochs"),
+        ("fomaml", {"steps": 2, "epochs": 1}, "fomaml requires steps, not epochs"),
+        ("reptile", {"steps": 0}, "steps must be positive"),
+        ("fedavg", {"steps": -1}, "steps must be positive"),
+    ])
+    def test_local_schedule_refused(self, algorithm, local, message):
+        with pytest.raises(ContractViolation, match=f"^{message}$"):
+            RoundConfig(algorithm, 2, CFG, **local)
+
+
+class TestStageConfig:
+    @pytest.mark.parametrize("rounds, has_round_cfg, has_server, message", [
+        (-1, True, True, "rounds must be non-negative"),
+        (2, False, True, "a non-empty stage needs round and server configs"),
+        (2, True, False, "a non-empty stage needs round and server configs"),
+    ])
+    def test_refused(self, rounds, has_round_cfg, has_server, message):
+        round_cfg = RoundConfig("reptile", 2, CFG, steps=1) if has_round_cfg else None
+        server = ServerOptimizerState("sgd", lr=1.0) if has_server else None
+        with pytest.raises(ContractViolation, match=f"^{message}$"):
+            StageConfig(rounds, round_cfg, server)
+
 
 def toy_dataset(seed=0, num_clients=6, examples=20):
     return generate_synthetic(

@@ -1,10 +1,12 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedmetasim import (
     Batch,
@@ -133,6 +135,29 @@ class TestForwardLoss:
         spec, params, _ = mlp_case(0)
         with pytest.raises(ContractViolation):
             forward_loss(spec, params, Batch(np.zeros((0, 4)), np.zeros(0, dtype=int)))
+
+    @pytest.mark.parametrize("batch, message", [
+        (Batch(np.ones((2, 4)), np.array([0])), "labels must be one per example"),
+        (Batch(np.ones((2, 4)), np.array([0, 1]), targets=np.zeros((2, 2))),
+         "targets must have shape (batch, num_classes)"),
+    ], ids=["labels", "targets"])
+    def test_misshaped_labels_rejected(self, batch, message):
+        spec, params, _ = mlp_case(0)
+        for loss_or_gradient in (forward_loss, gradient):
+            with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+                loss_or_gradient(spec, params, batch)
+
+    @pytest.mark.parametrize("x", [np.ones((2, 7)), np.ones(4)], ids=["width", "1-D"])
+    def test_logits_reject_misshaped_features(self, x):
+        spec, params, _ = mlp_case(0)
+        with pytest.raises(ContractViolation, match="^feature matrix does not match input_dim$"):
+            forward_logits(spec, params, x)
+
+    def test_non_finite_loss_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^non-finite loss$"):
+                forward_loss(*overflowing_case())
 
 
 class TestGradient:
@@ -487,6 +512,92 @@ class TestSgdTrajectory:
             assert last[i].tobytes() == expected[-1].tobytes()
 
 
+# Floats seeded with nan, +-inf, values whose squares (above ~1.3e154) or
+# sums overflow, and zero.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1.7976931348623157e308, 1.4e154, 0.0]),
+    st.floats(width=64),
+)
+
+
+def bias_case(bias):
+    """A quadratic identity model at zero weights and ``bias``, on x = 0 with
+    zero targets: its gradient is zero weights (nan where bias is not
+    finite, as 0 * inf) followed by ``bias`` itself."""
+    c = len(bias)
+    spec = ModelSpec(1, (c,), activation="identity", loss="quadratic")
+    params = np.concatenate([np.zeros(c), bias])
+    return spec, params, Batch(np.zeros((1, 1)), [0], targets=np.zeros((1, c)))
+
+
+def writing(rows):
+    """An update rule whose candidates are ``rows``, whatever the gradient."""
+    def update(theta, g, t, out):
+        out[:] = rows
+    return update
+
+
+class TestFinitenessGuards:
+    """``gradient`` raises, and a trajectory row stops, exactly when a value
+    is not finite, although both test a sum first; a direct call holds its
+    own error state, whatever trajectory ran or failed before it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bias=hnp.arrays(np.float64, st.integers(1, 40), elements=EDGE_FLOATS))
+    def test_gradient_raises_iff_an_entry_is_not_finite(self, bias):
+        spec, params, batch = bias_case(bias)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if np.isfinite(bias).all():
+                assert gradient(spec, params, batch)[len(bias):].tobytes() == bias.tobytes()
+            else:
+                with pytest.raises(NumericError, match="^non-finite gradient$"):
+                    gradient(spec, params, batch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4), c=st.integers(1, 10))
+    def test_row_stops_iff_its_candidate_is_not_finite(self, data, m, c):
+        rows = data.draw(hnp.arrays(np.float64, (m, 2 * c), elements=EDGE_FLOATS))
+        spec, params, batch = bias_case(np.zeros(c))
+        final, _, failures = sgd_trajectory(spec, params, [[batch]] * m, writing(rows))
+        for i, row in enumerate(rows):
+            if np.isfinite(row).all():
+                assert failures[i] is None
+                assert final[i].tobytes() == row.tobytes()
+            else:
+                assert str(failures[i]) == "parameters diverged at step 0"
+                assert final[i].tobytes() == params.tobytes()
+
+    def test_huge_finite_values_pass_both_guards(self):
+        bias = np.array([1.5e154, -1e200, 1.7976931348623157e308])
+        spec, params, batch = bias_case(bias)
+        assert gradient(spec, params, batch)[3:].tobytes() == bias.tobytes()
+        rows = np.full((2, spec.param_count), 1e308)
+        rows[1] *= -1
+        final, _, failures = sgd_trajectory(spec, params, [[batch]] * 2, writing(rows))
+        assert failures == [None, None]
+        assert final.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("fault", ["empty schedule", "failing update"])
+    def test_direct_call_after_a_failed_trajectory_holds_its_errstate(self, fault):
+        spec, params, batch = mlp_case(3)
+
+        def failing(theta, g, t, out):
+            raise RuntimeError("update failed")
+
+        if fault == "empty schedule":
+            with pytest.raises(ContractViolation, match="^batches must be non-empty$"):
+                sgd_trajectory(spec, params, [[batch], []], sgd_update(0.1))
+        else:
+            with pytest.raises(RuntimeError, match="^update failed$"):
+                sgd_trajectory(spec, params, [[batch]], failing)
+        spec, params, batch = overflowing_case()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                gradient(spec, params, batch)
+
+
 class TestMamlOracle:
     def test_no_inner_steps_equals_gradient(self):
         spec, params, batch = mlp_case(4)
@@ -621,12 +732,24 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_parameter_rejected(self, tmp_path, value):
         spec, params, _ = mlp_case(24)
-        params[5] = params[9] = value
         path = tmp_path / "model.fms"
         save_checkpoint(path, spec, params)
+        params[5] = params[9] = value
+        blob = path.read_bytes()
+        path.write_bytes(blob[: -params.nbytes] + params.astype("<f8").tobytes())
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
         assert str(info.value) == "non-finite parameter at index 5"
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameter_not_saved(self, tmp_path, value):
+        spec, params, _ = mlp_case(24)
+        params[5] = params[9] = value
+        path = tmp_path / "model.fms"
+        with pytest.raises(CheckpointError) as info:
+            save_checkpoint(path, spec, params)
+        assert str(info.value) == "non-finite parameter at index 5"
+        assert not path.exists()
 
     @checkpoint_settings
     @given(case=checkpoint_cases())

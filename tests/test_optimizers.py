@@ -198,6 +198,7 @@ class TestCreateValidation:
     @pytest.mark.parametrize("field, value", [
         ("lr", float("nan")), ("beta1", 1.0), ("beta1", -0.1),
         ("beta2", 1.5), ("eps", -1.0), ("eps", 0.0),
+        ("lr", float("inf")), ("eps", float("inf")),
     ])
     def test_bad_hyperparameter_named(self, field, value):
         with pytest.raises(ContractViolation, match=f"^server {field} must "):

@@ -20,7 +20,7 @@ from fedmetasim import (
     split_train_eval,
     substream,
 )
-from fedmetasim.data import ClientDataset
+from fedmetasim.data import ClientDataset, FederatedDataset
 from fedmetasim.errors import NumericError
 from util import (
     drain,
@@ -408,6 +408,14 @@ class TestEvalPopulation:
         cfg = PersonalizationConfig()
         with pytest.raises(ContractViolation):
             eval_population(SPEC, params, ds, ds.eval_client_ids, cfg, 0)
+
+    def test_client_without_test_examples_rejected(self):
+        client = make_client(np.random.default_rng(8))
+        empty = ClientDataset(client.train, client.test[:0])
+        ds = FederatedDataset({0: client, 1: empty}, (0, 1), (), input_dim=4, num_classes=3)
+        params = init_params(SPEC, substream(8, "init"))
+        with pytest.raises(ContractViolation, match="^client 1 has no test examples$"):
+            eval_population(SPEC, params, ds, ds.train_client_ids, PersonalizationConfig(), 0)
 
     def test_mean_invariant_to_client_order(self):
         ds = toy_dataset(seed=4)

@@ -1,6 +1,8 @@
 """The docs and the imports stay honest: README's library example imports
-only names the package exports, no module imports a name it never uses, and
-no function imports anything, so an import cycle cannot hide in a call."""
+only names the package exports, no module imports a name it never uses, no
+function imports anything, so an import cycle cannot hide in a call, and no
+module imports or reaches a private numpy name, which numpy may change in any
+release."""
 
 import ast
 import re
@@ -77,3 +79,58 @@ def test_function_import_is_found():
         "    return g\n"
     )
     assert function_imports(source) == ["line 4: in f", "line 4: in g"]
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_numpy(source: str) -> list[str]:
+    """Where ``source`` imports a private numpy name, or reaches one through an
+    attribute of a name it bound the numpy module to."""
+    tree = ast.parse(source)
+    found, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "numpy":
+                    aliases.add(alias.asname or "numpy")
+                    if any(map(private, parts)):
+                        found.append(f"line {node.lineno}: import {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            names = [*node.module.split("."), *(alias.name for alias in node.names)]
+            if any(map(private, names)):
+                found.append(f"line {node.lineno}: from {node.module} import")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in aliases:
+                found.append(f"line {node.lineno}: .{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_private_numpy(module):
+    assert private_numpy((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_private_numpy_is_found():
+    source = (
+        "import numpy as np\n"
+        "import numpy._core.umath\n"
+        "from numpy._core import multiarray\n"
+        "from numpy import _globals, errstate\n"
+        "state = np._core._extobj_contextvar.get()\n"
+        "public = np.errstate, np.__version__, numpy.linalg.norm\n"
+        "unrelated = state._private\n"
+    )
+    assert sorted(private_numpy(source)) == [
+        "line 2: import numpy._core.umath",
+        "line 3: from numpy._core import",
+        "line 4: from numpy import",
+        "line 5: ._core",
+        "line 5: ._extobj_contextvar",
+    ]
