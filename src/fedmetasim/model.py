@@ -282,9 +282,11 @@ def forward_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     return float(loss)
 
 
-# Set while sgd_trajectory holds the error state gradient needs (overflow is
-# an anticipated outcome, reported as NumericError), so its steps skip entering it.
-_STEP_ERRSTATE = contextvars.ContextVar("_STEP_ERRSTATE", default=False)
+# Set by sgd_trajectory around its own gradient calls only. Their params and
+# out are rows of the loop's float64 (M, P) buffers, the loop holds the
+# error state (overflow is an anticipated outcome), and it tests the rows'
+# finiteness together, so such a call checks only its batch.
+_LOOP_CALL = contextvars.ContextVar("_LOOP_CALL", default=False)
 
 
 def gradient(
@@ -295,15 +297,14 @@ def gradient(
     With ``out``, a writeable C-contiguous float64 array of shape (P,) that
     does not overlap ``params``, the gradient is written into it and ``out``
     is returned; a non-finite result is left there when NumericError is
-    raised.
+    raised. Every call checks ``params``, ``batch`` and ``out``, and raises
+    NumericError on a non-finite result, except those ``sgd_trajectory``
+    makes on its own buffers, which check only ``batch`` and leave the
+    finiteness test to the loop.
     """
-    if _STEP_ERRSTATE.get():
-        return _gradient(spec, params, batch, out)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _gradient(spec, params, batch, out)
-
-
-def _gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, out) -> np.ndarray:
+    if _LOOP_CALL.get():
+        _check_batch(spec, batch)
+        return _backprop(spec, params, batch, out)
     params = _check_params(spec, params)
     _check_batch(spec, batch)
     if out is None:
@@ -318,6 +319,16 @@ def _gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, out) -> np.ndar
         raise ContractViolation(
             f"out must be a writeable C-contiguous float64 array of shape {params.shape}"
         )
+    with np.errstate(over="ignore", invalid="ignore"):
+        _backprop(spec, params, batch, out)
+        # A finite sum of squares proves every entry finite; the sum overflows
+        # for entries above about 1e154, so a non-finite one is confirmed.
+        if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
+            raise NumericError("non-finite gradient")
+    return out
+
+
+def _backprop(spec: ModelSpec, params: np.ndarray, batch: Batch, out: np.ndarray) -> np.ndarray:
     acts = _forward(spec, params, batch.x)
 
     # The logits buffer becomes the output error dz. Subtracting whole
@@ -346,11 +357,25 @@ def _gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, out) -> np.ndar
         if i:
             dz = dot(dz, params[w0:b0].reshape(fan_out, fan_in))
             derivative(dz, a)
-    # A finite sum of squares proves every entry finite; the sum overflows
-    # for entries above about 1e154, so a non-finite one is confirmed.
-    if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
-        raise NumericError("non-finite gradient")
     return out
+
+
+def _stopping(a: np.ndarray, rows: list[int], ones: np.ndarray) -> list[int]:
+    """Those of ``rows`` whose row of ``a`` holds a nan or inf. A nan or inf
+    entry makes its row sum, and the total of the sums, nan or inf, so a
+    finite total proves every row finite. Rows not in ``rows`` have stopped
+    or ended, and their stale values are not tested."""
+    sums = a.dot(ones)
+    if len(rows) < len(sums):
+        sums = sums[rows]
+    return [] if math.isfinite(sums.sum()) else _not_finite(a, rows, sums)
+
+
+def _not_finite(a: np.ndarray, rows: list[int], sums: np.ndarray) -> list[int]:
+    """The exact test behind ``_stopping``: a sum that is not finite may
+    come from finite entries that overflow, so its row is tested entry by
+    entry."""
+    return [i for i, s in zip(rows, sums) if not math.isfinite(s) and not np.isfinite(a[i]).all()]
 
 
 def sgd_trajectory(
@@ -363,77 +388,98 @@ def sgd_trajectory(
     """Step one trajectory per schedule, all from ``params`` and in lockstep.
 
     ``schedules`` holds M batch sequences of any lengths. At step position
-    j, ``gradient`` is called once per stepping row, on its own iterate and
-    batch, and then ``update(theta, g, j + 1, out)`` writes every row's
-    candidate into ``out`` at once; ``theta`` and ``g`` are (M, P) and
-    ``out`` overlaps neither. Every update operation is elementwise, so each
-    row rounds exactly as its trajectory would alone.
+    j, every running row takes its next batch; then ``gradient`` is called
+    once per stepping row, on its own iterate and batch, and
+    ``update(theta, g, j + 1, out)`` writes every row's candidate into
+    ``out`` at once; ``theta`` and ``g`` are (M, P) and ``out`` overlaps
+    neither. Every update operation is elementwise, so each row rounds
+    exactly as its trajectory would alone.
 
     A row stops at the end of its schedule, or at a non-finite gradient or
     candidate: it keeps its last finite iterate and takes no further
     gradient, while the other rows step on. Returns the (M, P) final
     iterates, the (M, P) raw gradients of each row's last step, and one
     DivergenceError per row that stopped on a non-finite value, carrying its
-    step index, else None; nothing is raised for divergence. With
-    ``grads``, a C-contiguous float64 (M, K, P) array with K at least every
-    schedule's length, row i's step j gradient is written into
-    ``grads[i, j]``. A row's failed step leaves its gradient row undefined.
+    step index (a gradient's with a NumericError cause), else None; nothing
+    is raised for divergence. With ``grads``, a writeable C-contiguous
+    float64 (M, K, P) array with K at least every schedule's length, row
+    i's step j gradient is written into ``grads[i, j]``. A row's failed
+    step leaves its gradient row undefined.
 
-    ``gradient`` writes each step's result straight into its row of the
-    gradient buffer, so no step allocates a result, and runs in the error
-    state the loop holds, which it does not enter again.
+    ``params`` and ``grads`` are checked once, here, and each batch by its
+    ``gradient`` call. The loop's own ``gradient`` calls write straight into
+    their rows of the gradient buffer, so no step allocates a result, and
+    run in the error state the loop holds; at each step position one BLAS
+    pass of row sums proves the stepping rows' gradients, then their
+    candidates, finite.
     """
     params = _check_params(spec, params)
     if not schedules:
         raise ContractViolation("schedules must be non-empty")
+    shape = (len(schedules), params.shape[0])
+    if grads is not None and not (
+        isinstance(grads, np.ndarray)
+        and grads.dtype == np.float64
+        and grads.ndim == 3
+        and (grads.shape[0], grads.shape[2]) == shape
+        and grads.flags.c_contiguous
+        and grads.flags.writeable
+    ):
+        raise ContractViolation(
+            f"grads must be a writeable C-contiguous float64 array of shape "
+            f"({shape[0]}, K, {shape[1]})"
+        )
     batches = [iter(s) for s in schedules]
     theta = np.tile(params, (len(batches), 1))
     spare, last = np.empty_like(theta), np.empty_like(theta)
+    # Row views made once; each list is swapped with its buffer.
+    theta_rows, spare_rows = list(theta), list(spare)
     failures: list[DivergenceError | None] = [None] * len(batches)
     running = list(range(len(batches)))
     ones = np.ones(theta.shape[1])
     # Overflow here is an anticipated outcome, reported per row.
     with np.errstate(over="ignore", invalid="ignore"):
-        mark = _STEP_ERRSTATE.set(True)
-        try:
-            for j in itertools.count():
-                # At j == K no row can step; only the ended rows are found.
-                g = last if grads is None or j == grads.shape[1] else grads[:, j]
-                stepped = []
-                for i in running:
-                    batch = next(batches[i], None)
-                    if batch is None:
-                        if not j:
-                            raise ContractViolation("batches must be non-empty")
-                        if grads is not None:
-                            last[i] = grads[i, j - 1]
-                        continue
-                    try:
-                        gradient(spec, theta[i], batch, out=g[i])
-                        stepped.append(i)
-                    except NumericError as exc:
-                        failures[i] = DivergenceError(
-                            f"non-finite gradient at step {j}", step_index=j
-                        )
-                        failures[i].__cause__ = exc
+        for j in itertools.count():
+            # At j == K only the ended rows are found; a row with a batch left is refused.
+            g = last if grads is None or j == grads.shape[1] else grads[:, j]
+            stepped, taken = [], []
+            for i in running:
+                batch = next(batches[i], None)
+                if batch is not None:
+                    stepped.append(i)
+                    taken.append(batch)
+                elif not j:
+                    raise ContractViolation("batches must be non-empty")
+                elif grads is not None:
+                    last[i] = grads[i, j - 1]
+            if not stepped:
+                break
+            if g is last and grads is not None:
+                raise ContractViolation(f"a schedule is longer than grads' {j} steps")
+            mark = _LOOP_CALL.set(True)
+            try:
+                for i, batch in zip(stepped, taken):
+                    gradient(spec, theta_rows[i], batch, g[i])
+            finally:
+                _LOOP_CALL.reset(mark)
+            if bad := _stopping(g, stepped, ones):
+                for i in bad:
+                    failures[i] = DivergenceError(f"non-finite gradient at step {j}", step_index=j)
+                    failures[i].__cause__ = NumericError("non-finite gradient")
+                stepped = [i for i in stepped if i not in bad]
                 if not stepped:
                     break
-                update(theta, g, j + 1, spare)
-                # A finite row sum proves its row finite; else the exact mask decides.
-                if not np.isfinite(spare.dot(ones)).all():
-                    finite = np.isfinite(spare).all(axis=1)
-                    for i in [i for i in stepped if not finite[i]]:
-                        failures[i] = DivergenceError(
-                            f"parameters diverged at step {j}", step_index=j
-                        )
-                    stepped = [i for i in stepped if finite[i]]
-                running = stepped
-                if len(running) < len(batches):
-                    theta[running] = spare[running]  # a stopped row keeps its last finite iterate
-                else:
-                    theta, spare = spare, theta
-        finally:
-            _STEP_ERRSTATE.reset(mark)
+            update(theta, g, j + 1, spare)
+            if bad := _stopping(spare, stepped, ones):
+                for i in bad:
+                    failures[i] = DivergenceError(f"parameters diverged at step {j}", step_index=j)
+                stepped = [i for i in stepped if i not in bad]
+            running = stepped
+            if len(running) < len(batches):
+                theta[running] = spare[running]  # a stopped row keeps its last finite iterate
+            else:
+                theta, spare = spare, theta
+                theta_rows, spare_rows = spare_rows, theta_rows
     return theta, last, failures
 
 

@@ -18,6 +18,7 @@ from fedmetasim import (
     ClientOptimizerConfig,
     DivergenceError,
     ModelSpec,
+    NumericError,
     PersonalizationConfig,
     RoundConfig,
     ServerOptimizerState,
@@ -26,7 +27,7 @@ from fedmetasim import (
     run_round,
     substream,
 )
-from fedmetasim import model
+from fedmetasim import federation, model, personalization
 from fedmetasim.data import ClientDataset, FederatedDataset
 from util import reference_local_update, reference_personalize, reference_round_updates
 
@@ -134,3 +135,51 @@ def test_round_rows_stop_only_on_their_own_end_or_divergence():
             except DivergenceError:
                 assert cid == 1
     assert lockstep[0] == solo[0] < 3 * sum(-(-n // 3) for n in sizes)
+
+
+@pytest.mark.parametrize("path", ["run_round", "eval_population"])
+def test_rows_stopped_by_a_non_finite_gradient_mid_schedule(path, monkeypatch):
+    # Under relu clients 1 and 3 meet a non-finite gradient within their 9
+    # steps, which stays in their gradient rows; the other rows step on to
+    # their ends, and the lockstep path makes exactly the oracles' calls.
+    spec = ModelSpec(4, (6, 3), activation="relu")
+    sizes = (8, 9, 6, 9)
+    ds = unequal_dataset(sizes, poisoned=(1, 3))
+    params = init_params(spec, substream(1, "init"))
+    module = federation if path == "run_round" else personalization
+    failures = []
+
+    def recording(*args):
+        result = model.sgd_trajectory(*args)
+        failures.extend(result[2])
+        return result
+
+    monkeypatch.setattr(module, "sgd_trajectory", recording)
+    if path == "run_round":
+        cfg = RoundConfig("fedavg", 4, ClientOptimizerConfig(0.05, 3), epochs=3)
+        server = ServerOptimizerState("sgd", lr=1.0)
+        with counted_gradient() as lockstep, pytest.raises(DivergenceError):
+            run_round(spec, params, ds, cfg, server, 1, 4)
+        with counted_gradient() as oracle:
+            for cid in ds.train_client_ids:
+                rng = substream(4, "round.batch", 1, cid)
+                try:
+                    reference_local_update(spec, params, ds.clients[cid], cfg, rng)
+                except DivergenceError:
+                    assert cid in (1, 3)
+    else:
+        cfg = PersonalizationConfig("sgd", lr=0.05, epochs=3, batch_size=3)
+        with counted_gradient() as lockstep:
+            report = eval_population(spec, params, ds, ds.train_client_ids, cfg, 4)
+        assert [o.diverged for o in report.outcomes] == [False, True, False, True]
+        with counted_gradient() as oracle:
+            for cid in ds.train_client_ids:
+                rng = substream(4, "personalize", 0, cid)
+                reference_personalize(spec, params, ds.clients[cid], cfg, rng)
+    stopped = {i: f for i, f in enumerate(failures) if f is not None}
+    assert sorted(stopped) == [1, 3]
+    for f in stopped.values():
+        assert str(f) == f"non-finite gradient at step {f.step_index}"
+        assert 0 < f.step_index < 8 and isinstance(f.__cause__, NumericError)
+    steps = 9 + 6 + sum(f.step_index + 1 for f in stopped.values())
+    assert lockstep[0] == oracle[0] == steps

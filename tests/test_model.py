@@ -27,6 +27,7 @@ from fedmetasim import (
     substream,
     unflatten_params,
 )
+from fedmetasim import model
 from fedmetasim.optimizers import sgd_update
 from util import (
     fd_gradient,
@@ -511,6 +512,71 @@ class TestSgdTrajectory:
             assert grads[i, :k].tobytes() == np.stack(expected).tobytes()
             assert last[i].tobytes() == expected[-1].tobytes()
 
+    def test_a_stopped_row_is_tested_no_more(self, monkeypatch):
+        # Row 1 stops at step 2 on a non-finite gradient, which stays in its
+        # gradient row; only the rows that step are tested, so the exact
+        # test runs once, where it stops, not at each of the 17 positions after.
+        spec, params, batch = mlp_case(14, activation="relu")
+        huge = Batch(batch.x * 1e200, batch.y)
+        schedules = [[batch] * 20, [batch, huge] + [batch] * 18]
+        exact, found = model._not_finite, []
+
+        def spy(a, rows, sums):
+            found.append(exact(a, rows, sums))
+            return found[-1]
+
+        monkeypatch.setattr(model, "_not_finite", spy)
+        final, last, failures = sgd_trajectory(spec, params, schedules, sgd_update(0.1))
+        assert found == [[1]]
+        theta, expected = reference_sgd_trajectory(spec, params, schedules[0], 0.1)
+        assert failures[0] is None
+        assert final[0].tobytes() == theta.tobytes()
+        assert last[0].tobytes() == expected[-1].tobytes()
+        with pytest.raises(DivergenceError) as alone:
+            reference_sgd_trajectory(spec, params, schedules[1], 0.1)
+        step = alone.value.step_index
+        assert (str(failures[1]), failures[1].step_index) == (str(alone.value), step) == (
+            "non-finite gradient at step 2", 2)
+        assert isinstance(failures[1].__cause__, NumericError)
+        theta, _ = reference_sgd_trajectory(spec, params, schedules[1][:step], 0.1)
+        assert final[1].tobytes() == theta.tobytes()
+
+    @pytest.mark.parametrize("make_grads", [
+        lambda m, p: np.empty((m, 2, p), dtype=np.float32),
+        lambda m, p: np.empty((m, 2, p), order="F"),
+        lambda m, p: np.empty((m, 2, p))[:, :, ::-1],
+        lambda m, p: np.zeros((m, 2, p)).view(np.int64),
+        lambda m, p: np.empty((m + 1, 2, p)),
+        lambda m, p: np.empty((m, 2, p + 1)),
+        lambda m, p: np.empty((m, p)),
+        lambda m, p: np.empty((m, 2, p)).tolist(),
+        "read-only",
+    ], ids=["float32", "fortran", "reversed", "int64", "wrong-M", "wrong-P", "2-D", "list",
+            "read-only"])
+    def test_bad_grads_refused_before_any_step(self, make_grads, monkeypatch):
+        spec, params, batch = mlp_case(4)
+        if make_grads == "read-only":
+            grads = np.empty((2, 2, spec.param_count))
+            grads.flags.writeable = False
+        else:
+            grads = make_grads(2, spec.param_count)
+        taken, calls = [], []
+
+        def schedule():
+            taken.append(batch)
+            yield batch
+
+        monkeypatch.setattr(model, "gradient", lambda *args: calls.append(args))
+        with pytest.raises(ContractViolation, match="^grads must be a writeable C-contiguous"):
+            sgd_trajectory(spec, params, [schedule(), schedule()], sgd_update(0.1), grads)
+        assert taken == calls == []
+
+    def test_schedule_longer_than_grads_refused(self):
+        spec, params, batch = mlp_case(4)
+        grads = np.empty((2, 2, spec.param_count))
+        with pytest.raises(ContractViolation, match="^a schedule is longer than grads' 2 steps$"):
+            sgd_trajectory(spec, params, [[batch] * 2, [batch] * 3], sgd_update(0.1), grads)
+
 
 # Floats seeded with nan, +-inf, values whose squares (above ~1.3e154) or
 # sums overflow, and zero.
@@ -523,7 +589,8 @@ EDGE_FLOATS = st.one_of(
 def bias_case(bias):
     """A quadratic identity model at zero weights and ``bias``, on x = 0 with
     zero targets: its gradient is zero weights (nan where bias is not
-    finite, as 0 * inf) followed by ``bias`` itself."""
+    finite, as 0 * inf) followed by ``bias`` itself, each -0.0 read as
+    +0.0, since the logits add it to a +0.0 product."""
     c = len(bias)
     spec = ModelSpec(1, (c,), activation="identity", loss="quadratic")
     params = np.concatenate([np.zeros(c), bias])
@@ -544,12 +611,14 @@ class TestFinitenessGuards:
 
     @settings(max_examples=300, deadline=None)
     @given(bias=hnp.arrays(np.float64, st.integers(1, 40), elements=EDGE_FLOATS))
+    @example(bias=np.array([-0.0, 1.0]))
     def test_gradient_raises_iff_an_entry_is_not_finite(self, bias):
         spec, params, batch = bias_case(bias)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if np.isfinite(bias).all():
-                assert gradient(spec, params, batch)[len(bias):].tobytes() == bias.tobytes()
+                got = gradient(spec, params, batch)[len(bias):]
+                assert got.tobytes() == (0.0 + bias).tobytes()
             else:
                 with pytest.raises(NumericError, match="^non-finite gradient$"):
                     gradient(spec, params, batch)
@@ -568,6 +637,26 @@ class TestFinitenessGuards:
                 assert str(failures[i]) == "parameters diverged at step 0"
                 assert final[i].tobytes() == params.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4), c=st.integers(1, 10))
+    def test_row_stops_iff_its_gradient_is_not_finite(self, data, m, c):
+        # At zero parameters and x = 0, each row's gradient is zero weights
+        # (nan where a target is not finite, as 0 * inf) then minus its targets.
+        targets = data.draw(hnp.arrays(np.float64, (m, c), elements=EDGE_FLOATS))
+        spec, params, _ = bias_case(np.zeros(c))
+        schedules = [[Batch(np.zeros((1, 1)), [0], targets=t[None])] * 2 for t in targets]
+        final, _, failures = sgd_trajectory(spec, params, schedules, sgd_update(0.5))
+        for i, (row, schedule) in enumerate(zip(targets, schedules)):
+            if np.isfinite(row).all():
+                theta, _ = reference_sgd_trajectory(spec, params, schedule, 0.5)
+                assert failures[i] is None
+                assert final[i].tobytes() == theta.tobytes()
+            else:
+                assert (str(failures[i]), failures[i].step_index) == (
+                    "non-finite gradient at step 0", 0)
+                assert isinstance(failures[i].__cause__, NumericError)
+                assert final[i].tobytes() == params.tobytes()
+
     def test_huge_finite_values_pass_both_guards(self):
         bias = np.array([1.5e154, -1e200, 1.7976931348623157e308])
         spec, params, batch = bias_case(bias)
@@ -577,6 +666,54 @@ class TestFinitenessGuards:
         final, _, failures = sgd_trajectory(spec, params, [[batch]] * 2, writing(rows))
         assert failures == [None, None]
         assert final.tobytes() == rows.tobytes()
+        # Finite gradient rows whose sums overflow step on too.
+        bias = np.array([1e308, 1.7976931348623157e308])
+        spec, params, batch = bias_case(bias)
+        grads = np.empty((2, 1, spec.param_count))
+        rows = np.full((2, spec.param_count), 1e308)
+        final, _, failures = sgd_trajectory(spec, params, [[batch], [batch]], writing(rows), grads)
+        assert failures == [None, None]
+        assert [sum(row) for row in grads[:, 0].tolist()] == [math.inf, math.inf]
+        assert grads[:, 0, 2:].tobytes() == np.tile(bias, 2).tobytes()
+        assert final.tobytes() == rows.tobytes()
+
+    def test_calls_from_a_schedule_or_an_update_keep_every_check(self):
+        # Only the loop's own gradient calls trust their buffers; a call
+        # from a schedule's iterator or from the update rule, made while
+        # the loop runs, checks params and out and raises on a non-finite
+        # result, without a warning.
+        spec, params, batch = mlp_case(3)
+        p, checked = spec.param_count, []
+
+        def direct_calls(where):
+            read_only = np.empty(p)
+            read_only.flags.writeable = False
+            outs = [np.empty(p, dtype=np.float32), read_only, np.empty((2, p), order="F")[0]]
+            for out in outs:
+                with pytest.raises(ContractViolation, match="^out must be"):
+                    gradient(spec, params, batch, out)
+            with pytest.raises(ContractViolation, match="^expected"):
+                gradient(spec, params[:-1], batch, np.empty(p - 1))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError, match="^non-finite gradient$"):
+                    gradient(*overflowing_case())
+            checked.append(where)
+
+        def schedule():
+            for _ in range(2):
+                direct_calls("schedule")
+                yield batch
+
+        def update(theta, g, t, out):
+            direct_calls("update")
+            sgd_update(0.1)(theta, g, t, out)
+
+        final, _, failures = sgd_trajectory(spec, params, [schedule()], update)
+        assert checked == ["schedule", "update", "schedule", "update"]
+        assert failures == [None]
+        theta, _ = reference_sgd_trajectory(spec, params, [batch] * 2, 0.1)
+        assert final[0].tobytes() == theta.tobytes()
 
     @pytest.mark.parametrize("fault", ["empty schedule", "failing update"])
     def test_direct_call_after_a_failed_trajectory_holds_its_errstate(self, fault):
