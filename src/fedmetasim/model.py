@@ -4,8 +4,13 @@ Model parameters live in a single flat float64 vector laid out per layer as
 the row-major weight matrix followed by the bias. All operations here are
 pure functions of their inputs; nothing mutates shared state, so values are
 safe to reuse across threads; the one buffer a caller may hand in is
-``gradient``'s ``out``. A ``Batch`` owns read-only copies of its arrays and
-their label bound, so the per-call batch checks are O(1).
+``gradient``'s ``out``. The kernel never slices a flat vector itself: it
+reads per-layer views, which ``_layer_views`` alone cuts from a flat
+vector by the layout. The views alias the vector they were cut from, the
+caller's buffer included, so they are made once per direct call, and once
+per trajectory for every row of ``sgd_trajectory``'s buffers. A ``Batch``
+owns read-only copies of its arrays and their label bound, so the per-call
+batch checks are O(1).
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ class ModelSpec:
                 "quadratic loss requires a single layer with identity activation"
             )
         # (weight start, bias start, layer end, fan_out, fan_in) per layer,
-        # computed once: every gradient step slices the flat vector by it.
+        # computed once: _layer_views slices every flat vector by it.
         layout, offset, fan_in = [], 0, self.input_dim
         for fan_out in self.layer_dims:
             bias = offset + fan_in * fan_out
@@ -211,13 +216,22 @@ def _check_batch(spec: ModelSpec, batch: Batch) -> None:
         raise ContractViolation("targets must have shape (batch, num_classes)")
 
 
+def _layer_views(
+    spec: ModelSpec, flat: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per layer, (weights, their transpose, bias) as views of ``flat``, the
+    one place a flat vector is sliced by the layout. Writing a view writes
+    ``flat``."""
+    views = []
+    for w0, b0, end, fan_out, fan_in in spec._layout:
+        w = flat[w0:b0].reshape(fan_out, fan_in)
+        views.append((w, w.T, flat[b0:end]))
+    return views
+
+
 def unflatten_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views of the flat vector as per-layer (weights, bias). Treat as read-only."""
-    params = _check_params(spec, params)
-    return [
-        (params[w0:b0].reshape(fan_out, fan_in), params[b0:end])
-        for w0, b0, end, fan_out, fan_in in spec._layout
-    ]
+    return [(w, b) for w, _, b in _layer_views(spec, _check_params(spec, params))]
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -230,19 +244,19 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
-    """Activations of every layer, sliced from the flat vector by the layout.
+def _forward(spec: ModelSpec, layers: list, x: np.ndarray) -> list[np.ndarray]:
+    """Activations of every layer, from the parameters' ``_layer_views``.
 
     ``acts[0]`` is x and ``acts[-1]`` the logits. A hidden layer's
     pre-activation is activated in place just before it feeds the next layer.
     """
     acts, dot, activate = [x], spec._dot, spec._activate
-    for i, (w0, b0, end, fan_out, fan_in) in enumerate(spec._layout):
+    for i, (_, wt, b) in enumerate(layers):
         a = acts[-1]
         if i:
             activate(a)
-        z = dot(a, params[w0:b0].reshape(fan_out, fan_in).T)
-        z += params[b0:end]
+        z = dot(a, wt)
+        z += b
         acts.append(z)
     return acts
 
@@ -255,7 +269,7 @@ def forward_logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.nda
         raise ContractViolation("feature matrix does not match input_dim")
     # A diverged client's last finite iterate may overflow its logits.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _forward(spec, params, x)[-1]
+        return _forward(spec, _layer_views(spec, params), x)[-1]
 
 
 def _loss_targets(spec: ModelSpec, batch: Batch) -> np.ndarray:
@@ -269,7 +283,7 @@ def forward_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     params = _check_params(spec, params)
     _check_batch(spec, batch)
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = _forward(spec, params, batch.x)[-1]
+        logits = _forward(spec, _layer_views(spec, params), batch.x)[-1]
         if spec.loss == "softmax_cross_entropy":
             zmax = logits.max(axis=1, keepdims=True)
             lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
@@ -282,11 +296,13 @@ def forward_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     return float(loss)
 
 
-# Set by sgd_trajectory around its own gradient calls only. Their params and
-# out are rows of the loop's float64 (M, P) buffers, the loop holds the
-# error state (overflow is an anticipated outcome), and it tests the rows'
-# finiteness together, so such a call checks only its batch.
-_LOOP_CALL = contextvars.ContextVar("_LOOP_CALL", default=False)
+# Set by sgd_trajectory around its own gradient calls only, to a one-slot
+# list that holds, for the call being made, the ``_layer_views`` of its
+# params and of its out: rows of the loop's float64 (M, P) buffers, whose
+# views the loop made once. The loop holds the error state (overflow is an
+# anticipated outcome) and tests the rows' finiteness together, so such a
+# call checks only its batch.
+_LOOP_CALL = contextvars.ContextVar("_LOOP_CALL", default=None)
 
 
 def gradient(
@@ -297,14 +313,17 @@ def gradient(
     With ``out``, a writeable C-contiguous float64 array of shape (P,) that
     does not overlap ``params``, the gradient is written into it and ``out``
     is returned; a non-finite result is left there when NumericError is
-    raised. Every call checks ``params``, ``batch`` and ``out``, and raises
-    NumericError on a non-finite result, except those ``sgd_trajectory``
-    makes on its own buffers, which check only ``batch`` and leave the
+    raised. Every call checks ``params``, ``batch`` and ``out``, cuts their
+    per-layer views, which alias them, and raises NumericError on a
+    non-finite result, except those ``sgd_trajectory`` makes on its own
+    buffers: these check only ``batch``, run the kernel on the views the
+    loop made of ``params`` and ``out`` once per trajectory, and leave the
     finiteness test to the loop.
     """
-    if _LOOP_CALL.get():
+    if (call := _LOOP_CALL.get()) is not None:
         _check_batch(spec, batch)
-        return _backprop(spec, params, batch, out)
+        _backprop(spec, *call[0], batch)
+        return out
     params = _check_params(spec, params)
     _check_batch(spec, batch)
     if out is None:
@@ -320,7 +339,7 @@ def gradient(
             f"out must be a writeable C-contiguous float64 array of shape {params.shape}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        _backprop(spec, params, batch, out)
+        _backprop(spec, _layer_views(spec, params), _layer_views(spec, out), batch)
         # A finite sum of squares proves every entry finite; the sum overflows
         # for entries above about 1e154, so a non-finite one is confirmed.
         if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
@@ -328,8 +347,10 @@ def gradient(
     return out
 
 
-def _backprop(spec: ModelSpec, params: np.ndarray, batch: Batch, out: np.ndarray) -> np.ndarray:
-    acts = _forward(spec, params, batch.x)
+def _backprop(spec: ModelSpec, layers: list, grads: list, batch: Batch) -> None:
+    """Writes the gradient into ``grads``, the ``_layer_views`` of the
+    result, from ``layers``, those of the parameters."""
+    acts = _forward(spec, layers, batch.x)
 
     # The logits buffer becomes the output error dz. Subtracting whole
     # one-hot rows keeps every bit of the label-entry subtraction, since
@@ -345,19 +366,17 @@ def _backprop(spec: ModelSpec, params: np.ndarray, batch: Batch, out: np.ndarray
     dz /= dz.shape[0]
 
     # Backward from the last layer. Each layer's gradient is written straight
-    # into its slice of the flat result, in the parameter layout. A hidden
+    # into its views of the flat result, in the parameter layout. A hidden
     # activation is the kernel's own buffer and is dead once the products
     # below have read it, so the derivative may be formed in it.
     dot, derivative = spec._dot, spec._derivative
-    for i in range(len(spec._layout) - 1, -1, -1):
-        w0, b0, end, fan_out, fan_in = spec._layout[i]
-        a = acts[i]
-        dot(dz.T, a, out=out[w0:b0].reshape(fan_out, fan_in))
-        np.add.reduce(dz, axis=0, out=out[b0:end])
+    for i in range(len(layers) - 1, -1, -1):
+        a, (gw, _, gb) = acts[i], grads[i]
+        dot(dz.T, a, out=gw)
+        np.add.reduce(dz, axis=0, out=gb)
         if i:
-            dz = dot(dz, params[w0:b0].reshape(fan_out, fan_in))
+            dz = dot(dz, layers[i][0])
             derivative(dz, a)
-    return out
 
 
 def _stopping(a: np.ndarray, rows: list[int], ones: np.ndarray) -> list[int]:
@@ -407,11 +426,15 @@ def sgd_trajectory(
     step leaves its gradient row undefined.
 
     ``params`` and ``grads`` are checked once, here, and each batch by its
-    ``gradient`` call. The loop's own ``gradient`` calls write straight into
-    their rows of the gradient buffer, so no step allocates a result, and
-    run in the error state the loop holds; at each step position one BLAS
-    pass of row sums proves the stepping rows' gradients, then their
-    candidates, finite.
+    ``gradient`` call. Every step's gradient lands in its row of ``last``,
+    the (M, P) buffer returned, so the ``g`` handed to ``update`` is always
+    ``last``; with ``grads``, the rows that stepped are then copied into
+    ``grads[:, j]``. The per-layer views of every row of the iterates, the
+    candidates and ``last``, which alias those buffers, are made once per
+    call, and the loop's own ``gradient`` calls run the kernel on them, so
+    no step slices a flat vector or allocates a result. They run in the
+    error state the loop holds; at each step position one BLAS pass of row
+    sums proves the stepping rows' gradients, then their candidates, finite.
     """
     params = _check_params(spec, params)
     if not schedules:
@@ -432,16 +455,19 @@ def sgd_trajectory(
     batches = [iter(s) for s in schedules]
     theta = np.tile(params, (len(batches), 1))
     spare, last = np.empty_like(theta), np.empty_like(theta)
-    # Row views made once; each list is swapped with its buffer.
-    theta_rows, spare_rows = list(theta), list(spare)
+    # Row views and their per-layer views, made once; theta's and spare's
+    # lists are swapped with their buffers.
+    theta_rows, spare_rows, last_rows = list(theta), list(spare), list(last)
+    theta_views, spare_views, last_views = (
+        [_layer_views(spec, row) for row in rows] for rows in (theta_rows, spare_rows, last_rows)
+    )
+    call = [None]  # the views of the gradient call being made, for gradient
     failures: list[DivergenceError | None] = [None] * len(batches)
     running = list(range(len(batches)))
     ones = np.ones(theta.shape[1])
     # Overflow here is an anticipated outcome, reported per row.
     with np.errstate(over="ignore", invalid="ignore"):
         for j in itertools.count():
-            # At j == K only the ended rows are found; a row with a batch left is refused.
-            g = last if grads is None or j == grads.shape[1] else grads[:, j]
             stepped, taken = [], []
             for i in running:
                 batch = next(batches[i], None)
@@ -450,26 +476,30 @@ def sgd_trajectory(
                     taken.append(batch)
                 elif not j:
                     raise ContractViolation("batches must be non-empty")
-                elif grads is not None:
-                    last[i] = grads[i, j - 1]
             if not stepped:
                 break
-            if g is last and grads is not None:
+            if grads is not None and j == grads.shape[1]:
                 raise ContractViolation(f"a schedule is longer than grads' {j} steps")
-            mark = _LOOP_CALL.set(True)
+            mark = _LOOP_CALL.set(call)
             try:
                 for i, batch in zip(stepped, taken):
-                    gradient(spec, theta_rows[i], batch, g[i])
+                    call[0] = theta_views[i], last_views[i]
+                    gradient(spec, theta_rows[i], batch, last_rows[i])
             finally:
                 _LOOP_CALL.reset(mark)
-            if bad := _stopping(g, stepped, ones):
+            if grads is not None:
+                if len(stepped) == len(batches):
+                    grads[:, j] = last
+                else:
+                    grads[stepped, j] = last[stepped]
+            if bad := _stopping(last, stepped, ones):
                 for i in bad:
                     failures[i] = DivergenceError(f"non-finite gradient at step {j}", step_index=j)
                     failures[i].__cause__ = NumericError("non-finite gradient")
                 stepped = [i for i in stepped if i not in bad]
                 if not stepped:
                     break
-            update(theta, g, j + 1, spare)
+            update(theta, last, j + 1, spare)
             if bad := _stopping(spare, stepped, ones):
                 for i in bad:
                     failures[i] = DivergenceError(f"parameters diverged at step {j}", step_index=j)
@@ -480,6 +510,7 @@ def sgd_trajectory(
             else:
                 theta, spare = spare, theta
                 theta_rows, spare_rows = spare_rows, theta_rows
+                theta_views, spare_views = spare_views, theta_views
     return theta, last, failures
 
 

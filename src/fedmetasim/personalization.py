@@ -130,6 +130,33 @@ def personalize(
     return adapted, np.array([f is not None for f in failures])
 
 
+def _personalized_accuracy(
+    spec: ModelSpec,
+    params: np.ndarray,
+    dataset: FederatedDataset,
+    ids: tuple[int, ...],
+    cfg: PersonalizationConfig,
+    seed: int,
+    snapshot_index: int,
+) -> tuple[list[ClientDataset], np.ndarray, np.ndarray]:
+    """The clients ``ids``, each one's test accuracy after personalization,
+    and the (M,) diverged flags: the adapt-and-score path of
+    ``eval_population`` and ``epochs_sweep``.
+    """
+    if not ids:
+        raise ContractViolation("no clients in the population")
+    clients = [dataset.clients[cid] for cid in ids]
+    for cid, client in zip(ids, clients):
+        if client.test.n == 0:
+            raise ContractViolation(f"client {cid} has no test examples")
+    adapted, diverged = personalize(
+        spec, params, clients, cfg,
+        [substream(seed, "personalize", snapshot_index, cid) for cid in ids],
+    )
+    final = np.array([evaluate_accuracy(spec, row, c.test) for row, c in zip(adapted, clients)])
+    return clients, final, diverged
+
+
 def eval_population(
     spec: ModelSpec,
     params: np.ndarray,
@@ -140,24 +167,16 @@ def eval_population(
     snapshot_index: int = 0,
 ) -> PersonalizationReport:
     """Personalize and score the clients ``ids`` of ``dataset``, usually
-    its ``train_client_ids`` or ``eval_client_ids``.
+    its ``train_client_ids`` or ``eval_client_ids``, and score them under
+    ``params`` unadapted.
 
     Each client gets its own substream keyed by (snapshot_index, client
     id), so the report does not depend on evaluation order.
     """
-    if not ids:
-        raise ContractViolation("no clients in the population")
-
-    clients = [dataset.clients[cid] for cid in ids]
-    for cid, client in zip(ids, clients):
-        if client.test.n == 0:
-            raise ContractViolation(f"client {cid} has no test examples")
-    initial = np.array([evaluate_accuracy(spec, params, c.test) for c in clients])
-    adapted, diverged = personalize(
-        spec, params, clients, cfg,
-        [substream(seed, "personalize", snapshot_index, cid) for cid in ids],
+    clients, final, diverged = _personalized_accuracy(
+        spec, params, dataset, ids, cfg, seed, snapshot_index
     )
-    final = np.array([evaluate_accuracy(spec, row, c.test) for row, c in zip(adapted, clients)])
+    initial = np.array([evaluate_accuracy(spec, params, c.test) for c in clients])
     return PersonalizationReport(
         round_index=snapshot_index,
         initial_mean=float(initial.mean()),
@@ -184,17 +203,17 @@ def epochs_sweep(
     """Mean personalized accuracy at every epoch count in 1..max_epochs.
 
     Each (optimizer, epoch count) cell is an independent population
-    evaluation starting from the same global model, with fresh optimizer
-    state per cell.
+    adaptation starting from the same global model, with fresh optimizer
+    state per cell, scored as ``eval_population``'s personalized mean. The
+    unadapted accuracies, which no cell reads, are not computed.
     """
     if max_epochs < 1:
         raise ContractViolation("max_epochs must be at least 1")
     rows = []
     for cfg in optimizers:
         for e in range(1, max_epochs + 1):
-            report = eval_population(
-                spec, params, dataset, ids, replace(cfg, epochs=e), seed,
-                snapshot_index=e,
+            _, final, _ = _personalized_accuracy(
+                spec, params, dataset, ids, replace(cfg, epochs=e), seed, snapshot_index=e
             )
-            rows.append((cfg.label(), e, report.personalized_mean))
+            rows.append((cfg.label(), e, float(final.mean())))
     return rows

@@ -247,6 +247,41 @@ def gemv_examples(test):
     return test
 
 
+@st.composite
+def lockstep_cases(draw):
+    """M = 1 to 6 rows with schedules of unequal lengths, on the quadratic
+    model or on an MLP of depth 1 to 4 whose widths may be 1 (a spec that
+    keeps ``np.matmul``). One row meets at least two batches scaled by
+    1e200, from a step after its first to its end: on the quadratic model
+    it stops there, and on an MLP about half the time, unless a saturated
+    softmax or tanh keeps its gradients finite."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    input_dim = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        spec = ModelSpec(input_dim, (draw(st.integers(1, 4)),), "identity", "quadratic")
+    else:
+        activation = draw(st.sampled_from(["identity", "relu", "tanh"]))
+        dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+        spec = ModelSpec(input_dim, dims, activation=activation)
+    m = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(1, 7), min_size=m, max_size=m))
+    poisoned = draw(st.integers(0, m - 1))
+    lengths[poisoned] = max(lengths[poisoned], 3)
+    huge_from = draw(st.integers(1, lengths[poisoned] - 2))
+
+    def batch(scale):
+        n = int(rng.integers(1, 6))
+        return Batch(scale * rng.normal(size=(n, input_dim)), rng.integers(0, spec.num_classes, size=n))
+
+    schedules = [
+        [batch(1e200 if i == poisoned and j >= huge_from else 1.0) for j in range(k)]
+        for i, k in enumerate(lengths)
+    ]
+    params = rng.normal(scale=0.5, size=spec.param_count)
+    steps = max(lengths) + draw(st.integers(0, 2)) if draw(st.booleans()) else None
+    return spec, params, schedules, draw(st.sampled_from([0.05, 0.5])), steps
+
+
 class TestKernelMatchesReference:
     """``gradient``, ``forward_logits`` and ``sgd_trajectory`` equal the
     plain reference bit for bit: every rewrite of the kernel must keep each
@@ -305,6 +340,29 @@ class TestKernelMatchesReference:
         assert final[0].tobytes() == theta.tobytes()
         assert [g.tobytes() for g in grads[0]] == [g.tobytes() for g in expected]
         assert last[0].tobytes() == expected[-1].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(lockstep_cases())
+    def test_lockstep_rows_bytes_equal_their_own_loops(self, case):
+        # The kernel's per-layer views are made once per trajectory: they
+        # must follow the theta/spare swap and the stopped-row copy-back,
+        # so every row, stopped or not, ends as its own loop ends.
+        spec, params, schedules, beta, steps = case
+        grads = None if steps is None else np.full((len(schedules), steps, spec.param_count), 7.0)
+        final, last, failures = sgd_trajectory(spec, params, schedules, sgd_update(beta), grads)
+        for i, schedule in enumerate(schedules):
+            try:
+                theta, expected = reference_sgd_trajectory(spec, params, schedule, beta)
+            except DivergenceError as alone:
+                k = alone.step_index
+                assert (str(failures[i]), failures[i].step_index) == (str(alone), k)
+                theta, expected = reference_sgd_trajectory(spec, params, schedule[:k], beta)
+            else:
+                assert failures[i] is None
+                assert last[i].tobytes() == expected[-1].tobytes()
+            assert final[i].tobytes() == theta.tobytes()
+            if grads is not None and expected:
+                assert grads[i, : len(expected)].tobytes() == np.stack(expected).tobytes()
 
 
 @st.composite
@@ -511,6 +569,27 @@ class TestSgdTrajectory:
             assert final[i].tobytes() == theta.tobytes()
             assert grads[i, :k].tobytes() == np.stack(expected).tobytes()
             assert last[i].tobytes() == expected[-1].tobytes()
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_layer_views_made_per_row_not_per_step(self, traced, monkeypatch):
+        # The kernel's per-layer views are cut once per trajectory, for each
+        # row of the iterate, candidate and gradient buffers: 5 steps and
+        # 50 steps cut the same three sets per row.
+        spec, params, batch = mlp_case(5)
+        cut, made = model._layer_views, []
+
+        def spy(spec, flat):
+            made.append(flat)
+            return cut(spec, flat)
+
+        monkeypatch.setattr(model, "_layer_views", spy)
+        counts = []
+        for k in (5, 50):
+            made.clear()
+            grads = np.empty((3, k, spec.param_count)) if traced else None
+            sgd_trajectory(spec, params, [[batch] * k] * 3, sgd_update(0.01), grads)
+            counts.append(len(made))
+        assert counts == [3 * 3, 3 * 3]
 
     def test_a_stopped_row_is_tested_no_more(self, monkeypatch):
         # Row 1 stops at step 2 on a non-finite gradient, which stays in its

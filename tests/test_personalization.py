@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -20,6 +22,7 @@ from fedmetasim import (
     split_train_eval,
     substream,
 )
+from fedmetasim import personalization
 from fedmetasim.data import ClientDataset, FederatedDataset
 from fedmetasim.errors import NumericError
 from util import (
@@ -457,6 +460,35 @@ class TestEpochsSweep:
             6, snapshot_index=1,
         )
         assert rows[0][2] == report.personalized_mean
+
+    def test_cells_score_only_the_adapted_rows(self, monkeypatch):
+        # Every cell equals eval_population's personalized mean, bit for
+        # bit, yet evaluates each client's test split once per cell: the
+        # unadapted accuracies no cell reads are not computed.
+        ds = toy_dataset(seed=6)
+        ids = ds.train_client_ids
+        params = init_params(SPEC, substream(6, "init"))
+        cfgs = [
+            PersonalizationConfig(optimizer="sgd", lr=0.05, batch_size=10),
+            PersonalizationConfig(optimizer="adam", batch_size=10),
+        ]
+        scored = []
+
+        def counting(spec, params, examples):
+            scored.append(examples)
+            return evaluate_accuracy(spec, params, examples)
+
+        monkeypatch.setattr(personalization, "evaluate_accuracy", counting)
+        rows = epochs_sweep(SPEC, params, ds, ids, cfgs, 3, 6)
+        assert len(scored) == len(cfgs) * 3 * len(ids)
+        monkeypatch.undo()
+        expected = [
+            (cfg.label(), e, eval_population(
+                SPEC, params, ds, ids, replace(cfg, epochs=e), 6, snapshot_index=e
+            ).personalized_mean)
+            for cfg in cfgs for e in (1, 2, 3)
+        ]
+        assert rows == expected
 
     def test_invalid_max_epochs(self):
         ds = toy_dataset(seed=7)
