@@ -3,21 +3,19 @@
 Model parameters live in a single flat float64 vector laid out per layer as
 the row-major weight matrix followed by the bias. All operations here are
 pure functions of their inputs; nothing mutates shared state, so values are
-safe to reuse across threads; the one buffer a caller may hand in is
-``gradient``'s ``out``. The kernel never slices a flat vector itself: it
-reads per-layer views, which ``_layer_views`` alone cuts from a flat
-vector by the layout. The views alias the vector they were cut from, the
-caller's buffer included, so they are made once per direct call, and once
-per trajectory for every row of ``sgd_trajectory``'s buffers. A ``Batch``
-owns read-only copies of its arrays and their label bound, so the per-call
-batch checks are O(1).
+safe to reuse across threads. The kernel never slices a flat vector itself:
+it reads per-layer views, which ``_layer_views`` alone cuts from a flat
+vector by the layout. The views alias the vector they were cut from, so
+they are made once per direct call, and once per trajectory for every row
+of ``sgd_trajectory``'s buffers. A ``Batch`` owns read-only copies of its
+arrays and their label bound, so the per-call batch checks are O(1).
 """
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
+import operator
 import struct
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -63,6 +61,16 @@ _ACTIVATION_KERNELS = {
 }
 
 
+def _dim(name: str, value) -> int:
+    """``value`` as an int; a float, even an integral one, or a bool is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ContractViolation(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture of a fully connected classifier.
@@ -79,7 +87,9 @@ class ModelSpec:
     loss: str = "softmax_cross_entropy"
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
+        object.__setattr__(self, "input_dim", _dim("input_dim", self.input_dim))
+        dims = tuple(_dim("a layer_dims entry", d) for d in self.layer_dims)
+        object.__setattr__(self, "layer_dims", dims)
         if self.input_dim < 1:
             raise ContractViolation("input_dim must be positive")
         if not self.layer_dims or any(d < 1 for d in self.layer_dims):
@@ -157,7 +167,17 @@ class Batch:
 
     def __post_init__(self):
         # np.array copies, so no caller holds the arrays range-checked here.
-        y = _frozen(np.array(self.y, dtype=np.int64))
+        # A label that the int64 cast changes (fractional, nan, inf or out
+        # of range) is refused; an integral float is taken.
+        labels = np.asarray(self.y)
+        try:
+            with np.errstate(invalid="ignore"):
+                y = _frozen(np.array(labels, dtype=np.int64))
+        except OverflowError:  # an object array holding a Python int outside int64
+            bad = [v for v in labels.flat if not -(2**63) <= v < 2**63]
+            raise ContractViolation(f"label {bad[0]} is not an int64 integer") from None
+        if labels.dtype != y.dtype and (bad := labels[y != labels]).size:
+            raise ContractViolation(f"label {bad[0]} is not an int64 integer")
         object.__setattr__(self, "x", _frozen(np.array(self.x, dtype=np.float64)))
         object.__setattr__(self, "y", y)
         if self.targets is not None:
@@ -296,55 +316,34 @@ def forward_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     return float(loss)
 
 
-# Set by sgd_trajectory around its own gradient calls only, to a one-slot
-# list that holds, for the call being made, the ``_layer_views`` of its
-# params and of its out: rows of the loop's float64 (M, P) buffers, whose
-# views the loop made once. The loop holds the error state (overflow is an
-# anticipated outcome) and tests the rows' finiteness together, so such a
-# call checks only its batch.
-_LOOP_CALL = contextvars.ContextVar("_LOOP_CALL", default=None)
+class _LoopRow(tuple):
+    """``sgd_trajectory``'s handle on one row: the ``_layer_views`` of the
+    row's iterate and of its row of ``last``, made once per trajectory."""
 
 
-def gradient(
-    spec: ModelSpec, params: np.ndarray, batch: Batch, out: np.ndarray | None = None
-) -> np.ndarray:
+def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Exact gradient of forward_loss with respect to the flat parameters.
 
-    With ``out``, a writeable C-contiguous float64 array of shape (P,) that
-    does not overlap ``params``, the gradient is written into it and ``out``
-    is returned; a non-finite result is left there when NumericError is
-    raised. Every call checks ``params``, ``batch`` and ``out``, cuts their
-    per-layer views, which alias them, and raises NumericError on a
-    non-finite result, except those ``sgd_trajectory`` makes on its own
-    buffers: these check only ``batch``, run the kernel on the views the
-    loop made of ``params`` and ``out`` once per trajectory, and leave the
-    finiteness test to the loop.
+    A call checks ``params`` and ``batch``, returns the gradient in a new
+    array and raises NumericError if it is not finite. Only
+    ``sgd_trajectory`` passes a ``_LoopRow`` as ``params``: such a call
+    checks the batch, writes the gradient into the row's views and returns
+    None; the loop holds the error state and tests the rows' finiteness.
     """
-    if (call := _LOOP_CALL.get()) is not None:
+    if type(params) is _LoopRow:
         _check_batch(spec, batch)
-        _backprop(spec, *call[0], batch)
-        return out
+        _backprop(spec, *params, batch)
+        return None
     params = _check_params(spec, params)
     _check_batch(spec, batch)
-    if out is None:
-        out = np.empty(spec.param_count)
-    elif not (
-        isinstance(out, np.ndarray)
-        and out.dtype == np.float64
-        and out.shape == params.shape
-        and out.flags.c_contiguous
-        and out.flags.writeable
-    ):
-        raise ContractViolation(
-            f"out must be a writeable C-contiguous float64 array of shape {params.shape}"
-        )
+    g = np.empty(spec.param_count)
     with np.errstate(over="ignore", invalid="ignore"):
-        _backprop(spec, _layer_views(spec, params), _layer_views(spec, out), batch)
+        _backprop(spec, _layer_views(spec, params), _layer_views(spec, g), batch)
         # A finite sum of squares proves every entry finite; the sum overflows
         # for entries above about 1e154, so a non-finite one is confirmed.
-        if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
+        if not math.isfinite(g.dot(g)) and not np.isfinite(g).all():
             raise NumericError("non-finite gradient")
-    return out
+    return g
 
 
 def _backprop(spec: ModelSpec, layers: list, grads: list, batch: Batch) -> None:
@@ -429,12 +428,12 @@ def sgd_trajectory(
     ``gradient`` call. Every step's gradient lands in its row of ``last``,
     the (M, P) buffer returned, so the ``g`` handed to ``update`` is always
     ``last``; with ``grads``, the rows that stepped are then copied into
-    ``grads[:, j]``. The per-layer views of every row of the iterates, the
-    candidates and ``last``, which alias those buffers, are made once per
-    call, and the loop's own ``gradient`` calls run the kernel on them, so
-    no step slices a flat vector or allocates a result. They run in the
-    error state the loop holds; at each step position one BLAS pass of row
-    sums proves the stepping rows' gradients, then their candidates, finite.
+    ``grads[:, j]``. Each row's ``gradient`` call is passed a ``_LoopRow``
+    handle, made once per call, on the per-layer views of the row's iterate
+    and of its row of ``last``, so no step slices a flat vector or
+    allocates a result. The calls run in the error state the loop holds; at
+    each step position one BLAS pass of row sums proves the stepping rows'
+    gradients, then their candidates, finite.
     """
     params = _check_params(spec, params)
     if not schedules:
@@ -455,13 +454,13 @@ def sgd_trajectory(
     batches = [iter(s) for s in schedules]
     theta = np.tile(params, (len(batches), 1))
     spare, last = np.empty_like(theta), np.empty_like(theta)
-    # Row views and their per-layer views, made once; theta's and spare's
-    # lists are swapped with their buffers.
-    theta_rows, spare_rows, last_rows = list(theta), list(spare), list(last)
-    theta_views, spare_views, last_views = (
-        [_layer_views(spec, row) for row in rows] for rows in (theta_rows, spare_rows, last_rows)
+    # One handle per row, made once; theta's and spare's lists are swapped
+    # with their buffers.
+    last_views = [_layer_views(spec, row) for row in last]
+    theta_rows, spare_rows = (
+        [_LoopRow((_layer_views(spec, row), views)) for row, views in zip(rows, last_views)]
+        for rows in (theta, spare)
     )
-    call = [None]  # the views of the gradient call being made, for gradient
     failures: list[DivergenceError | None] = [None] * len(batches)
     running = list(range(len(batches)))
     ones = np.ones(theta.shape[1])
@@ -480,13 +479,8 @@ def sgd_trajectory(
                 break
             if grads is not None and j == grads.shape[1]:
                 raise ContractViolation(f"a schedule is longer than grads' {j} steps")
-            mark = _LOOP_CALL.set(call)
-            try:
-                for i, batch in zip(stepped, taken):
-                    call[0] = theta_views[i], last_views[i]
-                    gradient(spec, theta_rows[i], batch, last_rows[i])
-            finally:
-                _LOOP_CALL.reset(mark)
+            for i, batch in zip(stepped, taken):
+                gradient(spec, theta_rows[i], batch)
             if grads is not None:
                 if len(stepped) == len(batches):
                     grads[:, j] = last
@@ -510,7 +504,6 @@ def sgd_trajectory(
             else:
                 theta, spare = spare, theta
                 theta_rows, spare_rows = spare_rows, theta_rows
-                theta_views, spare_views = spare_views, theta_views
     return theta, last, failures
 
 

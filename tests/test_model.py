@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -86,6 +87,28 @@ class TestModelSpec:
             ModelSpec(4, ())
         with pytest.raises(ContractViolation):
             ModelSpec(4, (3,), activation="sigmoid")
+
+    @pytest.mark.parametrize("input_dim, layer_dims, message", [
+        (4.0, (3,), "^input_dim must be an integer, got 4.0$"),
+        (np.float64(4), (3,), "^input_dim must be an integer, got np.float64"),
+        (4, (3.7,), "^a layer_dims entry must be an integer, got 3.7$"),
+        (4, (5, 3.0), "^a layer_dims entry must be an integer, got 3.0$"),
+        (4, ("3",), "^a layer_dims entry must be an integer, got '3'$"),
+        (True, (3,), "^input_dim must be an integer, got True$"),
+        (4, (3, np.True_), "^a layer_dims entry must be an integer, got np.True_$"),
+    ])
+    def test_rejects_non_integer_dims(self, input_dim, layer_dims, message):
+        with pytest.raises(ContractViolation, match=message):
+            ModelSpec(input_dim, layer_dims)
+
+    def test_numpy_integer_dims_taken_as_ints(self, tmp_path):
+        spec = ModelSpec(np.int64(4), (np.int64(5), np.int32(3)))
+        assert spec == ModelSpec(4, (5, 3))
+        assert {type(d) for d in (spec.input_dim, *spec.layer_dims)} == {int}
+        params = init_params(spec, np.random.default_rng(0))
+        save_checkpoint(tmp_path / "model.fms", spec, params)
+        loaded, back = load_checkpoint(tmp_path / "model.fms")
+        assert loaded == spec and back.tobytes() == params.tobytes()
 
 
 class TestForwardLoss:
@@ -439,6 +462,24 @@ class TestBatchRecord:
         assert Batch(np.zeros((2, 1)), [0, -1]).label_bound == 2**64 - 1
         assert Batch(np.zeros((0, 1)), np.zeros(0, dtype=int)).label_bound == 0
 
+    @pytest.mark.parametrize("label", [
+        0.9, 2.99, -0.5, math.nan, math.inf, -math.inf, 2.0**63 + 5, np.uint64(2**63),
+        2**64, -(2**63) - 1,
+    ])
+    def test_rejects_a_label_that_is_not_an_int64_integer(self, label):
+        # Without the check the int64 cast truncates 2.99 to 2, wraps
+        # 2**63 to -2**63 and raises OverflowError on a Python int 2**64.
+        labels = np.array([1, label])
+        with pytest.raises(ContractViolation, match=f"^label {re.escape(str(labels[1]))} is not"):
+            Batch(np.zeros((2, 1)), labels)
+
+    def test_takes_integral_float_and_unsigned_labels(self):
+        for labels in (np.zeros(3), [2.0, -1.0, 0.0], np.array([2, 0, 1], dtype=np.uint64)):
+            batch = Batch(np.zeros((3, 1)), labels)
+            assert batch.y.dtype == np.int64
+            assert batch.y.tolist() == np.asarray(labels, dtype=np.int64).tolist()
+        assert Batch(np.zeros((1, 1)), [-(2.0**63)]).y.tolist() == [-(2**63)]
+
 
 def overflowing_case():
     """A case whose logits overflow, so its gradient is not finite."""
@@ -447,52 +488,19 @@ def overflowing_case():
 
 
 class TestGradientOut:
-    @settings(max_examples=300, deadline=None)
-    @given(mlp_cases())
-    @gemv_examples
-    def test_bytes_equal_and_returns_out(self, case):
-        spec, params, batch = case
-        out = np.empty(spec.param_count)
-        try:
-            expected = gradient(spec, params, batch)
-        except NumericError:
-            with pytest.raises(NumericError):
-                gradient(spec, params, batch, out=out)
-            return
-        assert gradient(spec, params, batch, out=out) is out
-        assert out.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("make_out", [
-        lambda p: np.empty(p + 1),
-        lambda p: np.empty((1, p)),
-        lambda p: np.empty(p, dtype=np.float32),
-        lambda p: np.empty(2 * p)[::2],
-        lambda p: np.empty(p).view(np.int64),
-        lambda p: [0.0] * p,
-    ], ids=["long", "2-D", "float32", "strided", "int64", "list"])
-    def test_rejects_a_wrong_out(self, make_out):
-        spec, params, batch = mlp_case(3)
-        with pytest.raises(ContractViolation):
-            gradient(spec, params, batch, out=make_out(spec.param_count))
-
-    def test_rejects_a_read_only_out(self):
-        spec, params, batch = mlp_case(3)
-        out = np.zeros(spec.param_count)
-        out.flags.writeable = False
-        with pytest.raises(ContractViolation):
-            gradient(spec, params, batch, out=out)
-        assert not out.any()
-
-    @pytest.mark.parametrize("with_out", [False, True])
-    def test_non_finite_raises_with_its_own_errstate(self, with_out):
+    @pytest.mark.parametrize("caller_raises", [False, True])
+    def test_non_finite_raises_with_its_own_errstate(self, caller_raises):
+        # gradient holds its own error state, whatever its caller's: a
+        # caller that raises on overflow and invalid still gets NumericError
+        # alone, and its state back unchanged.
         spec, params, batch = overflowing_case()
-        out = np.empty(spec.param_count) if with_out else None
-        before = np.geterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericError):
-                gradient(spec, params, batch, out=out)
-        assert np.geterr() == before
+        with np.errstate(**(dict(over="raise", invalid="raise") if caller_raises else {})):
+            before = np.geterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError):
+                    gradient(spec, params, batch)
+            assert np.geterr() == before
 
 
 class TestSgdTrajectory:
@@ -590,6 +598,62 @@ class TestSgdTrajectory:
             sgd_trajectory(spec, params, [[batch] * k] * 3, sgd_update(0.01), grads)
             counts.append(len(made))
         assert counts == [3 * 3, 3 * 3]
+
+    def test_threads_step_as_one_thread(self):
+        # The loop keeps no module state: four threads, each running its
+        # own trajectories 30 times at once, give a sequential run's bytes.
+        cases = [mlp_case(20 + t, dims=(5 + t, 3)) for t in range(4)]
+
+        def run(t):
+            spec, params, batch = cases[t]
+            schedules = [[batch] * (3 + t), [batch[::2]] * 4, [batch[1:]] * 2]
+            final, last, failures = sgd_trajectory(spec, params, schedules, sgd_update(0.1))
+            assert failures == [None] * 3
+            return final.tobytes() + last.tobytes()
+
+        expected = [run(t) for t in range(4)]
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(lambda t: [run(t) for _ in range(30)], range(4)))
+        assert results == [[e] * 30 for e in expected]
+
+    @pytest.mark.parametrize("where", ["schedule", "update"])
+    def test_a_trajectory_run_inside_a_trajectory_steps_as_alone(self, where):
+        # A schedule's iterator or an update rule may run a trajectory of
+        # its own while the outer loop runs; each loop hands gradient its
+        # own row handles, so outer and inner rows both step as alone.
+        spec, params, batch = mlp_case(7)
+        inner_spec, inner_params, inner_batch = mlp_case(8, dims=(6, 3))
+        inner_schedules = [[inner_batch] * 3, [inner_batch[::2]] * 2]
+        inner = []
+
+        def run_inner():
+            inner.append(sgd_trajectory(inner_spec, inner_params, inner_schedules, sgd_update(0.05)))
+
+        def schedule():
+            for _ in range(4):
+                if where == "schedule":
+                    run_inner()
+                yield batch
+
+        def update(theta, g, t, out):
+            if where == "update":
+                run_inner()
+            sgd_update(0.1)(theta, g, t, out)
+
+        other = [batch[::-1]] * 4
+        final, last, failures = sgd_trajectory(spec, params, [schedule(), other], update)
+        assert failures == [None, None]
+        for i, batches in enumerate([[batch] * 4, other]):
+            theta, grads = reference_sgd_trajectory(spec, params, batches, 0.1)
+            assert final[i].tobytes() == theta.tobytes()
+            assert last[i].tobytes() == grads[-1].tobytes()
+        assert len(inner) == 4
+        for final, last, failures in inner:
+            assert failures == [None, None]
+            for i, batches in enumerate(inner_schedules):
+                theta, grads = reference_sgd_trajectory(inner_spec, inner_params, batches, 0.05)
+                assert final[i].tobytes() == theta.tobytes()
+                assert last[i].tobytes() == grads[-1].tobytes()
 
     def test_a_stopped_row_is_tested_no_more(self, monkeypatch):
         # Row 1 stops at step 2 on a non-finite gradient, which stays in its
@@ -757,22 +821,16 @@ class TestFinitenessGuards:
         assert final.tobytes() == rows.tobytes()
 
     def test_calls_from_a_schedule_or_an_update_keep_every_check(self):
-        # Only the loop's own gradient calls trust their buffers; a call
-        # from a schedule's iterator or from the update rule, made while
-        # the loop runs, checks params and out and raises on a non-finite
-        # result, without a warning.
+        # Only the loop's own gradient calls, made with a row handle, trust
+        # their buffers; a call from a schedule's iterator or from the
+        # update rule, made while the loop runs, checks params and raises
+        # on a non-finite result, without a warning.
         spec, params, batch = mlp_case(3)
-        p, checked = spec.param_count, []
+        checked = []
 
         def direct_calls(where):
-            read_only = np.empty(p)
-            read_only.flags.writeable = False
-            outs = [np.empty(p, dtype=np.float32), read_only, np.empty((2, p), order="F")[0]]
-            for out in outs:
-                with pytest.raises(ContractViolation, match="^out must be"):
-                    gradient(spec, params, batch, out)
             with pytest.raises(ContractViolation, match="^expected"):
-                gradient(spec, params[:-1], batch, np.empty(p - 1))
+                gradient(spec, params[:-1], batch)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NumericError, match="^non-finite gradient$"):

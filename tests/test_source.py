@@ -1,8 +1,9 @@
 """The docs and the imports stay honest: README's library example imports
 only names the package exports, no module imports a name it never uses, no
-function imports anything, so an import cycle cannot hide in a call, and no
+function imports anything, so an import cycle cannot hide in a call, no
 module imports or reaches a private numpy name, which numpy may change in any
-release."""
+release, and no module keeps state outside its functions' arguments through
+``contextvars``, ``threading`` or a ``global`` statement."""
 
 import ast
 import re
@@ -133,4 +134,50 @@ def test_private_numpy_is_found():
         "line 4: from numpy import",
         "line 5: ._core",
         "line 5: ._extobj_contextvar",
+    ]
+
+
+HIDDEN_STATE_MODULES = {"contextvars", "threading"}
+
+
+def hidden_state(source: str) -> list[str]:
+    """Where ``source`` imports ``contextvars`` or ``threading`` or declares a
+    ``global``: the means by which a call could pass a value to another
+    outside their arguments."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Global):
+            found.append(f"line {node.lineno}: global {', '.join(node.names)}")
+        elif isinstance(node, ast.Import):
+            found += [
+                f"line {node.lineno}: import {alias.name}"
+                for alias in node.names
+                if alias.name.split(".")[0] in HIDDEN_STATE_MODULES
+            ]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module.split(".")[0] in HIDDEN_STATE_MODULES:
+                found.append(f"line {node.lineno}: from {node.module} import")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_hidden_state(module):
+    assert hidden_state((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_hidden_state_is_found():
+    source = (
+        "import contextvars, os\n"
+        "from threading import local\n"
+        "from . import threading\n"
+        "import threading.local as tl\n"
+        "COUNT = 0\n"
+        "def f():\n"
+        "    global COUNT, MARK\n"
+    )
+    assert hidden_state(source) == [
+        "line 1: import contextvars",
+        "line 2: from threading import",
+        "line 4: import threading.local",
+        "line 7: global COUNT, MARK",
     ]
