@@ -1,10 +1,10 @@
 """Federated dataset construction.
 
-Clients are integer-keyed; each owns an immutable train/test split. The
-synthetic generator is the desk-scale stand-in for a naturally partitioned
-user dataset: label skew comes from a per-client Dirichlet draw and feature
-skew from a per-client affine style shift, both scaled by one heterogeneity
-knob in [0, 1].
+Clients are keyed by int64 integers; each owns an immutable train/test
+split. The synthetic generator is the desk-scale stand-in for a naturally
+partitioned user dataset: label skew comes from a per-client Dirichlet
+draw and feature skew from a per-client affine style shift, both scaled
+by one heterogeneity knob in [0, 1].
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ class FederatedDataset:
             if cid not in known:
                 raise ContractViolation(f"unknown client id {cid}")
         for cid, client in self.clients.items():
+            # Random streams and traces key a client by an int64.
+            if not (isinstance(cid, (int, np.integer)) and -(2**63) <= cid < 2**63):
+                raise ContractViolation(f"client id {cid!r} is not an int64 integer")
             for part in (client.train, client.test):
                 if part.n and part.x.shape[1] != self.input_dim:
                     raise ContractViolation(f"client {cid} feature dim mismatch")
@@ -179,6 +182,8 @@ def load_csv_dataset(path, input_dim: int, num_classes: int, seed: int = 0) -> F
                 raise ParseError(f"{path}, line {lineno}: {exc}") from exc
             if cid < 0:
                 raise SchemaError(f"{path}, line {lineno}: negative client id {cid}")
+            if cid >= 2**63:
+                raise SchemaError(f"{path}, line {lineno}: client id {cid} is outside int64")
             if not (finite := np.isfinite(feats)).all():
                 column = 3 + int(finite.argmin())  # 1-based, after client id and label
                 raise SchemaError(

@@ -19,7 +19,9 @@ the weights (M,), the client deltas (M, P) row by row in client-id order,
 the aggregate (P,), the client step size beta, and, with ``trace=True``,
 one (K_i, P) array of raw per-step gradients per client, from which the
 averaged round update can later be decomposed exactly into its single-step
-and adapted-gradient components. A non-finite gradient or iterate raises
+and adapted-gradient components. ``run_round`` records those gradients in
+the update rule it hands ``sgd_trajectory``, so the step loop knows
+nothing of tracing. A non-finite gradient or iterate raises
 DivergenceError naming the round and the lowest-id client that diverged, at
 its own step, as if the clients had run one after another; a non-finite
 server step raises it naming the round.
@@ -153,7 +155,8 @@ def run_round(
     steps; otherwise a trajectory covers the first K batches (K+1 for
     fomaml). fomaml's update is -beta times the last gradient, taken at the
     adapted parameters on the extra batch; every other algorithm's is the
-    parameter delta.
+    parameter delta. A traced round's update rule copies each step's
+    gradients into the trace before it steps.
     """
     started = time.perf_counter()
     sample_rng = substream(seed, "round.sample", round_index)
@@ -173,8 +176,18 @@ def run_round(
         make_client_batches(c, k, batch_size, substream(seed, "round.batch", round_index, cid))
         for c, k, cid in zip(clients, lengths, ids)
     ]
-    stacked = np.empty((len(ids), max(lengths), params.size)) if trace else None
-    final, last, failures = sgd_trajectory(spec, params, schedules, sgd_update(lr), stacked)
+    step = sgd_update(lr)
+    if trace:
+        # At step t the loop hands the rule every stepping row's step t - 1
+        # gradient; a row that ended or stopped leaves a stale copy past its
+        # own length, where the trace does not read.
+        stacked = np.empty((len(ids), max(lengths), params.size))
+
+        def record(theta, g, t, out):
+            stacked[:, t - 1] = g
+            step(theta, g, t, out)
+
+    final, last, failures = sgd_trajectory(spec, params, schedules, record if trace else step)
     # Each row stops only at its own end or divergence, so the lowest-id
     # failure is the one a client-by-client run would meet first.
     for cid, failure in zip(ids, failures):

@@ -346,8 +346,8 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     return g
 
 
-def _backprop(spec: ModelSpec, layers: list, grads: list, batch: Batch) -> None:
-    """Writes the gradient into ``grads``, the ``_layer_views`` of the
+def _backprop(spec: ModelSpec, layers: list, out: list, batch: Batch) -> None:
+    """Writes the gradient into ``out``, the ``_layer_views`` of the
     result, from ``layers``, those of the parameters."""
     acts = _forward(spec, layers, batch.x)
 
@@ -370,7 +370,7 @@ def _backprop(spec: ModelSpec, layers: list, grads: list, batch: Batch) -> None:
     # below have read it, so the derivative may be formed in it.
     dot, derivative = spec._dot, spec._derivative
     for i in range(len(layers) - 1, -1, -1):
-        a, (gw, _, gb) = acts[i], grads[i]
+        a, (gw, _, gb) = acts[i], out[i]
         dot(dz.T, a, out=gw)
         np.add.reduce(dz, axis=0, out=gb)
         if i:
@@ -401,7 +401,6 @@ def sgd_trajectory(
     params: np.ndarray,
     schedules: list[Iterable[Batch]],
     update: Callable[[np.ndarray, np.ndarray, int, np.ndarray], None],
-    grads: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[DivergenceError | None]]:
     """Step one trajectory per schedule, all from ``params`` and in lockstep.
 
@@ -419,38 +418,23 @@ def sgd_trajectory(
     iterates, the (M, P) raw gradients of each row's last step, and one
     DivergenceError per row that stopped on a non-finite value, carrying its
     step index (a gradient's with a NumericError cause), else None; nothing
-    is raised for divergence. With ``grads``, a writeable C-contiguous
-    float64 (M, K, P) array with K at least every schedule's length, row
-    i's step j gradient is written into ``grads[i, j]``. A row's failed
-    step leaves its gradient row undefined.
+    is raised for divergence.
 
-    ``params`` and ``grads`` are checked once, here, and each batch by its
-    ``gradient`` call. Every step's gradient lands in its row of ``last``,
-    the (M, P) buffer returned, so the ``g`` handed to ``update`` is always
-    ``last``; with ``grads``, the rows that stepped are then copied into
-    ``grads[:, j]``. Each row's ``gradient`` call is passed a ``_LoopRow``
-    handle, made once per call, on the per-layer views of the row's iterate
-    and of its row of ``last``, so no step slices a flat vector or
-    allocates a result. The calls run in the error state the loop holds; at
+    ``params`` is checked once, here, and each batch by its ``gradient``
+    call. Every step's gradient lands in its row of ``last``, the (M, P)
+    buffer returned, so the ``g`` handed to ``update`` is always ``last``:
+    at step ``t`` its rows hold every stepping row's step ``t - 1``
+    gradient, and a row that ended or stopped keeps a stale one. A caller
+    that records gradients does so in its update rule. Each row's
+    ``gradient`` call is passed a ``_LoopRow`` handle, made once per call,
+    on the per-layer views of the row's iterate and of its row of
+    ``last``, so no step slices a flat vector or allocates a result. The calls run in the error state the loop holds; at
     each step position one BLAS pass of row sums proves the stepping rows'
     gradients, then their candidates, finite.
     """
     params = _check_params(spec, params)
     if not schedules:
         raise ContractViolation("schedules must be non-empty")
-    shape = (len(schedules), params.shape[0])
-    if grads is not None and not (
-        isinstance(grads, np.ndarray)
-        and grads.dtype == np.float64
-        and grads.ndim == 3
-        and (grads.shape[0], grads.shape[2]) == shape
-        and grads.flags.c_contiguous
-        and grads.flags.writeable
-    ):
-        raise ContractViolation(
-            f"grads must be a writeable C-contiguous float64 array of shape "
-            f"({shape[0]}, K, {shape[1]})"
-        )
     batches = [iter(s) for s in schedules]
     theta = np.tile(params, (len(batches), 1))
     spare, last = np.empty_like(theta), np.empty_like(theta)
@@ -477,15 +461,8 @@ def sgd_trajectory(
                     raise ContractViolation("batches must be non-empty")
             if not stepped:
                 break
-            if grads is not None and j == grads.shape[1]:
-                raise ContractViolation(f"a schedule is longer than grads' {j} steps")
             for i, batch in zip(stepped, taken):
                 gradient(spec, theta_rows[i], batch)
-            if grads is not None:
-                if len(stepped) == len(batches):
-                    grads[:, j] = last
-                else:
-                    grads[stepped, j] = last[stepped]
             if bad := _stopping(last, stepped, ones):
                 for i in bad:
                     failures[i] = DivergenceError(f"non-finite gradient at step {j}", step_index=j)

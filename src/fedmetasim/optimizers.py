@@ -159,8 +159,8 @@ def adam_step(
 def sgd_update(lr: float) -> Callable[[np.ndarray, np.ndarray, int, np.ndarray], None]:
     """The update rule ``out = theta - lr * g`` for ``model.sgd_trajectory``;
     the step count is unused. ``out`` must not overlap ``theta``."""
-    if not lr >= 0:
-        raise ContractViolation("the SGD step size must be non-negative")
+    if not 0 <= lr < np.inf:
+        raise ContractViolation("the SGD step size must be non-negative and finite")
 
     def update(theta: np.ndarray, g: np.ndarray, t: int, out: np.ndarray) -> None:
         np.multiply(g, lr, out=out)

@@ -400,9 +400,10 @@ class TestTrain:
         ("6,0,0.5\n", "line 7: expected 8 columns, got 3"),
         ("6,0,x,0.5,0.5,0.5,0.5,0.5\n", "line 7: could not convert string to float: 'x'"),
         ("-6,0,0.5,0.5,0.5,0.5,0.5,0.5\n", "line 7: negative client id -6"),
+        (f"{2**63},0,0.5,0.5,0.5,0.5,0.5,0.5\n", f"line 7: client id {2**63} is outside int64"),
         ("6,3,0.5,0.5,0.5,0.5,0.5,0.5\n", "line 7: label 3 outside [0, 3)"),
         (None, "no data rows in file"),
-    ], ids=["columns", "parse", "client-id", "label", "no-rows"])
+    ], ids=["columns", "parse", "client-id", "client-id-int64", "label", "no-rows"])
     def test_csv_input_error_names_the_file(
         self, tmp_path, capsys, monkeypatch, last_row, message
     ):

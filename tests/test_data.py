@@ -3,14 +3,21 @@ import pytest
 
 from fedmetasim import (
     Batch,
+    ClientOptimizerConfig,
     ContractViolation,
     FederatedDataset,
+    ModelSpec,
     ParseError,
+    RoundConfig,
     SchemaError,
+    ServerOptimizerState,
     dataset_manifest,
     generate_synthetic,
+    init_params,
     load_csv_dataset,
+    run_round,
     split_train_eval,
+    substream,
 )
 from fedmetasim.data import ClientDataset
 
@@ -147,6 +154,12 @@ class TestLoadCsv:
             load_csv_dataset(path, 2, 2)
         assert str(err.value) == f"{path}, line 2, column 4: feature {value!r} is not finite"
 
+    def test_client_id_outside_int64(self, tmp_path):
+        path = self.write(tmp_path, f"0,0,0.1,0.2\n{2**63 - 1},1,0.1,0.2\n{2**63},0,0.1,0.2\n")
+        with pytest.raises(SchemaError) as err:
+            load_csv_dataset(path, 2, 2)
+        assert str(err.value) == f"{path}, line 3: client id {2**63} is outside int64"
+
     def test_wrong_column_count(self, tmp_path):
         path = self.write(tmp_path, "0,0,0.1\n")
         with pytest.raises(SchemaError) as err:
@@ -222,6 +235,26 @@ class TestFederatedDatasetInvariants:
                 input_dim=ds.input_dim,
                 num_classes=ds.num_classes,
             )
+
+    @pytest.mark.parametrize("cid", [2**63, -(2**63) - 1, np.uint64(2**63), 1.5, "7"])
+    def test_client_id_not_an_int64_integer_refused(self, cid):
+        client = small_synthetic().clients[0]
+        with pytest.raises(ContractViolation) as err:
+            FederatedDataset({cid: client}, (cid,), (), input_dim=5, num_classes=3)
+        assert str(err.value) == f"client id {cid!r} is not an int64 integer"
+
+    def test_int64_extreme_client_ids_taken(self):
+        # Both ids key their random streams and land in a traced round.
+        client, ids = small_synthetic().clients[0], (-(2**63), 2**63 - 1)
+        ds = FederatedDataset(dict.fromkeys(ids, client), ids, (), input_dim=5, num_classes=3)
+        spec = ModelSpec(5, (4, 3))
+        cfg = RoundConfig("reptile", 2, ClientOptimizerConfig(0.1, 5), steps=2)
+        _, _, trace = run_round(
+            spec, init_params(spec, substream(0, "init")), ds, cfg,
+            ServerOptimizerState("sgd", lr=1.0), 0, 0, trace=True,
+        )
+        assert trace.client_ids == list(ids)
+        assert [g.shape for g in trace.step_gradients] == [(2, spec.param_count)] * 2
 
     def test_label_range_checked(self):
         bad = ClientDataset(

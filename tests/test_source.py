@@ -1,8 +1,9 @@
 """The docs and the imports stay honest: README's library example imports
 only names the package exports, no module imports a name it never uses, no
-function imports anything, so an import cycle cannot hide in a call, no
-module imports or reaches a private numpy name, which numpy may change in any
-release, and no module keeps state outside its functions' arguments through
+function imports anything, so an import cycle cannot hide in a call, each
+module imports only modules below it in one layer order, no module imports
+or reaches a private numpy name, which numpy may change in any release, and
+no module keeps state outside its functions' arguments through
 ``contextvars``, ``threading`` or a ``global`` statement."""
 
 import ast
@@ -80,6 +81,80 @@ def test_function_import_is_found():
         "    return g\n"
     )
     assert function_imports(source) == ["line 4: in f", "line 4: in g"]
+
+
+# The package's modules, lowest first: each imports only from those before
+# it, so the step loop in ``model`` cannot reach rounds or traces.
+LAYERS = (
+    "errors", "rng", "model", "data", "optimizers", "personalization",
+    "federation", "analysis", "config", "__init__", "cli",
+)
+
+
+def package_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) for each package module ``source`` imports, by a
+    relative or an absolute import; a name taken from the package itself
+    counts as ``__init__``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level:
+                if parts[0] != PACKAGE.name:
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.append((node.lineno, parts[0]))
+            else:
+                found += [
+                    (node.lineno, alias.name if alias.name in LAYERS else "__init__")
+                    for alias in node.names
+                ]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == PACKAGE.name:
+                    found.append((node.lineno, parts[1] if len(parts) > 1 else "__init__"))
+    return found
+
+
+def layer_breaks(module: str, source: str) -> list[str]:
+    """The imports by which ``module`` reaches a module not below it in ``LAYERS``."""
+    below = LAYERS[: LAYERS.index(module)]
+    return sorted(
+        f"line {line}: {module} imports {target}"
+        for line, target in package_imports(source)
+        if target not in below
+    )
+
+
+def test_layer_order_names_every_module():
+    assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_imports_follow_the_layers(module):
+    assert layer_breaks(module, (PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def test_layer_break_is_found():
+    source = (
+        "from .errors import ContractViolation\n"
+        "from .federation import run_round\n"
+        "from . import rng, __version__\n"
+        "import fedmetasim.data, numpy\n"
+        "from fedmetasim.model import Batch\n"
+        "from fedmetasim import errors\n"
+        "def f():\n"
+        "    from .cli import main\n"
+    )
+    assert layer_breaks("model", source) == [
+        "line 2: model imports federation",
+        "line 3: model imports __init__",
+        "line 4: model imports data",
+        "line 5: model imports model",
+        "line 8: model imports cli",
+    ]
 
 
 def private(name: str) -> bool:

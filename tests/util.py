@@ -9,6 +9,7 @@ algebra on a Hessian assembled straight from the batch. The lockstep
 trajectories and personalization are checked against one-client step loops
 that call ``gradient`` once per step, run the clients one after another in
 id order, and round every update as the library's stacked one must.
+``recording`` records a trajectory's step gradients as a traced round does.
 ``drain`` collects a training run's round stream the way ``train`` does.
 """
 
@@ -146,6 +147,17 @@ def reference_sgd_trajectory(spec, params, batches, beta):
                 raise DivergenceError(f"parameters diverged at step {j}", step_index=j)
             grads.append(g)
     return theta, grads
+
+
+def recording(update, grads):
+    """``update`` with each step's gradients recorded as a traced
+    ``federation.run_round`` records them: at step t, every row of the
+    gradient the rule is handed is copied into ``grads[:, t - 1]``, then
+    ``update`` steps."""
+    def record(theta, g, t, out):
+        grads[:, t - 1] = g
+        update(theta, g, t, out)
+    return record
 
 
 def reference_local_update(spec, params, client, cfg, rng, trace=False):
